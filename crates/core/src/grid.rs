@@ -8,9 +8,11 @@
 //! which node ran which cell — and [`merge_cells`] reassembles per-cell
 //! report JSON into one combined artifact. Because every per-cell report is
 //! already byte-deterministic for a given spec and seed, and the merge
-//! orders cells canonically and serializes through sorted-key JSON, the
-//! merged artifact is **byte-identical** no matter how the grid was sharded
-//! across nodes (or whether it ran on a single daemon).
+//! orders cells canonically and writes sorted-key JSON, the merged artifact
+//! is **byte-identical** no matter how the grid was sharded across nodes
+//! (or whether it ran on a single daemon). The merge copies each cell's
+//! report bytes when they are already canonical, as every worker report
+//! is, and parses and re-prints only a cell that is not.
 
 use crate::pipeline::ProofError;
 use crate::profile::ProfileReport;
@@ -318,14 +320,54 @@ pub const DEFAULT_GRID_SEED: u64 = 0xC0FFEE;
 /// The document is `{"cells": [...], "grid": ..., "sweep": ...}` with
 /// sorted keys throughout, so its bytes depend only on (spec, per-cell
 /// report bytes) — not on node count, dispatch order, or retry history.
+///
+/// The document is written straight into one buffer. Worker reports are
+/// already in the printer's canonical form, so each is copied as compact
+/// bytes ([`serde_json::copy_canonical`]); only a cell that is not
+/// canonical is parsed into a `Value` tree and printed. Either way the
+/// bytes are those of parsing every cell and printing the whole document.
 pub fn merge_cells(spec: &GridSpec, reports: &[(usize, String)]) -> Result<String, ProofError> {
     let cells = spec.cells();
-    let mut slots: Vec<Option<&str>> = vec![None; cells.len()];
+    let slots = slot_reports(cells.len(), reports)?;
+    let report_bytes: usize = reports.iter().map(|(_, json)| json.len()).sum();
+    let mut out = String::with_capacity(report_bytes + 128 * cells.len() + 512);
+    out.push_str("{\"cells\":[");
+    for (shard, (cell, slot)) in cells.iter().zip(&slots).enumerate() {
+        let json = slot.ok_or_else(|| {
+            ProofError::InvalidSpec(format!("shard {shard} missing from the merge"))
+        })?;
+        if shard > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"report\":");
+        if !serde_json::copy_canonical(json, &mut out) {
+            let report: Value = serde_json::from_str(json)
+                .map_err(|e| ProofError::Serialize(format!("shard {shard} report: {e}")))?;
+            out.push_str(&report.to_string());
+        }
+        out.push_str(",\"spec\":");
+        out.push_str(&cell.to_job_value().to_string());
+        out.push('}');
+    }
+    out.push_str("],\"grid\":");
+    out.push_str(&spec.to_value().to_string());
+    out.push_str(",\"sweep\":");
+    out.push_str(&sweep_value(spec, &slots)?.to_string());
+    out.push('}');
+    Ok(out)
+}
+
+/// Slot each report under its shard id, rejecting out-of-range and
+/// duplicate shards.
+fn slot_reports(
+    cells: usize,
+    reports: &[(usize, String)],
+) -> Result<Vec<Option<&str>>, ProofError> {
+    let mut slots: Vec<Option<&str>> = vec![None; cells];
     for (shard, json) in reports {
         let slot = slots.get_mut(*shard).ok_or_else(|| {
             ProofError::InvalidSpec(format!(
-                "shard {shard} out of range for a {}-cell grid",
-                cells.len()
+                "shard {shard} out of range for a {cells}-cell grid"
             ))
         })?;
         if slot.is_some() {
@@ -335,42 +377,23 @@ pub fn merge_cells(spec: &GridSpec, reports: &[(usize, String)]) -> Result<Strin
         }
         *slot = Some(json.as_str());
     }
-    let mut cell_values = Vec::with_capacity(cells.len());
-    let mut parsed = Vec::with_capacity(cells.len());
-    for (shard, (cell, slot)) in cells.iter().zip(&slots).enumerate() {
-        let json = slot.ok_or_else(|| {
-            ProofError::InvalidSpec(format!("shard {shard} missing from the merge"))
-        })?;
-        let report: Value = serde_json::from_str(json)
-            .map_err(|e| ProofError::Serialize(format!("shard {shard} report: {e}")))?;
-        parsed.push(json);
-        let mut m = Map::new();
-        m.insert("report".to_string(), report);
-        m.insert("spec".to_string(), cell.to_job_value());
-        cell_values.push(Value::Object(m));
+    Ok(slots)
+}
+
+/// The document's `sweep` member: the derived [`BatchSweep`] of a
+/// multi-cell batch-sweep grid, `null` otherwise. Every slot is filled.
+fn sweep_value(spec: &GridSpec, slots: &[Option<&str>]) -> Result<Value, ProofError> {
+    if !(spec.is_batch_sweep() && slots.len() > 1) {
+        return Ok(Value::Null);
     }
-    let sweep = if spec.is_batch_sweep() && cells.len() > 1 {
-        batch_sweep_from_reports(&parsed)?
-    } else {
-        None
-    };
-    let mut doc = Map::new();
-    doc.insert("cells".to_string(), Value::Array(cell_values));
-    doc.insert("grid".to_string(), spec.to_value());
-    doc.insert(
-        "sweep".to_string(),
-        match sweep {
-            Some(s) => serde_json::to_value(&s),
-            None => Value::Null,
-        },
-    );
-    Ok(Value::Object(doc).to_string())
+    let reports: Vec<&str> = slots.iter().flatten().copied().collect();
+    Ok(serde_json::to_value(&batch_sweep_from_reports(&reports)?))
 }
 
 /// Derive a [`BatchSweep`] from the per-batch reports of a single-config
 /// grid, computing each point exactly as [`crate::sweep::sweep_batches`]
 /// does so the curve is interchangeable with a direct sweep.
-fn batch_sweep_from_reports(reports: &[&str]) -> Result<Option<BatchSweep>, ProofError> {
+fn batch_sweep_from_reports(reports: &[&str]) -> Result<BatchSweep, ProofError> {
     let mut points = Vec::with_capacity(reports.len());
     let mut model = String::new();
     let mut platform = String::new();
@@ -387,11 +410,11 @@ fn batch_sweep_from_reports(reports: &[&str]) -> Result<Option<BatchSweep>, Proo
         });
     }
     points.sort_by_key(|p| p.batch);
-    Ok(Some(BatchSweep {
+    Ok(BatchSweep {
         model,
         platform,
         points,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -517,5 +540,285 @@ mod tests {
         assert!(!s.is_batch_sweep());
         s.models = vec!["resnet-50".into()];
         assert!(s.is_batch_sweep());
+    }
+
+    /// The merge as it was before cell bytes were copied: parse every cell
+    /// into a `Value` tree and print the whole document. The copying merge
+    /// must match it byte for byte, errors included.
+    fn merge_cells_tree(
+        spec: &GridSpec,
+        reports: &[(usize, String)],
+    ) -> Result<String, ProofError> {
+        let cells = spec.cells();
+        let mut slots: Vec<Option<&str>> = vec![None; cells.len()];
+        for (shard, json) in reports {
+            let slot = slots.get_mut(*shard).ok_or_else(|| {
+                ProofError::InvalidSpec(format!(
+                    "shard {shard} out of range for a {}-cell grid",
+                    cells.len()
+                ))
+            })?;
+            if slot.is_some() {
+                return Err(ProofError::InvalidSpec(format!(
+                    "shard {shard} reported twice"
+                )));
+            }
+            *slot = Some(json.as_str());
+        }
+        let mut cell_values = Vec::with_capacity(cells.len());
+        let mut parsed = Vec::with_capacity(cells.len());
+        for (shard, (cell, slot)) in cells.iter().zip(&slots).enumerate() {
+            let json = slot.ok_or_else(|| {
+                ProofError::InvalidSpec(format!("shard {shard} missing from the merge"))
+            })?;
+            let report: Value = serde_json::from_str(json)
+                .map_err(|e| ProofError::Serialize(format!("shard {shard} report: {e}")))?;
+            parsed.push(json);
+            let mut m = Map::new();
+            m.insert("report".to_string(), report);
+            m.insert("spec".to_string(), cell.to_job_value());
+            cell_values.push(Value::Object(m));
+        }
+        let sweep = if spec.is_batch_sweep() && cells.len() > 1 {
+            serde_json::to_value(&batch_sweep_from_reports(&parsed)?)
+        } else {
+            Value::Null
+        };
+        let mut doc = Map::new();
+        doc.insert("cells".to_string(), Value::Array(cell_values));
+        doc.insert("grid".to_string(), spec.to_value());
+        doc.insert("sweep".to_string(), sweep);
+        Ok(Value::Object(doc).to_string())
+    }
+
+    /// Both merges give the same bytes, or the same error.
+    fn assert_merges_like_tree(spec: &GridSpec, reports: &[(usize, String)]) -> Option<String> {
+        let fast = merge_cells(spec, reports).map_err(|e| e.to_string());
+        let tree = merge_cells_tree(spec, reports).map_err(|e| e.to_string());
+        assert_eq!(fast, tree);
+        fast.ok()
+    }
+
+    /// A real pretty-printed report, as a worker daemon returns it.
+    fn real_report(
+        model: proof_models::ModelId,
+        platform: proof_hw::PlatformId,
+        batch: u64,
+    ) -> String {
+        use proof_runtime::{BackendFlavor, SessionConfig};
+        let platform = platform.spec();
+        crate::profile_model(
+            &model.build(batch),
+            &platform,
+            BackendFlavor::for_platform(&platform),
+            &SessionConfig::new(proof_ir::DType::F16),
+            crate::MetricMode::Predicted,
+        )
+        .unwrap()
+        .try_to_json()
+        .unwrap()
+    }
+
+    /// Every cell of the benchmark's fleet grid: all 20 models × {a100,
+    /// rtx-4090} × batches {1, 8}.
+    fn fleet_grid_reports() -> (GridSpec, Vec<(usize, String)>) {
+        use proof_hw::PlatformId;
+        use proof_models::ModelId;
+
+        let platforms = [
+            (PlatformId::A100, "a100"),
+            (PlatformId::Rtx4090, "rtx-4090"),
+        ];
+        let batches = [1u64, 8];
+        let spec = GridSpec {
+            models: ModelId::ALL.iter().map(|m| m.slug().to_string()).collect(),
+            backends: vec![],
+            platforms: platforms.iter().map(|(_, slug)| slug.to_string()).collect(),
+            dtypes: vec![],
+            batches: batches.to_vec(),
+            mode: None,
+            seed: 1,
+        };
+        let mut reports = Vec::new();
+        for model in ModelId::ALL {
+            for (platform, _) in platforms {
+                for batch in batches {
+                    reports.push((reports.len(), real_report(model, platform, batch)));
+                }
+            }
+        }
+        assert_eq!(reports.len(), spec.cell_count());
+        (spec, reports)
+    }
+
+    #[test]
+    fn fleet_grid_reports_copy_to_the_tree_merge_bytes() {
+        let (spec, reports) = fleet_grid_reports();
+        for (shard, json) in &reports {
+            let mut copied = String::new();
+            assert!(
+                serde_json::copy_canonical(json, &mut copied),
+                "worker report of shard {shard} is not canonical"
+            );
+        }
+        let merged = assert_merges_like_tree(&spec, &reports).unwrap();
+        // shard arrival order does not matter on the copying path either
+        let mut reversed = reports.clone();
+        reversed.reverse();
+        assert_eq!(merge_cells(&spec, &reversed).unwrap(), merged);
+    }
+
+    #[test]
+    fn non_canonical_cells_fall_back_to_the_tree_bytes() {
+        let s = spec();
+        // (cell, whether it is canonical and so copied rather than re-printed)
+        let variants = [
+            ("{\n  \"a\": [1, 2.5, \"x\"],\n  \"b\": null\n}", true),
+            (r#"{"x":-0.0,"y":1e16,"z":"\u001f\n"}"#, true),
+            (r#"{"b":1,"a":2}"#, false),
+            (r#"{"a":1,"a":2}"#, false),
+            (r#"{"a":{"y":true,"x":false}}"#, false),
+            (r#"{"path":"a\/b"}"#, false),
+            (r#"{"name":"caf\u00e9"}"#, false),
+            (r#"{"ctl":"\u001F"}"#, false),
+            (r#"{"tab":"\u0009"}"#, false),
+            (r#"["\ud83d\ude00"]"#, false),
+            (r#"{"x":1E5}"#, false),
+            (r#"{"x":1.50}"#, false),
+            (r#"{"x":-0}"#, false),
+            (r#"{"x":01}"#, false),
+            (r#"{"x":18446744073709551616}"#, false),
+            (r#"{"x":-9223372036854775809}"#, false),
+            (r#"{"x":1e999}"#, false),
+        ];
+        for (variant, canonical) in variants {
+            assert_eq!(
+                serde_json::copy_canonical(variant, &mut String::new()),
+                canonical,
+                "{variant}"
+            );
+            // the odd cell sits among canonical ones, in every slot
+            for slot in 0..4 {
+                let reports: Vec<_> = (0..4)
+                    .map(|i| {
+                        let json = if i == slot {
+                            variant.to_string()
+                        } else {
+                            format!(r#"{{"cell":{i}}}"#)
+                        };
+                        (i, json)
+                    })
+                    .collect();
+                assert_merges_like_tree(&s, &reports).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn broken_cells_fail_like_the_tree_merge() {
+        let s = spec();
+        let reports: Vec<_> = (0..4)
+            .map(|i| (i, format!("{{\n  \"cell\": {i},\n  \"ms\": 1.25\n}}")))
+            .collect();
+        for cut in [0, 1, reports[2].1.len() / 2, reports[2].1.len() - 1] {
+            let mut broken = reports.clone();
+            broken[2].1.truncate(cut);
+            assert_merges_like_tree(&s, &broken);
+            let err = merge_cells(&s, &broken).unwrap_err().to_string();
+            assert!(err.contains("shard 2 report: "), "{err}");
+        }
+        // a bad cell before a missing one: the first failing shard in
+        // canonical order names the error
+        let mut broken = reports.clone();
+        broken[1].1 = "{\"a\":".into();
+        broken.pop();
+        assert_merges_like_tree(&s, &broken);
+        assert!(merge_cells(&s, &broken)
+            .unwrap_err()
+            .to_string()
+            .contains("shard 1 report: "));
+    }
+
+    #[test]
+    fn batch_sweep_merges_like_the_tree() {
+        let mut s = spec();
+        s.models = vec!["resnet-50".into()];
+        let reports: Vec<_> = [1, 4]
+            .into_iter()
+            .enumerate()
+            .map(|(i, batch)| {
+                let model = proof_models::ModelId::ALL[0];
+                (i, real_report(model, proof_hw::PlatformId::A100, batch))
+            })
+            .collect();
+        let merged = assert_merges_like_tree(&s, &reports).unwrap();
+        let doc: Value = serde_json::from_str(&merged).unwrap();
+        assert_eq!(doc["sweep"]["points"].as_array().unwrap().len(), 2);
+    }
+
+    /// A random JSON value: every number kind (non-finite floats print as
+    /// `null`), strings with escapes, control and non-ASCII chars, and
+    /// nested containers.
+    fn random_value(rng: &mut proptest::test_runner::TestRng, depth: u32) -> Value {
+        const CHARS: [&str; 10] = [
+            "a", "Z", "\"", "\\", "/", "\n", "\u{1}", "\u{7f}", "é", "😀",
+        ];
+        let string = |rng: &mut proptest::test_runner::TestRng| -> String {
+            let len = rng.below(6);
+            (0..len).map(|_| CHARS[rng.below(10) as usize]).collect()
+        };
+        let arm = if depth >= 4 {
+            rng.below(6)
+        } else {
+            rng.below(8)
+        };
+        match arm {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::from(rng.next_u64() >> rng.below(64)),
+            3 => Value::from(-((rng.next_u64() >> (rng.below(63) + 1)) as i64) - 1),
+            4 => Value::from(match rng.below(3) {
+                0 => f64::from_bits(rng.next_u64()),
+                1 => (rng.unit_f64() - 0.5) * 1e6,
+                _ => rng.below(100) as f64 * 0.25,
+            }),
+            5 => Value::String(string(rng)),
+            6 => {
+                let len = rng.below(4);
+                Value::Array((0..len).map(|_| random_value(rng, depth + 1)).collect())
+            }
+            _ => {
+                let len = rng.below(4);
+                Value::Object(
+                    (0..len)
+                        .map(|_| (string(rng), random_value(rng, depth + 1)))
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+        #[test]
+        fn random_cells_merge_like_the_tree(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::test_runner::TestRng::for_case(seed);
+            let s = spec();
+            let values: Vec<Value> = (0..4).map(|_| random_value(&mut rng, 0)).collect();
+            for print in [serde_json::to_string_pretty::<Value>, serde_json::to_string::<Value>] {
+                let reports: Vec<_> = values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| (i, print(v).unwrap()))
+                    .collect();
+                for (_, json) in &reports {
+                    let mut copied = String::new();
+                    proptest::prop_assert!(serde_json::copy_canonical(json, &mut copied), "{json}");
+                }
+                let fast = merge_cells(&s, &reports).map_err(|e| e.to_string());
+                let tree = merge_cells_tree(&s, &reports).map_err(|e| e.to_string());
+                proptest::prop_assert_eq!(fast, tree);
+            }
+        }
     }
 }

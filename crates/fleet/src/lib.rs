@@ -64,7 +64,7 @@ pub use coordinator::{run_grid_local, Fleet, FleetConfig, FleetError, FleetRun};
 pub use dispatcher::{
     DispatchCtx, DispatchOutcome, Dispatcher, DispatcherConfig, FleetCounters, ShardReport,
 };
-pub use merger::{merge_run, MergeSummary};
+pub use merger::merge_run;
 pub use planner::{plan_shards, Shard, ShardPlan};
 pub use progress::{ProgressCounts, ProgressEvent, ProgressKind, ProgressSink};
 pub use registry::{NodeRegistry, NodeSnapshot, NodeState, SchedPolicy};

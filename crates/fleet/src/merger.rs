@@ -1,21 +1,14 @@
 //! Result merging: shard reports → the one combined artifact.
 //!
-//! The heavy lifting (slotting by canonical shard id, duplicate/missing
-//! detection, sweep reassembly, sorted-key serialization) lives in
-//! [`proof_core::merge_cells`] so the coordinator and any library user
-//! share one implementation; this module adds the fleet-side summary used
-//! by the CLI and the coordinator HTTP surface.
+//! The work (slotting by canonical shard id, duplicate/missing detection,
+//! sweep reassembly, sorted-key output) lives in [`proof_core::merge_cells`]
+//! so the coordinator and any library user share one implementation. It
+//! copies each shard's report bytes in compact form when they are already
+//! canonical — every worker report is — and parses and re-prints only a
+//! report that is not, so the artifact's bytes never depend on which path
+//! a cell took.
 
 use proof_core::{merge_cells, GridSpec, ProofError};
-use serde_json::Value;
-
-/// What the merged artifact contains, for human-facing summaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeSummary {
-    pub cells: usize,
-    /// Whether the grid collapsed to a batch sweep (single model/platform).
-    pub has_sweep: bool,
-}
 
 /// Merge shard results into the combined artifact. Exactly one report per
 /// shard id is required; order does not matter (the merge slots
@@ -23,47 +16,4 @@ pub struct MergeSummary {
 /// interleaving.
 pub fn merge_run(spec: &GridSpec, results: &[(usize, String)]) -> Result<String, ProofError> {
     merge_cells(spec, results)
-}
-
-/// Inspect a merged artifact produced by [`merge_run`].
-pub fn summarize(merged: &str) -> Result<MergeSummary, ProofError> {
-    let v: Value = serde_json::from_str(merged)
-        .map_err(|e| ProofError::Serialize(format!("merged artifact is not JSON: {e}")))?;
-    let cells = v
-        .get("cells")
-        .and_then(Value::as_array)
-        .map(Vec::len)
-        .ok_or_else(|| ProofError::Serialize("merged artifact without cells".into()))?;
-    Ok(MergeSummary {
-        cells,
-        has_sweep: v.get("sweep").is_some_and(|s| !s.is_null()),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::coordinator::run_grid_local;
-    use proof_core::GridSpec;
-
-    #[test]
-    fn summary_reads_cells_and_sweep() {
-        let spec = GridSpec::from_value(
-            &serde_json::from_str(
-                r#"{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2],"seed":1}"#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let merged = run_grid_local(&spec).unwrap();
-        let s = summarize(&merged).unwrap();
-        assert_eq!(s.cells, 2);
-        assert!(s.has_sweep);
-    }
-
-    #[test]
-    fn summarize_rejects_non_artifacts() {
-        assert!(summarize("{}").is_err());
-        assert!(summarize("not json").is_err());
-    }
 }

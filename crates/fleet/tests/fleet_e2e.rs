@@ -3,11 +3,15 @@
 //! fault-aware rescheduling against dead, wedged, and dying nodes.
 
 use proof_core::GridSpec;
-use proof_fleet::{run_grid_local, DispatcherConfig, Fleet, FleetConfig, NodeState};
+use proof_fleet::{
+    run_grid_local, CoordinatorClient, DispatcherConfig, Fleet, FleetConfig, FleetServer,
+    FleetServerConfig, NodeState, RunResult,
+};
+use proof_serve::client::post;
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(json: &str) -> GridSpec {
     GridSpec::from_value(&serde_json::from_str(json).unwrap()).unwrap()
@@ -103,6 +107,52 @@ fn merged_report_is_byte_identical_across_topologies() {
     );
     // both nodes were probed at run start
     assert!(run2.outcome.probes >= 2);
+}
+
+#[test]
+fn artifacts_over_four_mib_reach_http_clients() {
+    // three of the zoo's largest reports (165–205 KB compact each on the
+    // CPU platforms) × 2 platforms × 5 batches: a ~5.3 MB artifact, over
+    // the 4 MiB cap the daemons put on request bodies
+    let spec_json = r#"{"models":["sd-unet","swin-small","swin-base"],"platforms":["xeon-6330","rpi4"],"batches":[1,2,4,8,16],"seed":3}"#;
+    let fleet = Fleet::start(FleetConfig::local(2)).unwrap();
+    let server = FleetServer::start(fleet, FleetServerConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let (status, sync) = post(addr, "/grid", spec_json).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        sync.len() > 4 << 20,
+        "artifact is only {} bytes",
+        sync.len()
+    );
+
+    let client = CoordinatorClient::new(addr, Duration::from_secs(30));
+    let run = client.submit_grid(spec_json).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let streamed = loop {
+        assert!(Instant::now() < deadline, "run {run} never finished");
+        match client.run_result(run).unwrap() {
+            RunResult::Done(artifact) => break artifact,
+            RunResult::Running => std::thread::sleep(Duration::from_millis(20)),
+            RunResult::Failed(e) => panic!("run {run} failed: {e}"),
+        }
+    };
+    assert_eq!(streamed, sync, "async and sync artifacts diverge");
+    assert_eq!(sync, run_grid_local(&spec(spec_json)).unwrap());
+
+    // request bodies stay capped: one byte over 4 MiB is refused up front
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST /grid HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        (4 << 20) + 1
+    )
+    .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+    server.shutdown();
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! into a public module: [`request_full`] is the primitive (status + body +
 //! parsed `Retry-After`), [`RetryPolicy`] adds deterministic seed-keyed
 //! exponential backoff that honors a backpressuring server's `Retry-After`
-//! hint as a floor, and every read mirrors the server-side caps so a
-//! misbehaving peer cannot exhaust client memory. All entry points have a
+//! hint as a floor, and every read is capped so a misbehaving peer cannot
+//! exhaust client memory. All entry points have a
 //! `*_timeout` variant that bounds connect/read/write — the fleet
 //! dispatcher uses those to tell a dead or wedged node from a slow one.
 
@@ -15,6 +15,12 @@ use crate::http::{bad, read_line_capped, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+/// Largest response body the client reads. Responses are larger than the
+/// requests a daemon accepts (`MAX_BODY_BYTES`): a merged grid artifact of
+/// `MAX_GRID_CELLS` cells of the largest reports (about 200 KB compact
+/// each) comes to about 0.8 GiB.
+const MAX_RESPONSE_BYTES: usize = 1 << 30;
 
 /// A client response: status, body, and the parsed `Retry-After` seconds
 /// if the server sent one.
@@ -38,8 +44,8 @@ pub fn request(
 }
 
 /// [`request`] keeping the response headers the retry layer needs. Reads
-/// are capped like the server side: headers to `MAX_HEADER_BYTES`, body to
-/// `MAX_BODY_BYTES` whether or not the server declared a length.
+/// are capped: headers to `MAX_HEADER_BYTES` like the server side, body to
+/// `MAX_RESPONSE_BYTES` whether or not the server declared a length.
 pub fn request_full(
     addr: SocketAddr,
     method: &str,
@@ -131,22 +137,24 @@ pub fn request_full_timeout_headers(
             }
         }
     }
-    let mut body = String::new();
-    match content_length {
-        Some(n) if n > MAX_BODY_BYTES => return Err(bad("body too large")),
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
-            body = String::from_utf8(buf).map_err(|_| bad("body is not UTF-8"))?;
-        }
-        None => {
-            let mut limited = reader.take(MAX_BODY_BYTES as u64 + 1);
-            limited.read_to_string(&mut body)?;
-            if body.len() > MAX_BODY_BYTES {
-                return Err(bad("body too large"));
-            }
-        }
+    if content_length.is_some_and(|n| n > MAX_RESPONSE_BYTES) {
+        return Err(bad("body too large"));
     }
+    // grow the buffer as bytes arrive rather than trusting a declared
+    // length beyond the request cap
+    let mut buf = Vec::with_capacity(content_length.unwrap_or(0).min(MAX_BODY_BYTES));
+    let limit = content_length.unwrap_or(MAX_RESPONSE_BYTES + 1);
+    reader.take(limit as u64).read_to_end(&mut buf)?;
+    if content_length.is_some_and(|n| buf.len() < n) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed inside body",
+        ));
+    }
+    if buf.len() > MAX_RESPONSE_BYTES {
+        return Err(bad("body too large"));
+    }
+    let body = String::from_utf8(buf).map_err(|_| bad("body is not UTF-8"))?;
     Ok(Response {
         status,
         body,

@@ -94,11 +94,28 @@ mod tests {
         let dir = tmpdir("trunc");
         let tier = DiskTier::new(&dir).unwrap();
         let key = ArtifactKey::new("deadbeef").unwrap();
-        // simulate a partial write: valid prefix, chopped off mid-object
-        fs::write(dir.join("deadbeef.json"), r#"{"cells":[{"latency"#).unwrap();
-        assert!(matches!(tier.get(&key), Err(TierError::Corrupt(_))));
-        // the damaged file is gone, so the next probe is a clean miss
-        assert_eq!(tier.get(&key), Ok(None));
+        let deep = format!("{}{}", "[".repeat(194), "]".repeat(194));
+        for damaged in [
+            // a partial write: valid prefix, chopped off mid-object
+            r#"{"cells":[{"latency"#,
+            // cut inside a number, an escape, a literal
+            r#"{"latency_ms":1."#,
+            r#"{"name":"a\u00"#,
+            r#"{"ok":tru"#,
+            // bytes no parse accepts, anywhere in an otherwise whole document
+            r#"{"name":"\ud800"}"#,
+            "{\"name\":\"a\u{1}b\"}",
+            r#"{"ok":true} trailing"#,
+            &deep,
+        ] {
+            fs::write(dir.join("deadbeef.json"), damaged).unwrap();
+            assert!(
+                matches!(tier.get(&key), Err(TierError::Corrupt(_))),
+                "{damaged}"
+            );
+            // the damaged file is gone, so the next probe is a clean miss
+            assert_eq!(tier.get(&key), Ok(None));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -608,12 +608,21 @@ mod tests {
     #[test]
     fn insert_local_rejects_non_json() {
         let store = mem_store();
-        assert!(matches!(
-            store.insert_local(&key("bad"), "not json".to_string()),
-            Err(TierError::Corrupt(_))
-        ));
-        assert!(store.get_local(&key("bad")).is_none());
-        assert_eq!(store.stats().corrupt, 1);
+        let damaged = [
+            "not json",
+            r#"{"cells":[{"lat"#,
+            r#"{"x":-}"#,
+            r#"{"name":"\udc00"}"#,
+            r#"{"a":1,}"#,
+        ];
+        for artifact in damaged {
+            assert!(matches!(
+                store.insert_local(&key("bad"), artifact.to_string()),
+                Err(TierError::Corrupt(_))
+            ));
+            assert!(store.get_local(&key("bad")).is_none());
+        }
+        assert_eq!(store.stats().corrupt, damaged.len() as u64);
     }
 
     #[test]

@@ -44,9 +44,10 @@ pub trait CacheTier: Send + Sync {
 }
 
 /// Every artifact in the store is a JSON document; anything that does not
-/// parse is treated as tier damage, not data.
+/// parse is treated as tier damage, not data. Checks exactly what a parse
+/// into `serde_json::Value` would accept, without building the tree.
 pub fn validate_artifact(artifact: &str) -> bool {
-    serde_json::from_str::<serde_json::Value>(artifact).is_ok()
+    serde_json::validate(artifact)
 }
 
 #[cfg(test)]
