@@ -21,10 +21,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q -p serde_json -p proof-core -p proof-store -p proof-fleet"
+echo "==> cargo test -q -p serde -p serde_json -p proof-core -p proof-serve -p proof-store -p proof-fleet"
 # the bare run above covers only the root facade package; this gates the
-# JSON walker, the grid merge, the artifact store and the fleet suites
-cargo test -q -p serde_json -p proof-core -p proof-store -p proof-fleet
+# JSON writer and walker, the grid merge, the serve suites that consume
+# worker-encoded artifacts, the artifact store and the fleet suites
+cargo test -q -p serde -p serde_json -p proof-core -p proof-serve -p proof-store -p proof-fleet
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

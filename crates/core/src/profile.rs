@@ -125,6 +125,42 @@ impl Serialize for ProfileReport {
         );
         serde::Value::Object(m)
     }
+
+    // the same 15 keys, in the tree's sorted order
+    fn write_json(&self, w: &mut serde::ser::Writer) {
+        w.begin_object();
+        w.key("backend");
+        w.str(&self.backend);
+        w.key("batch");
+        w.u64(self.batch);
+        w.key("ceiling");
+        self.ceiling.write_json(w);
+        w.key("layers");
+        self.layers.write_json(w);
+        w.key("metric_collection_s");
+        w.f64(self.metric_collection_s);
+        w.key("mode");
+        self.mode.write_json(w);
+        w.key("model");
+        w.str(&self.model);
+        w.key("platform");
+        w.str(&self.platform);
+        w.key("precision");
+        w.str(&self.precision);
+        w.key("total_flops");
+        w.u64(self.total_flops);
+        w.key("total_latency_ms");
+        w.f64(self.total_latency_ms);
+        w.key("total_memory_bytes");
+        w.u64(self.total_memory_bytes);
+        w.key("unresolved_layers");
+        self.unresolved_layers.write_json(w);
+        w.key("util_gpu");
+        w.f64(self.util_gpu);
+        w.key("util_mem");
+        w.f64(self.util_mem);
+        w.end_object();
+    }
 }
 
 impl Deserialize for ProfileReport {
@@ -247,15 +283,16 @@ impl ProfileReport {
     /// Canonical pretty JSON, or an error if the report cannot round-trip.
     /// The vendored serializer renders non-finite floats as `null`, which
     /// would silently corrupt a stored artifact — surface that as
-    /// [`ProofError::Serialize`] instead.
+    /// [`ProofError::Serialize`] instead. The text streams straight out of
+    /// the writer; only a failed write builds the tree, to name the path.
     pub fn try_to_json(&self) -> Result<String, ProofError> {
-        let v = Serialize::to_value(self);
-        if let Some(path) = non_finite_path(&v, "report") {
-            return Err(ProofError::Serialize(format!(
+        serde::ser::to_json_strict(self, true).ok_or_else(|| {
+            let path = non_finite_path(&Serialize::to_value(self), "report")
+                .unwrap_or_else(|| "report".to_string());
+            ProofError::Serialize(format!(
                 "non-finite number at {path} would not survive a JSON round-trip"
-            )));
-        }
-        serde_json::to_string_pretty(&v).map_err(|e| ProofError::Serialize(e.to_string()))
+            ))
+        })
     }
 
     pub fn to_json(&self) -> String {

@@ -374,6 +374,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_integers_past_u64_instead_of_saturating() {
+        // 2^64 parses as a float; it must not become seed u64::MAX
+        let err = parse(r#"{"model":"resnet-50","hardware":"a100","seed":18446744073709551616}"#)
+            .unwrap_err();
+        assert!(
+            err.contains("'seed' must be a non-negative integer"),
+            "{err}"
+        );
+        let j = parse(r#"{"model":"resnet-50","hardware":"a100","seed":18446744073709551615}"#)
+            .unwrap();
+        assert_eq!(j.seed, u64::MAX);
+    }
+
+    #[test]
     fn defaults_resolve_to_platform_native_backend() {
         let j = parse(r#"{"model":"resnet-50","hardware":"a100"}"#).unwrap();
         assert_eq!(j.backend, BackendFlavor::TrtLike);
