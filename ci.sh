@@ -13,19 +13,14 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release --workspace"
-# --workspace so the smokes below run a freshly-built ./target/release/proof
-# (the bare root-package build would leave the proof-cli binary stale)
-cargo build --release --workspace
+echo "==> cargo build --release"
+# the root Cargo.toml's default-members cover every workspace crate, so the
+# bare build also refreshes ./target/release/proof for the smokes below
+cargo build --release
 
 echo "==> cargo test -q"
+# likewise the bare test run covers the facade and every member crate
 cargo test -q
-
-echo "==> cargo test -q -p serde -p serde_json -p proof-core -p proof-serve -p proof-store -p proof-fleet"
-# the bare run above covers only the root facade package; this gates the
-# JSON writer and walker, the grid merge, the serve suites that consume
-# worker-encoded artifacts, the artifact store and the fleet suites
-cargo test -q -p serde -p serde_json -p proof-core -p proof-serve -p proof-store -p proof-fleet
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

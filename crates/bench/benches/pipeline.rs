@@ -9,15 +9,16 @@ use proof_core::{
     OptimizedRepr, SvgOptions,
 };
 use proof_hw::PlatformId;
-use proof_ir::DType;
+use proof_ir::{DType, GraphIndex};
 use proof_models::ModelId;
 use proof_runtime::{compile, fusion, BackendFlavor, SessionConfig};
 use std::hint::black_box;
 
 fn bench_fusion(c: &mut Criterion) {
     let g = ModelId::SwinSmall.build(8);
+    let ix = GraphIndex::new(&g);
     c.bench_function("fusion/swin_small_trt_policy", |b| {
-        b.iter(|| black_box(fusion::fuse(black_box(&g), &fusion::FusionPolicy::trt())))
+        b.iter(|| black_box(fusion::fuse(black_box(&ix), &fusion::FusionPolicy::trt())))
     });
 }
 

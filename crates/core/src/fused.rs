@@ -5,7 +5,7 @@
 
 use crate::analysis::AnalyzeRepr;
 use crate::cost::CostEstimate;
-use proof_ir::{Graph, NodeId, TensorId, TensorKind};
+use proof_ir::{Graph, GraphIndex, NameIndex, NodeId, TensorId, TensorKind};
 use std::collections::{HashMap, HashSet};
 
 /// Identifier of a layer group (one group ≙ one backend layer after mapping).
@@ -79,26 +79,27 @@ pub struct OptimizedRepr<'g> {
     /// Runtime tensor-name aliases (`t2_r` → `t2`).
     aliases: HashMap<String, TensorId>,
     reorders: Vec<ReorderLayer>,
-    producers: HashMap<TensorId, NodeId>,
-    consumers: HashMap<TensorId, Vec<NodeId>>,
+    index: GraphIndex<'g>,
+    names: NameIndex<'g>,
 }
 
 impl<'g> OptimizedRepr<'g> {
+    /// One singleton group per node, plus the graph's dataflow index and
+    /// name maps, each built once here for all the mapping that follows.
     pub fn new(analysis: AnalyzeRepr<'g>) -> Self {
         let graph = analysis.graph();
         let groups = graph
-            .nodes
-            .iter()
-            .map(|n| Group {
+            .iter_nodes()
+            .map(|(id, n)| Group {
                 name: n.name.clone(),
-                members: vec![graph.node_by_name(&n.name).expect("own node")],
+                members: vec![id],
                 fused: false,
             })
             .collect::<Vec<_>>();
         let node_group = (0..graph.nodes.len() as GroupId).collect();
         OptimizedRepr {
-            producers: graph.producers(),
-            consumers: graph.consumers(),
+            index: GraphIndex::new(graph),
+            names: NameIndex::new(graph),
             analysis,
             groups,
             node_group,
@@ -115,6 +116,16 @@ impl<'g> OptimizedRepr<'g> {
         &self.analysis
     }
 
+    /// The graph's producer/consumer tables.
+    pub(crate) fn index(&self) -> &GraphIndex<'g> {
+        &self.index
+    }
+
+    /// The model node named `name`.
+    pub fn node_named(&self, name: &str) -> Option<NodeId> {
+        self.names.node(name)
+    }
+
     // ------------------------------------------------------------------
     // Universal mapping interfaces (paper Figure 2)
     // ------------------------------------------------------------------
@@ -124,7 +135,7 @@ impl<'g> OptimizedRepr<'g> {
         self.aliases
             .get(name)
             .copied()
-            .or_else(|| self.graph().tensor_by_name(name))
+            .or_else(|| self.names.tensor(name))
     }
 
     /// Register that the runtime refers to model tensor `target` under
@@ -151,8 +162,8 @@ impl<'g> OptimizedRepr<'g> {
         let mut members: HashSet<NodeId> = HashSet::new();
         let mut stack: Vec<NodeId> = Vec::new();
         for &out in outputs {
-            match self.producers.get(&out) {
-                Some(&nid) => {
+            match self.index.producer(out) {
+                Some(nid) => {
                     if members.insert(nid) {
                         stack.push(nid);
                     }
@@ -171,8 +182,8 @@ impl<'g> OptimizedRepr<'g> {
                 if t.kind == TensorKind::Weight {
                     continue; // weights live inside the fused layer
                 }
-                match self.producers.get(&inp) {
-                    Some(&p) => {
+                match self.index.producer(inp) {
+                    Some(p) => {
                         if members.insert(p) {
                             stack.push(p);
                         }
@@ -301,29 +312,24 @@ impl<'g> OptimizedRepr<'g> {
     /// are interior by definition).
     pub fn group_io(&self, id: GroupId) -> (Vec<TensorId>, Vec<TensorId>) {
         let g = self.graph();
-        let members: HashSet<NodeId> = self.groups[id as usize].members.iter().copied().collect();
+        // members stay sorted, so membership is a binary search
+        let members = &self.groups[id as usize].members;
+        let inside = |n: NodeId| members.binary_search(&n).is_ok();
         let mut ins: Vec<TensorId> = Vec::new();
         let mut outs: Vec<TensorId> = Vec::new();
-        for &m in &self.groups[id as usize].members {
+        for &m in members {
             for &t in &g.node(m).inputs {
                 if g.tensor(t).kind == TensorKind::Weight {
                     continue;
                 }
-                let produced_inside = self
-                    .producers
-                    .get(&t)
-                    .map(|p| members.contains(p))
-                    .unwrap_or(false);
+                let produced_inside = self.index.producer(t).is_some_and(inside);
                 if !produced_inside && !ins.contains(&t) {
                     ins.push(t);
                 }
             }
             for &t in &g.node(m).outputs {
-                let all_inside = self
-                    .consumers
-                    .get(&t)
-                    .map(|cs| !cs.is_empty() && cs.iter().all(|c| members.contains(c)))
-                    .unwrap_or(false);
+                let cs = self.index.consumers(t);
+                let all_inside = !cs.is_empty() && cs.iter().all(|&c| inside(c));
                 let is_graph_output = g.outputs.contains(&t);
                 if (!all_inside || is_graph_output) && !outs.contains(&t) {
                     outs.push(t);
@@ -355,36 +361,32 @@ impl<'g> OptimizedRepr<'g> {
             cost.weight_bytes += nc.weight_bytes;
         }
         let (ins, outs) = self.group_io(id);
-        let members: std::collections::HashSet<NodeId> = grp.members.iter().copied().collect();
         for t in ins {
             // the fused kernel reads each boundary tensor once; honour the
             // per-consumer read rules (e.g. strided-conv partial reads) by
             // charging the largest in-group read of that tensor
             let read = self
-                .consumers
-                .get(&t)
-                .map(|cs| {
-                    cs.iter()
-                        .filter(|c| members.contains(c))
-                        .map(|&c| {
-                            // a view member still pulls the full tensor into
-                            // the fused kernel; real readers apply their
-                            // sparse/strided read rules
-                            if g.node(c).op.is_noop_at_inference() {
-                                g.tensor(t).size_bytes_at(precision)
-                            } else {
-                                crate::cost::input_read_bytes(
-                                    g,
-                                    c,
-                                    t,
-                                    precision,
-                                    crate::cost::CostOptions::default(),
-                                )
-                            }
-                        })
-                        .max()
-                        .unwrap_or(0)
+                .index
+                .consumers(t)
+                .iter()
+                .filter(|c| grp.members.binary_search(c).is_ok())
+                .map(|&c| {
+                    // a view member still pulls the full tensor into the
+                    // fused kernel; real readers apply their sparse/strided
+                    // read rules
+                    if g.node(c).op.is_noop_at_inference() {
+                        g.tensor(t).size_bytes_at(precision)
+                    } else {
+                        crate::cost::input_read_bytes(
+                            g,
+                            c,
+                            t,
+                            precision,
+                            crate::cost::CostOptions::default(),
+                        )
+                    }
                 })
+                .max()
                 .unwrap_or(0);
             cost.input_bytes += read;
         }
@@ -441,7 +443,7 @@ mod tests {
     fn subgraph_by_io_finds_the_block() {
         let g = block();
         let o = repr(&g);
-        let x = g.tensor_by_name("x").unwrap();
+        let x = g.inputs[0];
         let out = g.node(2).output();
         let members = o.get_subgraph_ops_by_io(&[x], &[out]).unwrap();
         assert_eq!(members, vec![0, 1, 2]);
@@ -456,7 +458,7 @@ mod tests {
         b.output(s);
         let g = b.finish();
         let o = repr(&g);
-        let x = g.tensor_by_name("x").unwrap();
+        let x = g.inputs[0];
         let out = g.node(0).output();
         // declaring only x as input misses y → escape
         let err = o.get_subgraph_ops_by_io(&[x], &[out]).unwrap_err();
@@ -473,7 +475,7 @@ mod tests {
         assert_eq!(fused.flops, unfused.flops);
         assert!(fused.memory_bytes() < unfused.memory_bytes());
         // boundary: reads x (once), writes relu output; conv weights kept
-        let x_bytes = g.tensor(g.tensor_by_name("x").unwrap()).size_bytes();
+        let x_bytes = g.tensor(g.inputs[0]).size_bytes();
         assert_eq!(fused.input_bytes, x_bytes);
         assert_eq!(fused.weight_bytes, 8 * 8 * 3 * 3 * 4);
     }
@@ -484,7 +486,7 @@ mod tests {
         let mut o = repr(&g);
         let gid = o.set_fused_op("f", &[0, 1]).unwrap(); // conv+add, relu outside
         let (ins, outs) = o.group_io(gid);
-        assert_eq!(ins, vec![g.tensor_by_name("x").unwrap()]);
+        assert_eq!(ins, vec![g.inputs[0]]);
         assert_eq!(outs, vec![g.node(1).output()]);
     }
 

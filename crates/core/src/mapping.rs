@@ -80,7 +80,7 @@ pub fn map_layers<'g>(
         profile
             .iter()
             .filter_map(|l| match &l.hint {
-                LayerHint::PrimaryOp { node_name, .. } => repr.graph().node_by_name(node_name),
+                LayerHint::PrimaryOp { node_name, .. } => repr.node_named(node_name),
                 _ => None,
             })
             .collect()
@@ -169,10 +169,7 @@ pub fn map_layers<'g>(
 
 /// Fuse an explicit member-name list.
 fn map_named_members(repr: &mut OptimizedRepr, layer: &str, names: &[String]) -> Option<GroupId> {
-    let ids: Vec<NodeId> = names
-        .iter()
-        .filter_map(|n| repr.graph().node_by_name(n))
-        .collect();
+    let ids: Vec<NodeId> = names.iter().filter_map(|n| repr.node_named(n)).collect();
     if ids.is_empty() {
         return None;
     }
@@ -185,8 +182,8 @@ fn map_named_members(repr: &mut OptimizedRepr, layer: &str, names: &[String]) ->
 /// Recover an `"a + ... + z"` layer: the subgraph between a's inputs and
 /// z's outputs.
 fn map_elided(repr: &mut OptimizedRepr, layer: &str, parts: &[&str]) -> Option<GroupId> {
-    let first = repr.graph().node_by_name(parts.first()?)?;
-    let last = repr.graph().node_by_name(parts.last()?)?;
+    let first = repr.node_named(parts.first()?)?;
+    let last = repr.node_named(parts.last()?)?;
     let g = repr.graph();
     let inputs: Vec<TensorId> = g
         .node(first)
@@ -233,20 +230,20 @@ fn map_primary_heuristic(
     primaries: &HashSet<NodeId>,
 ) -> Option<GroupId> {
     let g = repr.graph();
-    let root = g.node_by_name(node_name)?;
+    let root = repr.node_named(node_name)?;
     if !matches!(
         g.node(root).op,
         OpKind::Conv | OpKind::Gemm | OpKind::MatMul
     ) {
         return Some(repr.group_of(root));
     }
-    let consumers = g.consumers();
     let mut members = vec![root];
     let mut cur = g.node(root).output();
     // a node that another layer's mapping already fused is off-limits —
     // this is how two convs sharing a residual Add agree on its owner
     let taken = |repr: &OptimizedRepr, n: NodeId| repr.group(repr.group_of(n)).fused;
-    while let Some(cs) = consumers.get(&cur) {
+    loop {
+        let cs = repr.index().consumers(cur);
         // SiLU diamond: two consumers {Sigmoid, Mul(cur, σ)}
         if cs.len() == 2 {
             let silu = cs.iter().copied().find_map(|s| {
@@ -254,11 +251,7 @@ fn map_primary_heuristic(
                 if sn.op != OpKind::Sigmoid || primaries.contains(&s) || taken(repr, s) {
                     return None;
                 }
-                let souts = consumers.get(&sn.output())?;
-                if souts.len() != 1 {
-                    return None;
-                }
-                let m = souts[0];
+                let m = repr.index().sole_consumer(sn.output())?;
                 (cs.contains(&m)
                     && !primaries.contains(&m)
                     && !taken(repr, m)
@@ -306,8 +299,6 @@ fn map_primary_heuristic(
 fn absorb_leftover_noops(repr: &mut OptimizedRepr, layers: &[MappedLayer]) {
     let reported: HashSet<GroupId> = layers.iter().filter_map(|l| l.group).collect();
     let g = repr.graph();
-    let producers = g.producers();
-    let consumers = g.consumers();
     let noops: Vec<NodeId> = g
         .iter_nodes()
         .filter(|(id, n)| n.op.is_noop_at_inference() && !reported.contains(&repr.group_of(*id)))
@@ -319,14 +310,13 @@ fn absorb_leftover_noops(repr: &mut OptimizedRepr, layers: &[MappedLayer]) {
         let target = node
             .inputs
             .iter()
-            .filter_map(|t| producers.get(t))
-            .map(|&p| repr.group_of(p))
+            .filter_map(|&t| repr.index().producer(t))
+            .map(|p| repr.group_of(p))
             .find(|gid| reported.contains(gid))
             .or_else(|| {
                 node.outputs
                     .iter()
-                    .filter_map(|t| consumers.get(t))
-                    .flatten()
+                    .flat_map(|&t| repr.index().consumers(t))
                     .map(|&c| repr.group_of(c))
                     .find(|gid| reported.contains(gid))
             });

@@ -1,6 +1,6 @@
 //! Graphviz DOT export for model graphs (debugging aid / data-viewer input).
 
-use crate::{Graph, OpCategory};
+use crate::{Graph, GraphIndex, OpCategory};
 
 pub use crate::op::OpCategory as Category;
 
@@ -29,10 +29,10 @@ pub fn to_dot(g: &Graph) -> String {
             color(n.op.category())
         ));
     }
-    let producers = g.producers();
+    let ix = GraphIndex::new(g);
     for (i, n) in g.nodes.iter().enumerate() {
         for &inp in &n.inputs {
-            if let Some(&src) = producers.get(&inp) {
+            if let Some(src) = ix.producer(inp) {
                 out.push_str(&format!(
                     "  n{src} -> n{i} [label=\"{}\"];\n",
                     g.tensor(inp).shape

@@ -12,12 +12,30 @@ pub type NodeId = u32;
 /// Structural validation failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphError {
-    DanglingTensor { node: String, tensor: TensorId },
-    MultipleProducers { tensor: String },
-    MissingProducer { tensor: String },
-    NotTopologicallyOrdered { node: String, tensor: String },
-    DuplicateNodeName { name: String },
-    DuplicateTensorName { name: String },
+    DanglingTensor {
+        node: String,
+        tensor: TensorId,
+    },
+    /// A graph input or output id is out of range.
+    DanglingGraphIo {
+        tensor: TensorId,
+    },
+    MultipleProducers {
+        tensor: String,
+    },
+    MissingProducer {
+        tensor: String,
+    },
+    NotTopologicallyOrdered {
+        node: String,
+        tensor: String,
+    },
+    DuplicateNodeName {
+        name: String,
+    },
+    DuplicateTensorName {
+        name: String,
+    },
     EmptyGraph,
 }
 
@@ -26,6 +44,9 @@ impl std::fmt::Display for GraphError {
         match self {
             GraphError::DanglingTensor { node, tensor } => {
                 write!(f, "node {node} references out-of-range tensor id {tensor}")
+            }
+            GraphError::DanglingGraphIo { tensor } => {
+                write!(f, "graph io references out-of-range tensor id {tensor}")
             }
             GraphError::MultipleProducers { tensor } => {
                 write!(f, "tensor {tensor} has multiple producers")
@@ -106,44 +127,6 @@ impl Graph {
             .unwrap_or(1)
     }
 
-    /// Map: tensor id → producing node id (activations only).
-    pub fn producers(&self) -> HashMap<TensorId, NodeId> {
-        let mut map = HashMap::with_capacity(self.tensors.len());
-        for (nid, node) in self.nodes.iter().enumerate() {
-            for &out in &node.outputs {
-                map.insert(out, nid as NodeId);
-            }
-        }
-        map
-    }
-
-    /// Map: tensor id → consuming node ids, in node order.
-    pub fn consumers(&self) -> HashMap<TensorId, Vec<NodeId>> {
-        let mut map: HashMap<TensorId, Vec<NodeId>> = HashMap::with_capacity(self.tensors.len());
-        for (nid, node) in self.nodes.iter().enumerate() {
-            for &inp in &node.inputs {
-                map.entry(inp).or_default().push(nid as NodeId);
-            }
-        }
-        map
-    }
-
-    /// Find a node id by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .map(|i| i as NodeId)
-    }
-
-    /// Find a tensor id by name.
-    pub fn tensor_by_name(&self, name: &str) -> Option<TensorId> {
-        self.tensors
-            .iter()
-            .position(|t| t.name == name)
-            .map(|i| i as TensorId)
-    }
-
     /// Count nodes per [`OpKind`], for model inventory reports.
     pub fn op_histogram(&self) -> HashMap<OpKind, usize> {
         let mut h = HashMap::new();
@@ -153,13 +136,22 @@ impl Graph {
         h
     }
 
-    /// Structural validation: id ranges, unique names, single producers,
-    /// topological order of the node list.
+    /// Structural validation: id ranges (node io and graph io), unique
+    /// names, single producers, topological order of the node list. The
+    /// dense [`crate::GraphIndex`] tables rely on the id ranges.
     pub fn validate(&self) -> Result<(), GraphError> {
         if self.nodes.is_empty() {
             return Err(GraphError::EmptyGraph);
         }
         let ntensors = self.tensors.len() as u32;
+        if let Some(&t) = self
+            .inputs
+            .iter()
+            .chain(&self.outputs)
+            .find(|&&t| t >= ntensors)
+        {
+            return Err(GraphError::DanglingGraphIo { tensor: t });
+        }
         let mut names = std::collections::HashSet::with_capacity(self.nodes.len());
         for n in &self.nodes {
             if !names.insert(n.name.as_str()) {
@@ -295,16 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn producers_and_consumers() {
-        let g = tiny_graph();
-        let p = g.producers();
-        let c = g.consumers();
-        let conv_out = g.nodes[0].output();
-        assert_eq!(p[&conv_out], 0);
-        assert_eq!(c[&conv_out], vec![1]);
-    }
-
-    #[test]
     fn json_roundtrip() {
         let g = tiny_graph();
         let s = g.to_json();
@@ -341,6 +323,22 @@ mod tests {
             g.validate(),
             Err(GraphError::DanglingTensor { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_dangling_graph_io() {
+        let mut g = tiny_graph();
+        g.outputs.push(999);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::DanglingGraphIo { tensor: 999 })
+        );
+        let mut g = tiny_graph();
+        g.inputs.push(999);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::DanglingGraphIo { tensor: 999 })
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! - [`OpKind`] + [`Attributes`] — ~60 operator kinds with ONNX attribute
 //!   semantics,
 //! - [`Node`] / [`Graph`] — a flat, topologically-ordered compute graph with
-//!   producer/consumer indices and validation,
+//!   validation,
+//! - [`GraphIndex`] / [`NameIndex`] — dense producer/consumer tables and
+//!   name → id maps, built once per graph by the passes that search it,
 //! - [`GraphBuilder`] — an eager builder that runs [shape
 //!   inference](infer::infer_shapes) as nodes are appended, so every tensor in
 //!   a constructed graph has a known shape (the equivalent of running ONNX
@@ -27,6 +29,7 @@ pub mod builder;
 pub mod dot;
 pub mod dtype;
 pub mod graph;
+pub mod index;
 pub mod infer;
 pub mod node;
 pub mod op;
@@ -39,6 +42,7 @@ pub use attr::{AttrValue, Attributes};
 pub use builder::GraphBuilder;
 pub use dtype::DType;
 pub use graph::{Graph, GraphError, NodeId, TensorId};
+pub use index::{GraphIndex, NameIndex};
 pub use infer::{infer_shapes, ShapeError};
 pub use node::Node;
 pub use op::{OpCategory, OpKind};

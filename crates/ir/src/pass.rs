@@ -9,7 +9,7 @@
 //!
 //! Passes are pure: they build a new [`Graph`], never mutate the input.
 
-use crate::{Graph, Node, NodeId, OpKind, TensorId, TensorKind};
+use crate::{Graph, GraphIndex, Node, NodeId, OpKind, TensorId, TensorKind};
 use std::collections::{HashMap, HashSet};
 
 /// Rebuild a graph keeping only `keep_nodes`, with tensors remapped through
@@ -86,17 +86,15 @@ fn rebuild(g: &Graph, keep_nodes: &[bool], alias: &HashMap<TensorId, TensorId>) 
 /// Remove nodes whose outputs are never consumed and don't feed a graph
 /// output (dead-code elimination).
 pub fn eliminate_dead_nodes(g: &Graph) -> Graph {
-    let consumers = g.consumers();
+    let ix = GraphIndex::new(g);
     let out_set: HashSet<TensorId> = g.outputs.iter().copied().collect();
     let mut keep = vec![false; g.nodes.len()];
     // reverse-topological liveness
     for (id, n) in g.iter_nodes().collect::<Vec<_>>().into_iter().rev() {
-        let live = n.outputs.iter().any(|t| {
-            out_set.contains(t)
-                || consumers
-                    .get(t)
-                    .is_some_and(|cs| cs.iter().any(|&c| keep[c as usize]))
-        });
+        let live = n
+            .outputs
+            .iter()
+            .any(|t| out_set.contains(t) || ix.consumers(*t).iter().any(|&c| keep[c as usize]));
         keep[id as usize] = live;
     }
     rebuild(g, &keep, &HashMap::new())
@@ -122,7 +120,7 @@ pub fn eliminate_identities(g: &Graph) -> Graph {
 /// here means: drop the BN node, give the conv a bias input when missing,
 /// and drop the BN parameter tensors.
 pub fn fold_conv_bn(g: &Graph) -> Graph {
-    let consumers = g.consumers();
+    let ix = GraphIndex::new(g);
     let mut keep = vec![true; g.nodes.len()];
     let mut alias: HashMap<TensorId, TensorId> = HashMap::new();
     let mut grow_bias: HashMap<NodeId, TensorId> = HashMap::new();
@@ -130,13 +128,9 @@ pub fn fold_conv_bn(g: &Graph) -> Graph {
         if n.op != OpKind::Conv {
             continue;
         }
-        let Some(cs) = consumers.get(&n.outputs[0]) else {
+        let Some(bn_id) = ix.sole_consumer(n.outputs[0]) else {
             continue;
         };
-        if cs.len() != 1 {
-            continue;
-        }
-        let bn_id = cs[0];
         let bn = g.node(bn_id);
         if bn.op != OpKind::BatchNormalization {
             continue;
@@ -190,7 +184,7 @@ mod tests {
         let folded = simplify(&g);
         folded.validate().unwrap();
         assert_eq!(folded.node_count(), 2);
-        let conv = folded.node(folded.node_by_name("conv").unwrap());
+        let conv = folded.nodes.iter().find(|n| n.name == "conv").unwrap();
         assert_eq!(conv.op, OpKind::Conv);
         assert_eq!(conv.inputs.len(), 3, "bias attached");
         // BN stats are gone: params = weights + one bias vector

@@ -3,8 +3,17 @@
 //! activations. Used by pipeline-parallel partitioning and by per-layer
 //! micro-benchmark generation.
 
-use crate::{Graph, GraphError, Node, NodeId, TensorId, TensorKind};
+use crate::{Graph, GraphError, GraphIndex, Node, NodeId, TensorId, TensorKind};
 use std::collections::{HashMap, HashSet};
+
+/// Membership flags of `members`, indexed by node id.
+fn member_flags(g: &Graph, members: &[NodeId]) -> Vec<bool> {
+    let mut flags = vec![false; g.nodes.len()];
+    for &m in members {
+        flags[m as usize] = true;
+    }
+    flags
+}
 
 /// Extract `members` (must be topologically closed: no member may consume a
 /// tensor produced by a later non-member that... i.e. any activation input
@@ -12,11 +21,10 @@ use std::collections::{HashMap, HashSet};
 ///
 /// Returns a standalone validated graph named `name`.
 pub fn extract_subgraph(g: &Graph, members: &[NodeId], name: &str) -> Result<Graph, GraphError> {
-    let member_set: HashSet<NodeId> = members.iter().copied().collect();
-    let producers = g.producers();
-    let consumers = g.consumers();
+    let inside = member_flags(g, members);
+    let ix = GraphIndex::new(g);
 
-    let produced_inside = |t: TensorId| producers.get(&t).is_some_and(|p| member_set.contains(p));
+    let produced_inside = |t: TensorId| ix.producer(t).is_some_and(|p| inside[p as usize]);
 
     let mut tensors = Vec::new();
     let mut remap: HashMap<TensorId, TensorId> = HashMap::new();
@@ -61,10 +69,8 @@ pub fn extract_subgraph(g: &Graph, members: &[NodeId], name: &str) -> Result<Gra
         }
         let mut new_outputs = Vec::with_capacity(n.outputs.len());
         for &t in &n.outputs {
-            let escapes = g.outputs.contains(&t)
-                || consumers
-                    .get(&t)
-                    .is_some_and(|cs| cs.iter().any(|c| !member_set.contains(c)));
+            let escapes =
+                g.outputs.contains(&t) || ix.consumers(t).iter().any(|&c| !inside[c as usize]);
             let id = add_tensor(&mut remap, &mut tensors, t, TensorKind::Activation);
             if escapes {
                 outputs.push(id);
@@ -109,15 +115,13 @@ pub fn extract_subgraph(g: &Graph, members: &[NodeId], name: &str) -> Result<Gra
 /// Bytes crossing the cut between `members` and the rest of the graph
 /// (activations produced inside and consumed outside), at `precision`.
 pub fn boundary_out_bytes(g: &Graph, members: &[NodeId], precision: crate::DType) -> u64 {
-    let member_set: HashSet<NodeId> = members.iter().copied().collect();
-    let consumers = g.consumers();
+    let inside = member_flags(g, members);
+    let ix = GraphIndex::new(g);
     let mut total = 0;
     let mut seen = HashSet::new();
     for &m in members {
         for &t in &g.node(m).outputs {
-            let escapes = consumers
-                .get(&t)
-                .is_some_and(|cs| cs.iter().any(|c| !member_set.contains(c)));
+            let escapes = ix.consumers(t).iter().any(|&c| !inside[c as usize]);
             if escapes && seen.insert(t) {
                 total += g.tensor(t).size_bytes_at(precision);
             }

@@ -17,7 +17,7 @@ use crate::exec::{aggregate_utilization, kernel_timing, KernelTiming, Utilizatio
 use crate::fusion::{fuse, FusionPolicy, GroupKind, RtGroup};
 use crate::lower::{Kernel, KernelClass, KernelCost, Lowerer};
 use proof_hw::{HwFamily, Platform};
-use proof_ir::{DType, Graph, NodeId, OpKind};
+use proof_ir::{DType, Graph, GraphIndex, NodeId, OpKind};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -224,8 +224,9 @@ pub fn compile(
     cfg: &SessionConfig,
 ) -> Result<CompiledModel, BackendError> {
     check_support(g, platform, cfg)?;
-    let groups = fuse(g, &flavor.policy());
-    let lowerer = Lowerer::new(g, platform, cfg.precision);
+    let ix = GraphIndex::new(g);
+    let groups = fuse(&ix, &flavor.policy());
+    let lowerer = Lowerer::new(&ix, platform, cfg.precision);
     let mut layers: Vec<BackendLayer> = Vec::with_capacity(groups.len() + 2);
     let mut myelin_count = 0usize;
 

@@ -6,8 +6,7 @@
 //! *Myelin* analogue); the ONNX-Runtime-like backend fuses epilogues and
 //! norm/GELU patterns; the OpenVINO-like backend fuses conv epilogues only.
 
-use proof_ir::{Graph, NodeId, OpKind, TensorId, TensorKind};
-use std::collections::HashMap;
+use proof_ir::{Graph, GraphIndex, NodeId, OpKind, TensorId, TensorKind};
 
 /// What a fused group lowers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,20 +126,19 @@ impl FusionPolicy {
     }
 }
 
-struct Fuser<'g> {
-    g: &'g Graph,
-    producers: HashMap<TensorId, NodeId>,
-    consumers: HashMap<TensorId, Vec<NodeId>>,
+struct Fuser<'a> {
+    g: &'a Graph,
+    ix: &'a GraphIndex<'a>,
     assigned: Vec<bool>,
 }
 
-impl<'g> Fuser<'g> {
-    fn new(g: &'g Graph) -> Self {
+impl<'a> Fuser<'a> {
+    fn new(ix: &'a GraphIndex<'a>) -> Self {
+        let g = ix.graph();
         Fuser {
-            producers: g.producers(),
-            consumers: g.consumers(),
-            assigned: vec![false; g.nodes.len()],
             g,
+            ix,
+            assigned: vec![false; g.nodes.len()],
         }
     }
 
@@ -152,13 +150,6 @@ impl<'g> Fuser<'g> {
         for &m in members {
             debug_assert!(!self.assigned[m as usize]);
             self.assigned[m as usize] = true;
-        }
-    }
-
-    fn sole_consumer(&self, t: TensorId) -> Option<NodeId> {
-        match self.consumers.get(&t) {
-            Some(cs) if cs.len() == 1 => Some(cs[0]),
-            _ => None,
         }
     }
 
@@ -175,20 +166,20 @@ impl<'g> Fuser<'g> {
             return None;
         }
         let x = dn.inputs[0];
-        let erf = self.sole_consumer(dn.output())?;
+        let erf = self.ix.sole_consumer(dn.output())?;
         if g.node(erf).op != OpKind::Erf {
             return None;
         }
-        let add = self.sole_consumer(g.node(erf).output())?;
+        let add = self.ix.sole_consumer(g.node(erf).output())?;
         if g.node(add).op != OpKind::Add {
             return None;
         }
-        let mul1 = self.sole_consumer(g.node(add).output())?;
+        let mul1 = self.ix.sole_consumer(g.node(add).output())?;
         let m1 = g.node(mul1);
         if m1.op != OpKind::Mul || !m1.inputs.contains(&x) {
             return None;
         }
-        let mul2 = self.sole_consumer(m1.output())?;
+        let mul2 = self.ix.sole_consumer(m1.output())?;
         if g.node(mul2).op != OpKind::Mul {
             return None;
         }
@@ -204,40 +195,40 @@ impl<'g> Fuser<'g> {
             return None;
         }
         let x = g.node(rm).inputs[0];
-        let sub = self.consumers.get(&x)?.iter().copied().find(|&n| {
+        let sub = self.ix.consumers(x).iter().copied().find(|&n| {
             let nd = g.node(n);
-            nd.op == OpKind::Sub && nd.inputs == vec![x, g.node(rm).output()]
+            nd.op == OpKind::Sub && nd.inputs == [x, g.node(rm).output()]
         })?;
         // sub feeds Pow and (later) Div
         let subout = g.node(sub).output();
         let pow = self
-            .consumers
-            .get(&subout)?
+            .ix
+            .consumers(subout)
             .iter()
             .copied()
             .find(|&n| g.node(n).op == OpKind::Pow)?;
-        let rm2 = self.sole_consumer(g.node(pow).output())?;
+        let rm2 = self.ix.sole_consumer(g.node(pow).output())?;
         if g.node(rm2).op != OpKind::ReduceMean {
             return None;
         }
-        let add_eps = self.sole_consumer(g.node(rm2).output())?;
+        let add_eps = self.ix.sole_consumer(g.node(rm2).output())?;
         if g.node(add_eps).op != OpKind::Add {
             return None;
         }
-        let sqrt = self.sole_consumer(g.node(add_eps).output())?;
+        let sqrt = self.ix.sole_consumer(g.node(add_eps).output())?;
         if g.node(sqrt).op != OpKind::Sqrt {
             return None;
         }
-        let div = self.sole_consumer(g.node(sqrt).output())?;
+        let div = self.ix.sole_consumer(g.node(sqrt).output())?;
         let dn = g.node(div);
         if dn.op != OpKind::Div || dn.inputs[0] != subout {
             return None;
         }
-        let mul = self.sole_consumer(dn.output())?;
+        let mul = self.ix.sole_consumer(dn.output())?;
         if g.node(mul).op != OpKind::Mul {
             return None;
         }
-        let add_b = self.sole_consumer(g.node(mul).output())?;
+        let add_b = self.ix.sole_consumer(g.node(mul).output())?;
         if g.node(add_b).op != OpKind::Add {
             return None;
         }
@@ -256,7 +247,7 @@ impl<'g> Fuser<'g> {
         // upstream: Mul/Add chain down to the scores MatMul
         let mut cur = g.node(softmax).inputs[0];
         let scores = loop {
-            let p = *self.producers.get(&cur)?;
+            let p = self.ix.producer(cur)?;
             match g.node(p).op {
                 OpKind::Mul | OpKind::Add => {
                     members.push(p);
@@ -280,20 +271,20 @@ impl<'g> Fuser<'g> {
             self.collect_view_chain_up(inp, &mut members);
         }
         // downstream: softmax → AV MatMul
-        let av = self.sole_consumer(g.node(softmax).output())?;
+        let av = self.ix.sole_consumer(g.node(softmax).output())?;
         if g.node(av).op != OpKind::MatMul {
             return None;
         }
         members.push(av);
         for &inp in &g.node(av).inputs {
-            if *self.producers.get(&inp)? == softmax {
+            if self.ix.producer(inp)? == softmax {
                 continue;
             }
             self.collect_view_chain_up(inp, &mut members);
         }
         // head merge: forward Transpose/Reshape chain
         let mut out = g.node(av).output();
-        while let Some(next) = self.sole_consumer(out) {
+        while let Some(next) = self.ix.sole_consumer(out) {
             match g.node(next).op {
                 OpKind::Transpose | OpKind::Reshape => {
                     members.push(next);
@@ -309,7 +300,7 @@ impl<'g> Fuser<'g> {
 
     /// Walk producers upward through Transpose/Reshape views, collecting.
     fn collect_view_chain_up(&self, mut t: TensorId, members: &mut Vec<NodeId>) {
-        while let Some(&p) = self.producers.get(&t) {
+        while let Some(p) = self.ix.producer(t) {
             match self.g.node(p).op {
                 OpKind::Transpose | OpKind::Reshape => {
                     members.push(p);
@@ -328,12 +319,10 @@ impl<'g> Fuser<'g> {
         let mut members = vec![root];
         let mut cur = g.node(root).output();
         while members.len() < limit {
-            let Some(next) = self.sole_consumer(cur) else {
+            let Some(next) = self.ix.sole_consumer(cur) else {
                 // SiLU and GELU fork from `cur` (e.g. Mul(x, σ(x))): handle
                 // the exact two-consumer diamonds before giving up
-                let Some(cs) = self.consumers.get(&cur) else {
-                    break;
-                };
+                let cs = self.ix.consumers(cur);
                 if cs.len() == 2 && cs.iter().all(|&c| self.free(c)) {
                     // SiLU diamond: {Sigmoid s, Mul m} with m = Mul(cur, s)
                     let silu = cs.iter().copied().find_map(|s| {
@@ -341,7 +330,7 @@ impl<'g> Fuser<'g> {
                         if sn.op != OpKind::Sigmoid {
                             return None;
                         }
-                        let m = self.sole_consumer(sn.output())?;
+                        let m = self.ix.sole_consumer(sn.output())?;
                         (cs.contains(&m)
                             && g.node(m).op == OpKind::Mul
                             && g.node(m).inputs.contains(&cur))
@@ -380,7 +369,7 @@ impl<'g> Fuser<'g> {
                 }
                 OpKind::Sigmoid => {
                     // SiLU: Sigmoid + Mul(x, σ(x))
-                    match self.sole_consumer(nd.output()) {
+                    match self.ix.sole_consumer(nd.output()) {
                         Some(mul)
                             if self.free(mul)
                                 && g.node(mul).op == OpKind::Mul
@@ -423,10 +412,11 @@ impl<'g> Fuser<'g> {
     }
 }
 
-/// Run fusion under a policy. Returns groups covering **every** node exactly
-/// once, ordered topologically by first member.
-pub fn fuse(g: &Graph, policy: &FusionPolicy) -> Vec<RtGroup> {
-    let mut f = Fuser::new(g);
+/// Run fusion under a policy over an indexed graph. Returns groups covering
+/// **every** node exactly once, ordered topologically by first member.
+pub fn fuse(ix: &GraphIndex, policy: &FusionPolicy) -> Vec<RtGroup> {
+    let g = ix.graph();
+    let mut f = Fuser::new(ix);
     let mut groups: Vec<RtGroup> = Vec::new();
 
     // 1. opaque attention regions (most specific first)
@@ -475,14 +465,14 @@ pub fn fuse(g: &Graph, policy: &FusionPolicy) -> Vec<RtGroup> {
                 // producers feeding the conv's data input
                 let mut cur = g.node(id).inputs[0];
                 for _ in 0..3 {
-                    let Some(&p) = f.producers.get(&cur) else {
+                    let Some(p) = f.ix.producer(cur) else {
                         break;
                     };
                     let pn = g.node(p);
                     // the producer must be free, pointwise, and feed only us
                     if !f.free(p)
                         || !pn.op.is_elementwise()
-                        || f.sole_consumer(pn.output()).is_none()
+                        || f.ix.sole_consumer(pn.output()).is_none()
                     {
                         break;
                     }
@@ -532,7 +522,7 @@ pub fn fuse(g: &Graph, policy: &FusionPolicy) -> Vec<RtGroup> {
             }
             let mut members = vec![id];
             let mut cur = n.output();
-            while let Some(next) = f.sole_consumer(cur) {
+            while let Some(next) = f.ix.sole_consumer(cur) {
                 if !f.free(next) || !g.node(next).op.is_elementwise() || members.len() >= 8 {
                     break;
                 }
@@ -596,7 +586,7 @@ mod tests {
         let r2 = b.relu("relu2", a);
         b.output(r2);
         let g = b.finish();
-        let groups = fuse(&g, &FusionPolicy::trt());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::trt());
         coverage_ok(&g, &groups);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].kind, GroupKind::ConvBlock);
@@ -611,7 +601,7 @@ mod tests {
         let s = b.silu("act", c);
         b.output(s);
         let g = b.finish();
-        let groups = fuse(&g, &FusionPolicy::trt());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::trt());
         coverage_ok(&g, &groups);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].members.len(), 3);
@@ -624,7 +614,7 @@ mod tests {
         let y = b.layer_norm_decomposed("ln", x);
         b.output(y);
         let g = b.finish();
-        let groups = fuse(&g, &FusionPolicy::trt());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::trt());
         coverage_ok(&g, &groups);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].kind, GroupKind::LayerNormFused);
@@ -639,7 +629,7 @@ mod tests {
         let a = b.gelu("gelu", h);
         b.output(a);
         let g = b.finish();
-        let groups = fuse(&g, &FusionPolicy::ort());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::ort());
         coverage_ok(&g, &groups);
         // MatMul + Add(bias) + 5-node gelu = 7 members, one group
         assert_eq!(groups.len(), 1);
@@ -650,7 +640,7 @@ mod tests {
     #[test]
     fn attention_region_is_detected_in_vit_block() {
         let g = proof_models::vit::vit(1, proof_models::vit::ViTSize::Tiny);
-        let groups = fuse(&g, &FusionPolicy::trt());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::trt());
         coverage_ok(&g, &groups);
         let regions: Vec<_> = groups
             .iter()
@@ -670,7 +660,7 @@ mod tests {
         let y = b.layer_norm_decomposed("ln", x);
         b.output(y);
         let g = b.finish();
-        let groups = fuse(&g, &FusionPolicy::ov());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::ov());
         coverage_ok(&g, &groups);
         assert_eq!(groups.len(), 9);
     }
@@ -683,7 +673,7 @@ mod tests {
         let y = b.relu("relu", r);
         b.output(y);
         let g = b.finish();
-        let groups = fuse(&g, &FusionPolicy::none());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::none());
         coverage_ok(&g, &groups);
         let kinds: Vec<_> = groups.iter().map(|grp| grp.kind).collect();
         assert!(kinds.contains(&GroupKind::Eliminated));
@@ -702,7 +692,7 @@ mod tests {
                 FusionPolicy::ov(),
                 FusionPolicy::none(),
             ] {
-                coverage_ok(&model, &fuse(&model, &policy));
+                coverage_ok(&model, &fuse(&GraphIndex::new(&model), &policy));
             }
         }
     }
@@ -715,7 +705,7 @@ mod tests {
         let r = b.relu("relu", c);
         b.output(r);
         let g = b.finish();
-        let groups = fuse(&g, &FusionPolicy::trt());
+        let groups = fuse(&GraphIndex::new(&g), &FusionPolicy::trt());
         assert_eq!(g.node(groups[0].primary(&g)).name, "conv");
     }
 }

@@ -10,8 +10,7 @@
 
 use crate::fusion::{GroupKind, RtGroup};
 use proof_hw::{HwFamily, Platform};
-use proof_ir::{DType, Graph, NodeId, OpCategory, OpKind, TensorId, TensorKind};
-use std::collections::HashMap;
+use proof_ir::{DType, Graph, GraphIndex, NodeId, OpCategory, OpKind, TensorId, TensorKind};
 
 /// Kernel classes, driving both cost inflation and execution efficiency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,23 +91,42 @@ fn pad_to(v: u64, m: u64) -> u64 {
 }
 
 /// Lowers fused groups to kernels for one platform/precision.
-pub struct Lowerer<'g> {
-    g: &'g Graph,
-    platform: &'g Platform,
+pub struct Lowerer<'a> {
+    g: &'a Graph,
+    ix: &'a GraphIndex<'a>,
+    platform: &'a Platform,
     precision: DType,
-    producers: HashMap<TensorId, NodeId>,
-    consumers: HashMap<TensorId, Vec<NodeId>>,
 }
 
-impl<'g> Lowerer<'g> {
-    pub fn new(g: &'g Graph, platform: &'g Platform, precision: DType) -> Self {
+/// A group's members sorted by id, for membership tests by binary search
+/// (fusion lists members in match order, which names and sums follow).
+fn sorted_members(grp: &RtGroup) -> Vec<NodeId> {
+    let mut members = grp.members.clone();
+    members.sort_unstable();
+    members
+}
+
+impl<'a> Lowerer<'a> {
+    pub fn new(ix: &'a GraphIndex<'a>, platform: &'a Platform, precision: DType) -> Self {
         Lowerer {
-            producers: g.producers(),
-            consumers: g.consumers(),
-            g,
+            g: ix.graph(),
+            ix,
             platform,
             precision,
         }
+    }
+
+    /// Whether `t` is produced by one of the (sorted) `members`.
+    fn produced_inside(&self, t: TensorId, members: &[NodeId]) -> bool {
+        self.ix
+            .producer(t)
+            .is_some_and(|p| members.binary_search(&p).is_ok())
+    }
+
+    /// Whether `t` has consumers and all of them are (sorted) `members`.
+    fn consumed_inside(&self, t: TensorId, members: &[NodeId]) -> bool {
+        let cs = self.ix.consumers(t);
+        !cs.is_empty() && cs.iter().all(|c| members.binary_search(c).is_ok())
     }
 
     fn bytes(&self, t: TensorId) -> u64 {
@@ -135,7 +153,7 @@ impl<'g> Lowerer<'g> {
     /// Boundary activation tensors of a group (inputs consumed from outside,
     /// outputs visible outside) — what the runtime reports as layer io.
     pub fn group_io(&self, grp: &RtGroup) -> (Vec<TensorId>, Vec<TensorId>) {
-        let members: std::collections::HashSet<NodeId> = grp.members.iter().copied().collect();
+        let members = sorted_members(grp);
         let (mut ins, mut outs) = (Vec::new(), Vec::new());
         for &m in &grp.members {
             let node = self.g.node(m);
@@ -143,16 +161,12 @@ impl<'g> Lowerer<'g> {
                 if self.g.tensor(t).kind == TensorKind::Weight {
                     continue;
                 }
-                let inside = self.producers.get(&t).is_some_and(|p| members.contains(p));
-                if !inside && !ins.contains(&t) {
+                if !self.produced_inside(t, &members) && !ins.contains(&t) {
                     ins.push(t);
                 }
             }
             for &t in &node.outputs {
-                let all_inside = self
-                    .consumers
-                    .get(&t)
-                    .is_some_and(|cs| !cs.is_empty() && cs.iter().all(|c| members.contains(c)));
+                let all_inside = self.consumed_inside(t, &members);
                 if (!all_inside || self.g.outputs.contains(&t)) && !outs.contains(&t) {
                     outs.push(t);
                 }
@@ -163,7 +177,7 @@ impl<'g> Lowerer<'g> {
 
     /// Boundary activations in/out + member weight bytes for a group.
     fn group_traffic(&self, grp: &RtGroup) -> (u64, u64, u64) {
-        let members: std::collections::HashSet<NodeId> = grp.members.iter().copied().collect();
+        let members = sorted_members(grp);
         let (mut inb, mut wb, mut outb) = (0u64, 0u64, 0u64);
         let mut seen_in: Vec<TensorId> = Vec::new();
         for &m in &grp.members {
@@ -179,18 +193,13 @@ impl<'g> Lowerer<'g> {
                     wb += self.bytes(t);
                     continue;
                 }
-                let inside = self.producers.get(&t).is_some_and(|p| members.contains(p));
-                if !inside && !seen_in.contains(&t) {
+                if !self.produced_inside(t, &members) && !seen_in.contains(&t) {
                     seen_in.push(t);
                     inb += self.bytes(t);
                 }
             }
             for &t in &node.outputs {
-                let all_inside = self
-                    .consumers
-                    .get(&t)
-                    .is_some_and(|cs| !cs.is_empty() && cs.iter().all(|c| members.contains(c)));
-                if !all_inside || self.g.outputs.contains(&t) {
+                if !self.consumed_inside(t, &members) || self.g.outputs.contains(&t) {
                     outb += self.bytes(t);
                 }
             }
@@ -420,8 +429,9 @@ mod tests {
 
     fn lower_all(g: &Graph, precision: DType) -> Vec<Kernel> {
         let p = PlatformId::A100.spec();
-        let lw = Lowerer::new(g, &p, precision);
-        fuse(g, &FusionPolicy::trt())
+        let ix = GraphIndex::new(g);
+        let lw = Lowerer::new(&ix, &p, precision);
+        fuse(&ix, &FusionPolicy::trt())
             .iter()
             .enumerate()
             .filter_map(|(i, grp)| lw.lower_group(grp, i))
@@ -515,8 +525,9 @@ mod tests {
     fn attention_region_counts_only_matmul_flops() {
         let g = proof_models::vit::vit(1, proof_models::vit::ViTSize::Tiny);
         let p = PlatformId::A100.spec();
-        let lw = Lowerer::new(&g, &p, DType::F16);
-        let groups = fuse(&g, &FusionPolicy::trt());
+        let ix = GraphIndex::new(&g);
+        let lw = Lowerer::new(&ix, &p, DType::F16);
+        let groups = fuse(&ix, &FusionPolicy::trt());
         let region = groups
             .iter()
             .find(|grp| grp.kind == GroupKind::AttentionRegion)
@@ -545,8 +556,9 @@ mod mixed_precision_tests {
         b.output(c);
         let g = b.finish();
         let p = PlatformId::A100.spec();
-        let lw = Lowerer::new(&g, &p, DType::I8);
-        let groups = fuse(&g, &FusionPolicy::trt());
+        let ix = GraphIndex::new(&g);
+        let lw = Lowerer::new(&ix, &p, DType::I8);
+        let groups = fuse(&ix, &FusionPolicy::trt());
         let kernels: Vec<Kernel> = groups
             .iter()
             .enumerate()

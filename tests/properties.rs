@@ -8,7 +8,7 @@ use proof::core::{
     OptimizedRepr,
 };
 use proof::hw::PlatformId;
-use proof::ir::{DType, Graph, GraphBuilder, TensorId};
+use proof::ir::{DType, Graph, GraphBuilder, GraphIndex, TensorId};
 use proof::runtime::{compile, fusion, BackendFlavor, SessionConfig};
 use proptest::prelude::*;
 
@@ -181,7 +181,7 @@ proptest! {
             fusion::FusionPolicy::ov(),
             fusion::FusionPolicy::none(),
         ] {
-            let groups = fusion::fuse(&g, &policy);
+            let groups = fusion::fuse(&GraphIndex::new(&g), &policy);
             let mut seen = vec![false; g.nodes.len()];
             for grp in &groups {
                 for &m in &grp.members {
