@@ -114,6 +114,15 @@ grep -q "^proof_serve_timeouts_total " <<<"$prom"
 grep -q "^proof_serve_panics_total " <<<"$prom"
 grep -q "^proof_serve_rejected_total 1$" <<<"$prom"
 grep -q "^proof_serve_jobs_failed_total 1$" <<<"$prom"
+
+# a client that sends half a request line and goes silent holds one
+# handler, not the daemon: /healthz answers meanwhile, and the daemon
+# closes the silent connection within its 5 s request deadline
+exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
+printf 'GET /heal' >&3
+curl -sf "http://${serve_addr}/healthz" | grep -q '"ok"'
+timeout 8 cat <&3 >/dev/null || { echo "silent connection still open past the deadline"; exit 1; }
+exec 3<&-
 kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
 rm -f "$serve_log"

@@ -2,15 +2,18 @@
 //! `proof_serve::client` that turns HTTP status codes into the outcomes the
 //! dispatcher schedules on.
 //!
-//! Every call is bounded by the fleet's per-request timeout, so a wedged
-//! node surfaces as [`WorkerError::Unreachable`] instead of hanging the
-//! dispatch loop. Backpressure (429/503 that outlives the retry budget)
-//! is its own variant — the node is alive, just saturated — and a job the
+//! Every call goes through one helper bounded by the fleet's per-request
+//! timeout, so a wedged node surfaces as [`WorkerError::Unreachable`]
+//! instead of hanging the dispatch loop. Nothing here retries: a 429/503
+//! is its own variant, [`WorkerError::Busy`] — the node is alive, just
+//! saturated, and the dispatcher schedules around it — and a job the
 //! worker itself reports as failed/timed-out is a third: the *shard* needs
 //! a different node, not this node declared dead on one bad job alone.
 
 use proof_obs::{FieldValue, Level};
-use proof_serve::client::{request_full_timeout, request_with_retry_timeout_headers, RetryPolicy};
+use proof_serve::client::Call;
+use proof_serve::Response;
+use serde::Serialize;
 use serde_json::Value;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,8 +37,8 @@ pub enum WorkerError {
     /// Transport-level failure: refused, timed out, or died mid-response.
     /// The node is suspect.
     Unreachable(String),
-    /// The node kept backpressuring (429/503) past the retry budget; it is
-    /// alive but saturated — back off, don't bury it.
+    /// The node answered 429/503: it is alive but saturated — back off,
+    /// don't bury it.
     Busy { retry_after_s: Option<u64> },
     /// The worker accepted the job but reported it failed or timed out.
     JobFailed(String),
@@ -101,45 +104,67 @@ fn capacity_signal(v: &Value, addr: SocketAddr, key: &str, warned: &AtomicBool) 
     }
 }
 
+/// The one transport call both clients make: a single bounded exchange,
+/// whose failure means the far end is suspect.
+fn call(
+    addr: SocketAddr,
+    timeout: Duration,
+    method: &str,
+    path: &str,
+    body: &str,
+    headers: &[(&str, &str)],
+) -> Result<Response, WorkerError> {
+    Call::new(addr, method, path)
+        .body(body)
+        .timeout(timeout)
+        .headers(headers)
+        .send()
+        .map_err(|e| WorkerError::Unreachable(e.to_string()))
+}
+
+fn parse(body: &str) -> Result<Value, WorkerError> {
+    serde_json::from_str(body).map_err(|e| WorkerError::Protocol(format!("bad JSON: {e}")))
+}
+
+fn busy(r: &Response) -> WorkerError {
+    WorkerError::Busy {
+        retry_after_s: r.retry_after_s,
+    }
+}
+
 /// A handle to one worker daemon.
 #[derive(Debug, Clone)]
 pub struct WorkerClient {
     pub addr: SocketAddr,
     /// Per-request transport bound (connect + each read/write).
     pub timeout: Duration,
-    /// Backpressure retry schedule (seed-keyed, deterministic).
-    pub retry: RetryPolicy,
+}
+
+#[derive(Serialize)]
+struct PeerList {
+    peers: Vec<String>,
 }
 
 impl WorkerClient {
-    pub fn new(addr: SocketAddr, timeout: Duration, seed: u64) -> WorkerClient {
-        WorkerClient {
-            addr,
-            timeout,
-            retry: RetryPolicy::new(seed),
-        }
+    pub fn new(addr: SocketAddr, timeout: Duration) -> WorkerClient {
+        WorkerClient { addr, timeout }
     }
 
-    fn io_err(e: std::io::Error) -> WorkerError {
-        WorkerError::Unreachable(e.to_string())
+    fn get(&self, path: &str) -> Result<Response, WorkerError> {
+        call(self.addr, self.timeout, "GET", path, "", &[])
     }
 
-    fn parse(body: &str) -> Result<Value, WorkerError> {
-        serde_json::from_str(body).map_err(|e| WorkerError::Protocol(format!("bad JSON: {e}")))
-    }
-
-    /// `GET /healthz` — one bounded attempt, no retries: a probe that needs
-    /// a retry schedule is already the answer.
+    /// `GET /healthz` — one bounded attempt: a probe that needs a retry is
+    /// already the answer.
     pub fn probe(&self) -> Result<WorkerHealth, WorkerError> {
-        let r = request_full_timeout(self.addr, "GET", "/healthz", None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.get("/healthz")?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "healthz returned {}",
                 r.status
             )));
         }
-        let v = Self::parse(&r.body)?;
+        let v = parse(&r.body)?;
         let field = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
         Ok(WorkerHealth {
             queue_depth: field("queue_depth"),
@@ -149,7 +174,7 @@ impl WorkerClient {
         })
     }
 
-    /// `POST /jobs` with backpressure retries; returns the job id.
+    /// `POST /jobs`; returns the job id.
     pub fn submit(&self, job: &Value) -> Result<u64, WorkerError> {
         self.submit_traced(job, None)
     }
@@ -163,40 +188,29 @@ impl WorkerClient {
         job: &Value,
         trace: Option<(u64, u64)>,
     ) -> Result<u64, WorkerError> {
-        let body = job.to_string();
         let header_value = trace.map(|(t, s)| format!("{t}:{s}"));
         let headers: Vec<(&str, &str)> = header_value
             .as_deref()
             .map(|v| vec![("X-Proof-Trace", v)])
             .unwrap_or_default();
-        // zero in-client retries: the shared retry helper sleeps the
-        // server's Retry-After hint as a floor, so a node advertising a
-        // long holdoff would block the single-threaded dispatch loop for
-        // minutes inside this call. Backpressure scheduling belongs to
-        // the dispatcher — a 429/503 surfaces immediately as `Busy` and
-        // the registry holds the node off while other nodes keep working.
-        let submit_policy = RetryPolicy {
-            max_retries: 0,
-            ..self.retry
-        };
-        let r = request_with_retry_timeout_headers(
+        // A 429/503 surfaces immediately as `Busy`: sleeping out the
+        // node's Retry-After here would block the single-threaded dispatch
+        // loop, so the registry holds the node off instead while other
+        // nodes keep working.
+        let r = call(
             self.addr,
+            self.timeout,
             "POST",
             "/jobs",
-            Some(&body),
-            &submit_policy,
-            Some(self.timeout),
+            &job.to_string(),
             &headers,
-        )
-        .map_err(Self::io_err)?;
+        )?;
         match r.status {
-            201 => Self::parse(&r.body)?
+            201 => parse(&r.body)?
                 .get("id")
                 .and_then(Value::as_u64)
                 .ok_or_else(|| WorkerError::Protocol("submission reply without id".into())),
-            429 | 503 => Err(WorkerError::Busy {
-                retry_after_s: r.retry_after_s,
-            }),
+            429 | 503 => Err(busy(&r)),
             s => Err(WorkerError::Protocol(format!(
                 "submission returned {s}: {}",
                 r.body
@@ -206,16 +220,12 @@ impl WorkerClient {
 
     /// `GET /jobs/<id>` — current lifecycle state.
     pub fn poll(&self, id: u64) -> Result<JobPoll, WorkerError> {
-        let path = format!("/jobs/{id}");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.get(&format!("/jobs/{id}"))?;
         // a backpressured status GET means the node is alive but
         // saturated — the dispatcher must keep the shard's deadline
         // ticking, not treat this as protocol breakage
         if r.status == 429 || r.status == 503 {
-            return Err(WorkerError::Busy {
-                retry_after_s: r.retry_after_s,
-            });
+            return Err(busy(&r));
         }
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
@@ -223,7 +233,7 @@ impl WorkerClient {
                 r.status, r.body
             )));
         }
-        let v = Self::parse(&r.body)?;
+        let v = parse(&r.body)?;
         let status = v.get("status").and_then(Value::as_str).unwrap_or("");
         let error = || {
             v.get("error")
@@ -243,27 +253,18 @@ impl WorkerClient {
     /// this worker's tiered store can serve rescheduled shards from a warm
     /// peer instead of re-simulating.
     pub fn advertise_peers(&self, peers: &[SocketAddr]) -> Result<u64, WorkerError> {
-        let body = {
-            let list: Vec<Value> = peers.iter().map(|a| Value::from(a.to_string())).collect();
-            let mut m = serde_json::Map::new();
-            m.insert("peers".to_string(), Value::Array(list));
-            Value::Object(m).to_string()
+        let body = PeerList {
+            peers: peers.iter().map(|a| a.to_string()).collect(),
         };
-        let r = request_full_timeout(
-            self.addr,
-            "POST",
-            "/cache/peers",
-            Some(&body),
-            Some(self.timeout),
-        )
-        .map_err(Self::io_err)?;
+        let body = serde_json::to_string(&body).expect("writing JSON to a String cannot fail");
+        let r = call(self.addr, self.timeout, "POST", "/cache/peers", &body, &[])?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "peer advertisement returned {}: {}",
                 r.status, r.body
             )));
         }
-        Self::parse(&r.body)?
+        parse(&r.body)?
             .get("peers")
             .and_then(Value::as_u64)
             .ok_or_else(|| WorkerError::Protocol("advertisement reply without peers".into()))
@@ -272,15 +273,14 @@ impl WorkerClient {
     /// `GET /metrics` — the worker's lifetime remote-tier hit count, for
     /// the coordinator's `fleet_cache_remote_hits` aggregation.
     pub fn cache_remote_hits(&self) -> Result<u64, WorkerError> {
-        let r = request_full_timeout(self.addr, "GET", "/metrics", None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.get("/metrics")?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "metrics returned {}",
                 r.status
             )));
         }
-        Self::parse(&r.body)?
+        parse(&r.body)?
             .get("cache")
             .and_then(|c| c.get("remote_hits"))
             .and_then(Value::as_u64)
@@ -292,11 +292,9 @@ impl WorkerClient {
     /// when the worker holds no spans for that trace (it executed no shard
     /// of the run, or its ring already evicted them).
     pub fn fetch_trace_spans(&self, trace: u64) -> Result<Option<Value>, WorkerError> {
-        let path = format!("/trace/{trace}?format=spans");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.get(&format!("/trace/{trace}?format=spans"))?;
         match r.status {
-            200 => Ok(Some(Self::parse(&r.body)?)),
+            200 => Ok(Some(parse(&r.body)?)),
             404 => Ok(None),
             s => Err(WorkerError::Protocol(format!("trace fetch returned {s}"))),
         }
@@ -305,14 +303,7 @@ impl WorkerClient {
     /// `GET /metrics?format=prometheus` — the worker's full text
     /// exposition, for the coordinator's federated scrape.
     pub fn scrape_prometheus(&self) -> Result<String, WorkerError> {
-        let r = request_full_timeout(
-            self.addr,
-            "GET",
-            "/metrics?format=prometheus",
-            None,
-            Some(self.timeout),
-        )
-        .map_err(Self::io_err)?;
+        let r = self.get("/metrics?format=prometheus")?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "metrics scrape returned {}",
@@ -324,14 +315,10 @@ impl WorkerClient {
 
     /// `GET /jobs/<id>/report` — the finished artifact, byte-exact.
     pub fn report(&self, id: u64) -> Result<String, WorkerError> {
-        let path = format!("/jobs/{id}/report");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.get(&format!("/jobs/{id}/report"))?;
         match r.status {
             200 => Ok(r.body),
-            429 | 503 => Err(WorkerError::Busy {
-                retry_after_s: r.retry_after_s,
-            }),
+            429 | 503 => Err(busy(&r)),
             500 | 504 => Err(WorkerError::JobFailed(r.body)),
             s => Err(WorkerError::Protocol(format!("report returned {s}"))),
         }
@@ -366,28 +353,28 @@ impl CoordinatorClient {
         CoordinatorClient { addr, timeout }
     }
 
-    fn io_err(e: std::io::Error) -> WorkerError {
-        WorkerError::Unreachable(e.to_string())
+    fn get(&self, path: &str) -> Result<Response, WorkerError> {
+        call(self.addr, self.timeout, "GET", path, "", &[])
     }
 
     /// `POST /grid/submit` — validate the spec and mint a run; returns the
     /// run id the status/result endpoints key on.
     pub fn submit_grid(&self, spec_json: &str) -> Result<u64, WorkerError> {
-        let r = request_full_timeout(
+        let r = call(
             self.addr,
+            self.timeout,
             "POST",
             "/grid/submit",
-            Some(spec_json),
-            Some(self.timeout),
-        )
-        .map_err(Self::io_err)?;
+            spec_json,
+            &[],
+        )?;
         if r.status != 202 {
             return Err(WorkerError::Protocol(format!(
                 "grid submit returned {}: {}",
                 r.status, r.body
             )));
         }
-        WorkerClient::parse(&r.body)?
+        parse(&r.body)?
             .get("run_id")
             .and_then(Value::as_u64)
             .ok_or_else(|| WorkerError::Protocol("submit reply without run_id".into()))
@@ -397,23 +384,19 @@ impl CoordinatorClient {
     /// progress event past the cursor; the returned document's `seq` is
     /// the exact cursor for the next poll.
     pub fn run_status(&self, run_id: u64, since: u64) -> Result<Value, WorkerError> {
-        let path = format!("/grid/{run_id}/status?since={since}");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.get(&format!("/grid/{run_id}/status?since={since}"))?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "run status returned {}: {}",
                 r.status, r.body
             )));
         }
-        WorkerClient::parse(&r.body)
+        parse(&r.body)
     }
 
     /// `GET /grid/<id>/result` — the run's terminal artifact, if any.
     pub fn run_result(&self, run_id: u64) -> Result<RunResult, WorkerError> {
-        let path = format!("/grid/{run_id}/result");
-        let r = request_full_timeout(self.addr, "GET", &path, None, Some(self.timeout))
-            .map_err(Self::io_err)?;
+        let r = self.get(&format!("/grid/{run_id}/result"))?;
         match r.status {
             200 => Ok(RunResult::Done(r.body)),
             202 => Ok(RunResult::Running),
@@ -435,7 +418,7 @@ mod tests {
     #[test]
     fn probe_reads_the_load_signals() {
         let server = local_server();
-        let c = WorkerClient::new(server.addr(), Duration::from_secs(5), 1);
+        let c = WorkerClient::new(server.addr(), Duration::from_secs(5));
         let h = c.probe().unwrap();
         assert_eq!(h.workers, 2);
         assert!(h.queue_capacity > 0);
@@ -446,7 +429,7 @@ mod tests {
     #[test]
     fn submit_poll_report_round_trip() {
         let server = local_server();
-        let c = WorkerClient::new(server.addr(), Duration::from_secs(5), 1);
+        let c = WorkerClient::new(server.addr(), Duration::from_secs(5));
         let job: Value =
             serde_json::from_str(r#"{"model":"mobilenetv2-0.5","hardware":"a100","batch":1}"#)
                 .unwrap();
@@ -477,8 +460,7 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
-            for stream in listener.incoming().flatten() {
-                let mut s = stream;
+            while let Ok((mut s, _)) = listener.accept() {
                 let mut buf = [0u8; 4096];
                 let _ = s.read(&mut buf);
                 let body = r#"{"status":"ok","queue_depth":3,"queue_capacity":0,"in_flight":1}"#;
@@ -492,7 +474,7 @@ mod tests {
                 );
             }
         });
-        let c = WorkerClient::new(addr, Duration::from_secs(2), 1);
+        let c = WorkerClient::new(addr, Duration::from_secs(2));
         let h = c.probe().unwrap();
         assert_eq!(h.workers, 1, "missing workers floors at 1");
         assert_eq!(h.queue_capacity, 1, "zero queue_capacity floors at 1");
@@ -539,7 +521,7 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let c = WorkerClient::new(addr, Duration::from_millis(200), 1);
+        let c = WorkerClient::new(addr, Duration::from_millis(200));
         assert!(matches!(c.probe(), Err(WorkerError::Unreachable(_))));
     }
 }

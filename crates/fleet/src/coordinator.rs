@@ -96,9 +96,6 @@ pub struct FleetConfig {
     pub request_timeout: Duration,
     /// Consecutive failures that kill a node.
     pub node_fail_threshold: u32,
-    /// Seed for the clients' backpressure-retry jitter (independent of the
-    /// grid seed; does not affect artifact bytes).
-    pub client_seed: u64,
     /// Advertise every node's cache endpoint to every other node before a
     /// run (and scrape per-node remote-tier hits into
     /// `fleet_cache_remote_hits` after it), so rescheduled or re-run
@@ -116,7 +113,6 @@ impl Default for FleetConfig {
             local_workers: 2,
             request_timeout: Duration::from_secs(10),
             node_fail_threshold: 2,
-            client_seed: 0x5EED,
             advertise_peer_cache: true,
             dispatcher: crate::dispatcher::DispatcherConfig::default(),
         }
@@ -207,7 +203,7 @@ impl Fleet {
         }
         let clients = addrs
             .iter()
-            .map(|&addr| WorkerClient::new(addr, config.request_timeout, config.client_seed))
+            .map(|&addr| WorkerClient::new(addr, config.request_timeout))
             .collect();
         let registry = NodeRegistry::new(clients, config.node_fail_threshold);
         let (tracer, ring) = proof_obs::shared_ring_tracer();

@@ -14,8 +14,8 @@
 //! artifact that is **byte-identical** to a single-node run of the same
 //! spec and seed, regardless of scheduler choice.
 //!
-//! Fault model: a node that times out, keeps answering 429/5xx past its
-//! retry budget, or dies mid-job has its shards requeued onto surviving
+//! Fault model: a node that times out, keeps answering 429/5xx past the
+//! shard deadline, or dies mid-job has its shards requeued onto surviving
 //! nodes; health probes revive nodes that come back. Every decision is
 //! counted on a `proof-obs` metrics registry and traced as a fleet span
 //! tree, so `GET /metrics` on the coordinator ([`server`]) shows dispatch,

@@ -392,7 +392,6 @@ mod tests {
                 WorkerClient::new(
                     format!("127.0.0.1:{}", 40_000 + i).parse().unwrap(),
                     Duration::from_secs(1),
-                    7,
                 )
             })
             .collect();

@@ -33,23 +33,21 @@
 //! - `GET /debug/events` — the coordinator's flight recorder: the bounded
 //!   ring of scheduling and run-lifecycle events for post-mortems.
 //!
-//! Reuses `proof_serve::http` wholesale — same parser, same caps, same
+//! Served by the `proof_serve::http` scaffold, like every node: same
+//! parser and caps, same socket deadlines and handler cap, same
 //! single-request connections, same query-param handling.
 
-use crate::coordinator::{metrics_json_from, Fleet, FleetError};
-use crate::runs::{FleetView, RunLedger};
+use crate::coordinator::{metrics_json_from, Fleet, FleetError, FleetRun};
+use crate::runs::{FleetView, RunHandle, RunLedger};
 use proof_core::GridSpec;
 use proof_obs::export::{federate_prometheus, prometheus_text};
 use proof_obs::{FlightRecorder, MetricsRegistry};
-use proof_serve::client::request_full_timeout;
-use proof_serve::http::{
-    query_has, query_param, read_request, write_response, write_response_typed, Request,
-};
-use serde_json::{Map, Value};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use proof_serve::client::Call;
+use proof_serve::http::{query_has, query_param, HttpServer, Reply, Request, Response, Routes};
+use serde::Serialize;
+use serde_json::Value;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Transport bound for the coordinator's lock-free node scrapes
@@ -97,16 +95,13 @@ struct SharedFleet {
 /// A running coordinator server. Owns the [`Fleet`] (and so its embedded
 /// daemons).
 pub struct FleetServer {
-    addr: SocketAddr,
     shared: Arc<SharedFleet>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    http: HttpServer,
 }
 
 impl FleetServer {
     pub fn start(fleet: Fleet, config: FleetServerConfig) -> std::io::Result<FleetServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(SharedFleet {
             metrics: Arc::clone(fleet.metrics()),
             flight: Arc::clone(fleet.flight()),
@@ -117,45 +112,22 @@ impl FleetServer {
             started: Instant::now(),
             fleet: Mutex::new(Some(fleet)),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let shared = Arc::clone(&shared);
-                    // thread-per-connection: run threads own the dispatch,
-                    // so every endpoint answers concurrently
-                    std::thread::spawn(move || handle(&shared, stream));
-                }
-            })
-        };
-        Ok(FleetServer {
-            addr,
-            shared,
-            stop,
-            acceptor: Some(acceptor),
-        })
+        // thread-per-connection: run threads own the dispatch, so every
+        // endpoint answers concurrently
+        let http = HttpServer::start(listener, "proof-fleet", Arc::clone(&shared))?;
+        Ok(FleetServer { shared, http })
     }
 
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
-    /// Stop accepting, join the acceptor, then take the fleet out of its
-    /// slot and shut it down — draining run threads and embedded daemons
-    /// unconditionally, even while handler threads still hold shared
-    /// clones (e.g. a slow request mid-read).
+    /// Stop accepting, let every handler that read a request answer it,
+    /// then take the fleet out of its slot and shut it down — draining run
+    /// threads and embedded daemons unconditionally, even while handler
+    /// threads still hold shared clones (e.g. a slow request mid-read).
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr); // wake the acceptor
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        self.http.stop();
         let fleet = self
             .shared
             .fleet
@@ -168,60 +140,52 @@ impl FleetServer {
     }
 }
 
-fn error_body(msg: &str) -> String {
-    let mut m = Map::new();
-    m.insert("error".to_string(), Value::from(msg));
-    Value::Object(m).to_string()
-}
-
-fn handle(shared: &SharedFleet, mut stream: TcpStream) {
-    let request = match read_request(&mut stream) {
-        Ok(Some(r)) => r,
-        Ok(None) => return,
-        Err(e) => {
-            let _ = write_response(&mut stream, 400, &error_body(&e.to_string()));
-            return;
-        }
-    };
-    let (status, body, content_type) = route(shared, &request);
-    let _ = write_response_typed(&mut stream, status, content_type, &body);
-}
-
-fn route(shared: &SharedFleet, req: &Request) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => (200, healthz_body(shared), JSON),
-        ("GET", ["metrics"]) if query_has(&req.query, "format", "prometheus") => (
-            200,
-            federated_prometheus_body(shared),
-            "text/plain; version=0.0.4",
-        ),
-        ("GET", ["metrics"]) => (
-            200,
-            metrics_json_from(&shared.metrics, &shared.view.nodes()),
-            JSON,
-        ),
-        ("GET", ["grid", "trace"]) => match shared.view.last_trace() {
-            Some(trace) => (200, trace, JSON),
-            None => (404, error_body("no grid run yet"), JSON),
-        },
-        ("GET", ["grid", id, "status"]) => grid_status(shared, id, &req.query),
-        ("GET", ["grid", id, "result"]) => grid_result(shared, id),
-        ("GET", ["debug", "events"]) => (200, shared.flight.to_json(), JSON),
-        ("GET", ["nodes"]) => (
-            200,
-            Value::Array(shared.view.nodes().iter().map(|n| n.to_value()).collect()).to_string(),
-            JSON,
-        ),
-        ("POST", ["grid"]) if query_has(&req.query, "mode", "async") => {
-            post_grid_submit(shared, &req.body)
-        }
-        ("POST", ["grid", "submit"]) => post_grid_submit(shared, &req.body),
-        ("POST", ["grid"]) => post_grid(shared, &req.body),
-        ("GET" | "POST", _) => (404, error_body("no such endpoint"), JSON),
-        _ => (405, error_body("method not allowed"), JSON),
+impl Routes for SharedFleet {
+    fn route(&self, req: &Request) -> Response {
+        let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+        let reply = match (req.method.as_str(), segments.as_slice()) {
+            ("GET", ["healthz"]) => Ok(Response::encode(200, &healthz(self))),
+            ("GET", ["metrics"]) if query_has(&req.query, "format", "prometheus") => {
+                Ok(Response::prometheus(federated_prometheus_body(self)))
+            }
+            ("GET", ["metrics"]) => Ok(Response::json(
+                200,
+                metrics_json_from(&self.metrics, &self.view.nodes()),
+            )),
+            ("GET", ["grid", "trace"]) => match self.view.last_trace() {
+                Some(trace) => Ok(Response::json(200, trace)),
+                None => Err(Response::error(404, "no grid run yet")),
+            },
+            ("GET", ["grid", id, "status"]) => grid_status(self, id, &req.query),
+            ("GET", ["grid", id, "result"]) => grid_result(self, id),
+            ("GET", ["debug", "events"]) => Ok(Response::json(200, self.flight.to_json())),
+            ("GET", ["nodes"]) => {
+                let nodes = self.view.nodes().iter().map(|n| n.to_value()).collect();
+                Ok(Response::json(200, Value::Array(nodes).to_string()))
+            }
+            ("POST", ["grid"]) if query_has(&req.query, "mode", "async") => {
+                post_grid_submit(self, &req.body)
+            }
+            ("POST", ["grid", "submit"]) => post_grid_submit(self, &req.body),
+            // synchronous: submit, then wait on the run handle; the reply
+            // bytes are exactly the streaming path's finished result
+            ("POST", ["grid"]) => submit(self, &req.body).map(|run| run_reply(run.wait())),
+            ("GET" | "POST", _) => Err(Response::error(404, "no such endpoint")),
+            _ => Err(Response::error(405, "method not allowed")),
+        };
+        reply.unwrap_or_else(|refusal| refusal)
     }
+}
+
+/// A node's `GET` reply body, `None` when it is unreachable or not 200.
+/// Lock-free and bounded, so node scrapes answer mid-run.
+fn scrape(addr: SocketAddr, path: &str) -> Option<String> {
+    Call::new(addr, "GET", path)
+        .timeout(SCRAPE_TIMEOUT)
+        .send()
+        .ok()
+        .filter(|r| r.status == 200)
+        .map(|r| r.body)
 }
 
 /// The coordinator's own `proof_fleet_` exposition followed by every
@@ -234,16 +198,7 @@ fn federated_prometheus_body(shared: &SharedFleet) -> String {
         .node_addrs
         .iter()
         .filter_map(|&addr| {
-            request_full_timeout(
-                addr,
-                "GET",
-                "/metrics?format=prometheus",
-                None,
-                Some(SCRAPE_TIMEOUT),
-            )
-            .ok()
-            .filter(|r| r.status == 200)
-            .map(|r| (addr.to_string(), r.body))
+            scrape(addr, "/metrics?format=prometheus").map(|body| (addr.to_string(), body))
         })
         .collect();
     if !scraped.is_empty() {
@@ -252,155 +207,141 @@ fn federated_prometheus_body(shared: &SharedFleet) -> String {
     out
 }
 
-/// Sum every reachable node's `/healthz` cache-tier summary into one
-/// fleet-wide view; `nodes_reporting` says how many answered.
-fn aggregate_node_cache(shared: &SharedFleet) -> Value {
-    let mut totals = [
-        ("memory_hits", 0u64),
-        ("disk_hits", 0u64),
-        ("remote_hits", 0u64),
-        ("misses", 0u64),
-    ];
-    let mut reporting = 0u64;
+/// The fleet-wide cache-tier summary: every reachable node's `/healthz`
+/// tier counters summed; `nodes_reporting` says how many answered.
+#[derive(Serialize, Default)]
+struct FleetCache {
+    nodes_reporting: u64,
+    memory_hits: u64,
+    disk_hits: u64,
+    remote_hits: u64,
+    misses: u64,
+}
+
+fn aggregate_node_cache(shared: &SharedFleet) -> FleetCache {
+    let mut c = FleetCache::default();
     for &addr in &shared.node_addrs {
-        let Ok(r) = request_full_timeout(addr, "GET", "/healthz", None, Some(SCRAPE_TIMEOUT))
+        let Some(v) = scrape(addr, "/healthz").and_then(|b| serde_json::from_str::<Value>(&b).ok())
         else {
-            continue;
-        };
-        if r.status != 200 {
-            continue;
-        }
-        let Ok(v) = serde_json::from_str::<Value>(&r.body) else {
             continue;
         };
         let Some(cache) = v.get("cache") else {
             continue;
         };
-        reporting += 1;
-        for (k, total) in totals.iter_mut() {
-            *total += cache.get(k).and_then(Value::as_u64).unwrap_or(0);
-        }
+        let tier = |k: &str| cache.get(k).and_then(Value::as_u64).unwrap_or(0);
+        c.nodes_reporting += 1;
+        c.memory_hits += tier("memory_hits");
+        c.disk_hits += tier("disk_hits");
+        c.remote_hits += tier("remote_hits");
+        c.misses += tier("misses");
     }
-    let mut c = Map::new();
-    c.insert("nodes_reporting".to_string(), Value::from(reporting));
-    for (k, total) in totals {
-        c.insert(k.to_string(), Value::from(total));
-    }
-    Value::Object(c)
+    c
 }
 
 /// Always the full document: `alive` comes from the shared registry view
 /// (the dispatcher republishes it mid-run) and `running` from the run
 /// ledger — neither key ever disappears while a grid executes.
-fn healthz_body(shared: &SharedFleet) -> String {
-    let mut m = Map::new();
-    m.insert("status".to_string(), Value::from("ok"));
-    m.insert(
-        "version".to_string(),
-        Value::from(env!("CARGO_PKG_VERSION")),
-    );
-    m.insert(
-        "uptime_s".to_string(),
-        Value::from(shared.started.elapsed().as_secs()),
-    );
-    m.insert("nodes".to_string(), Value::from(shared.node_count as u64));
-    m.insert("cache".to_string(), aggregate_node_cache(shared));
-    m.insert("alive".to_string(), Value::from(shared.view.alive() as u64));
-    m.insert("running".to_string(), Value::from(shared.runs.active() > 0));
-    m.insert("runs_total".to_string(), Value::from(shared.runs.total()));
-    m.insert(
-        "runs_active".to_string(),
-        Value::from(shared.runs.active() as u64),
-    );
-    Value::Object(m).to_string()
+#[derive(Serialize)]
+struct Healthz {
+    status: &'static str,
+    version: &'static str,
+    uptime_s: u64,
+    nodes: usize,
+    cache: FleetCache,
+    alive: usize,
+    running: bool,
+    runs_total: u64,
+    runs_active: usize,
 }
 
-/// Parse and submit a grid spec, returning the accepted run's handle.
-fn submit(shared: &SharedFleet, body: &str) -> Result<Arc<crate::runs::RunHandle>, (u16, String)> {
-    let value: Value =
-        serde_json::from_str(body).map_err(|e| (400, format!("invalid JSON: {e}")))?;
-    let spec = GridSpec::from_value(&value).map_err(|e| (400, e.to_string()))?;
+fn healthz(shared: &SharedFleet) -> Healthz {
+    Healthz {
+        status: "ok",
+        version: env!("CARGO_PKG_VERSION"),
+        uptime_s: shared.started.elapsed().as_secs(),
+        nodes: shared.node_count,
+        cache: aggregate_node_cache(shared),
+        alive: shared.view.alive(),
+        running: shared.runs.active() > 0,
+        runs_total: shared.runs.total(),
+        runs_active: shared.runs.active(),
+    }
+}
+
+/// Parse and submit a grid spec: the accepted run's handle, or the
+/// refusal to send.
+fn submit(shared: &SharedFleet, body: &str) -> Result<Arc<RunHandle>, Response> {
+    let value: Value = serde_json::from_str(body)
+        .map_err(|e| Response::error(400, &format!("invalid JSON: {e}")))?;
+    let spec = GridSpec::from_value(&value).map_err(|e| Response::error(400, &e.to_string()))?;
     let fleet = shared.fleet.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(fleet) = fleet.as_ref() else {
-        return Err((503, "coordinator shutting down".to_string()));
-    };
-    match fleet.submit_grid(&spec) {
-        Ok(handle) => Ok(handle),
-        Err(e @ FleetError::Grid(_)) => Err((400, e.to_string())),
-        Err(e) => Err((500, e.to_string())),
+    let fleet = fleet
+        .as_ref()
+        .ok_or_else(|| Response::error(503, "coordinator shutting down"))?;
+    fleet.submit_grid(&spec).map_err(fleet_error)
+}
+
+/// A run's error: `400` for spec and merge rejections, `500` otherwise.
+fn fleet_error(e: FleetError) -> Response {
+    match e {
+        FleetError::Grid(_) => Response::error(400, &e.to_string()),
+        _ => Response::error(500, &e.to_string()),
     }
 }
 
-/// `POST /grid` — synchronous: submit, then wait on the run handle. The
-/// response bytes are exactly the streaming path's finished result.
-fn post_grid(shared: &SharedFleet, body: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
-    let handle = match submit(shared, body) {
-        Ok(h) => h,
-        Err((status, msg)) => return (status, error_body(&msg), JSON),
-    };
-    match handle.wait() {
-        Ok(run) => (200, run.merged, JSON),
-        Err(e @ FleetError::Grid(_)) => (400, error_body(&e.to_string()), JSON),
-        Err(e) => (500, error_body(&e.to_string()), JSON),
-    }
+/// A finished run's reply: the merged artifact, or its error.
+fn run_reply(result: Result<FleetRun, FleetError>) -> Response {
+    result.map_or_else(fleet_error, |run| Response::json(200, run.merged))
+}
+
+#[derive(Serialize)]
+struct Accepted {
+    run_id: u64,
+    shards: usize,
 }
 
 /// `POST /grid/submit` (or `?mode=async`) — accept and return immediately.
-fn post_grid_submit(shared: &SharedFleet, body: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
-    let handle = match submit(shared, body) {
-        Ok(h) => h,
-        Err((status, msg)) => return (status, error_body(&msg), JSON),
-    };
-    let mut m = Map::new();
-    m.insert("run_id".to_string(), Value::from(handle.id()));
-    m.insert(
-        "shards".to_string(),
-        Value::from(handle.progress().counts().total as u64),
-    );
-    (202, Value::Object(m).to_string(), JSON)
+fn post_grid_submit(shared: &SharedFleet, body: &str) -> Reply {
+    let run = submit(shared, body)?;
+    let (run_id, shards) = (run.id(), run.progress().counts().total);
+    Ok(Response::encode(202, &Accepted { run_id, shards }))
 }
 
-/// Look up a run by its path segment. `None` for unparseable or unknown
-/// ids — both are 404s (the path names a resource that does not exist).
-fn lookup_run(shared: &SharedFleet, id: &str) -> Option<Arc<crate::runs::RunHandle>> {
-    id.parse::<u64>().ok().and_then(|id| shared.runs.get(id))
+/// Look up a run by its path segment. Unparseable and unknown ids are both
+/// 404s (the path names a resource that does not exist).
+fn lookup_run(shared: &SharedFleet, id: &str) -> Result<Arc<RunHandle>, Response> {
+    id.parse::<u64>()
+        .ok()
+        .and_then(|id| shared.runs.get(id))
+        .ok_or_else(|| Response::error(404, "no such run"))
 }
 
 /// `GET /grid/<id>/status?since=<seq>`.
-fn grid_status(shared: &SharedFleet, id: &str, query: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
+fn grid_status(shared: &SharedFleet, id: &str, query: &str) -> Reply {
     let since = match query_param(query, "since") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(v) => v,
-            Err(_) => return (400, error_body("malformed since cursor"), JSON),
-        },
+        Some(raw) => raw
+            .parse::<u64>()
+            .map_err(|_| Response::error(400, "malformed since cursor"))?,
         None => 0,
     };
-    match lookup_run(shared, id) {
-        Some(handle) => (200, handle.status_body(since), JSON),
-        None => (404, error_body("no such run"), JSON),
-    }
+    let status = lookup_run(shared, id)?.status_body(since);
+    Ok(Response::json(200, status))
+}
+
+#[derive(Serialize)]
+struct StillRunning {
+    run_id: u64,
+    state: &'static str,
 }
 
 /// `GET /grid/<id>/result`.
-fn grid_result(shared: &SharedFleet, id: &str) -> (u16, String, &'static str) {
-    const JSON: &str = "application/json";
-    let Some(handle) = lookup_run(shared, id) else {
-        return (404, error_body("no such run"), JSON);
-    };
-    match handle.result() {
-        None => {
-            let mut m = Map::new();
-            m.insert("run_id".to_string(), Value::from(handle.id()));
-            m.insert("state".to_string(), Value::from("running"));
-            (202, Value::Object(m).to_string(), JSON)
-        }
-        Some(Ok(run)) => (200, run.merged, JSON),
-        Some(Err(e @ FleetError::Grid(_))) => (400, error_body(&e.to_string()), JSON),
-        Some(Err(e)) => (500, error_body(&e.to_string()), JSON),
-    }
+fn grid_result(shared: &SharedFleet, id: &str) -> Reply {
+    let run = lookup_run(shared, id)?;
+    let (run_id, state) = (run.id(), "running");
+    Ok(match run.result() {
+        None => Response::encode(202, &StillRunning { run_id, state }),
+        Some(result) => run_reply(result),
+    })
 }
 
 #[cfg(test)]
@@ -408,6 +349,8 @@ mod tests {
     use super::*;
     use crate::coordinator::{run_grid_local, FleetConfig};
     use proof_serve::client::{get, post};
+    use std::io::Write as _;
+    use std::net::TcpStream;
 
     #[test]
     fn coordinator_surface_round_trip() {
@@ -557,7 +500,6 @@ mod tests {
 
     #[test]
     fn shutdown_drains_even_with_a_request_in_flight() {
-        use std::io::Write as _;
         let fleet = Fleet::start(FleetConfig::local(1)).unwrap();
         let node_addr = fleet.node_addrs()[0];
         let server = FleetServer::start(fleet, FleetServerConfig::default()).unwrap();
@@ -577,5 +519,33 @@ mod tests {
             "embedded daemon must not leak past shutdown"
         );
         drop(slow);
+    }
+
+    #[test]
+    fn shutdown_is_not_stalled_by_silent_clients_on_the_coordinator_or_a_node() {
+        let fleet = Fleet::start(FleetConfig::local(1)).unwrap();
+        let node_addr = fleet.node_addrs()[0];
+        let server = FleetServer::start(fleet, FleetServerConfig::default()).unwrap();
+
+        // half a request line each, then silence: neither handler has a
+        // request to answer, so neither may hold up the drain
+        let mut silent = Vec::new();
+        for addr in [server.addr(), node_addr] {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /hea").unwrap();
+            silent.push(s);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "shutdown waited on a client that never sent its request"
+        );
+        drop(silent);
     }
 }

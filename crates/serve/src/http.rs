@@ -1,18 +1,41 @@
-//! Minimal HTTP/1.1 server support over `std::net`: just enough request
-//! parsing and response writing for the JSON API. The matching blocking
-//! client lives in [`crate::client`] and reuses the same capped readers.
+//! The one HTTP/1.1 layer both daemons share, over `std::net`: the
+//! [`HttpServer`] scaffold (acceptor, bounded handler threads, socket
+//! deadlines, shutdown drain) that `proof-serve` and the `proof-fleet`
+//! coordinator start with their [`Routes`], the typed [`Response`] every
+//! route returns, one response writer, and one capped head reader that
+//! parses request heads here and response heads in [`crate::client`].
 //!
-//! Every read from the peer is capped (`MAX_HEADER_BYTES` for the request
-//! line + headers, `MAX_BODY_BYTES` for bodies) **while reading**, not
+//! Every read from the peer is capped (`MAX_HEADER_BYTES` for the start
+//! line + headers, a per-side cap for bodies) **while reading**, not
 //! after: an earlier version buffered an arbitrarily long request line via
 //! `read_line` before checking any limit, which let a single connection
 //! exhaust memory.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use serde::Serialize;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// The read and write timeout of every accepted socket: a client that goes
+/// silent, mid-request or mid-reply, loses its connection and its handler
+/// thread once this runs out.
+pub const IO_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Live connection handlers per daemon. Past the cap the acceptor answers
+/// `503` + `Retry-After` itself and closes without spawning: a flooded
+/// daemon sheds load instead of growing threads, and a fleet dispatcher
+/// reads the 503 as a busy node, not a dead one.
+pub const MAX_CONNECTIONS: usize = 128;
+
+/// `Retry-After` seconds sent with every 429/503 backpressure reply.
+pub const RETRY_AFTER_S: u64 = 1;
+
+const JSON: &str = "application/json";
 
 /// A parsed request. Bodies are read eagerly (Content-Length only; no
 /// chunked encoding — every client this daemon targets sends sized bodies).
@@ -31,6 +54,70 @@ pub struct Request {
     pub trace_parent: Option<(u64, u64)>,
 }
 
+/// One HTTP reply: what a route returns and what the client reads back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    pub status: u16,
+    pub content_type: String,
+    /// `Retry-After` seconds, sent with 429/503 backpressure replies.
+    pub retry_after_s: Option<u64>,
+    pub body: String,
+}
+
+/// A route handler's outcome: `Err` carries an early refusal, so handlers
+/// can bail out with `?`; either way the value is the reply to send.
+pub type Reply = Result<Response, Response>;
+
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
+}
+
+impl Response {
+    /// A JSON reply whose body is already JSON text (stored artifacts,
+    /// rendered traces, merged grids).
+    pub fn json(status: u16, body: String) -> Response {
+        Response {
+            status,
+            content_type: JSON.to_string(),
+            retry_after_s: None,
+            body,
+        }
+    }
+
+    /// A JSON reply carrying `value` serialized.
+    pub fn encode<T: Serialize + ?Sized>(status: u16, value: &T) -> Response {
+        let body = serde_json::to_string(value).expect("writing JSON to a String cannot fail");
+        Response::json(status, body)
+    }
+
+    /// The error reply both daemons send: `{"error": msg}`.
+    pub fn error(status: u16, msg: &str) -> Response {
+        Response::encode(
+            status,
+            &ErrorBody {
+                error: msg.to_string(),
+            },
+        )
+    }
+
+    /// A Prometheus text exposition, the one non-JSON body.
+    pub fn prometheus(body: String) -> Response {
+        Response {
+            content_type: "text/plain; version=0.0.4".to_string(),
+            ..Response::json(200, body)
+        }
+    }
+
+    /// Attach a `Retry-After` hint (backpressure replies).
+    pub fn retry_after(self, seconds: u64) -> Response {
+        Response {
+            retry_after_s: Some(seconds),
+            ..self
+        }
+    }
+}
+
 /// Parse an `X-Proof-Trace` header value: two decimal u64s as
 /// `<trace>:<span>`, trace non-zero.
 pub fn parse_trace_header(value: &str) -> Option<(u64, u64)> {
@@ -47,7 +134,7 @@ pub fn parse_trace_header(value: &str) -> Option<(u64, u64)> {
 /// `budget` bytes. Returns the number of bytes consumed; `Ok(0)` means
 /// clean EOF before any byte. Errors as soon as the budget is exhausted
 /// without buffering the oversized line.
-pub(crate) fn read_line_capped<R: BufRead>(
+fn read_line_capped<R: BufRead>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     budget: usize,
@@ -81,54 +168,106 @@ pub(crate) fn read_line_capped<R: BufRead>(
     }
 }
 
-/// Read one request from the stream. `Ok(None)` means the peer closed the
-/// connection before sending anything.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
-    let mut reader = BufReader::new(stream);
+/// A message head, request or response, with the headers this layer reads.
+#[derive(Debug, Default)]
+pub(crate) struct Head {
+    /// The request line or status line, without its line ending.
+    pub start: String,
+    pub content_length: Option<usize>,
+    pub content_type: Option<String>,
+    pub retry_after_s: Option<u64>,
+    pub trace_parent: Option<(u64, u64)>,
+}
+
+/// The one head reader: start line plus headers, `MAX_HEADER_BYTES` in
+/// all. `Ok(None)` means the peer closed before sending a byte.
+pub(crate) fn read_head<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Head>> {
     let mut budget = MAX_HEADER_BYTES;
-    let mut raw_line = Vec::new();
-    let n = read_line_capped(&mut reader, &mut raw_line, budget)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    budget -= n;
-    let request_line = String::from_utf8(raw_line).map_err(|_| bad("request line is not UTF-8"))?;
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m.to_string(), t.to_string()),
-        _ => return Err(bad("malformed request line")),
-    };
-    let mut content_length = 0usize;
-    let mut trace_parent = None;
+    let mut head: Option<Head> = None;
     loop {
         let mut raw = Vec::new();
-        let n = read_line_capped(&mut reader, &mut raw, budget)?;
+        let n = read_line_capped(reader, &mut raw, budget)?;
         if n == 0 {
-            return Err(bad("connection closed inside headers"));
+            return match head {
+                None => Ok(None),
+                Some(_) => Err(bad("connection closed inside headers")),
+            };
         }
         budget -= n;
         let line = String::from_utf8(raw).map_err(|_| bad("header is not UTF-8"))?;
         let line = line.trim_end();
+        let Some(head) = head.as_mut() else {
+            head = Some(Head {
+                start: line.to_string(),
+                ..Head::default()
+            });
+            continue;
+        };
         if line.is_empty() {
             break;
         }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("bad Content-Length"))?;
-            } else if name.eq_ignore_ascii_case("x-proof-trace") {
-                trace_parent = parse_trace_header(value);
-            }
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            head.content_length = Some(value.parse().map_err(|_| bad("bad Content-Length"))?);
+        } else if name.eq_ignore_ascii_case("content-type") {
+            head.content_type = Some(value.to_string());
+        } else if name.eq_ignore_ascii_case("retry-after") {
+            head.retry_after_s = value.parse().ok();
+        } else if name.eq_ignore_ascii_case("x-proof-trace") {
+            head.trace_parent = parse_trace_header(value);
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    Ok(head)
+}
+
+/// Read a body of `content_length` bytes, or up to EOF when no length was
+/// declared, refusing more than `cap` bytes before and while reading.
+pub(crate) fn read_body<R: Read>(
+    reader: R,
+    content_length: Option<usize>,
+    cap: usize,
+) -> std::io::Result<String> {
+    if content_length.is_some_and(|n| n > cap) {
         return Err(bad("body too large"));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
+    // grow the buffer as bytes arrive rather than trusting a declared
+    // length beyond the request cap
+    let mut buf = Vec::with_capacity(content_length.unwrap_or(0).min(MAX_BODY_BYTES));
+    let limit = content_length.unwrap_or(cap + 1);
+    reader.take(limit as u64).read_to_end(&mut buf)?;
+    if content_length.is_some_and(|n| buf.len() < n) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed inside body",
+        ));
+    }
+    if buf.len() > cap {
+        return Err(bad("body too large"));
+    }
+    String::from_utf8(buf).map_err(|_| bad("body is not UTF-8"))
+}
+
+/// Read one request. `Ok(None)` means the peer closed the connection
+/// before sending anything.
+fn read_request(stream: &TcpStream) -> std::io::Result<Option<Request>> {
+    let mut reader = BufReader::new(stream);
+    let Some(head) = read_head(&mut reader)? else {
+        return Ok(None);
+    };
+    let mut parts = head.start.split_whitespace();
+    let (method, target) = match (parts.next(), parts.next()) {
+        (Some(m), Some(t)) => (m.to_string(), t.to_string()),
+        _ => return Err(bad("malformed request line")),
+    };
+    // a request without Content-Length has no body
+    let body = read_body(
+        reader,
+        Some(head.content_length.unwrap_or(0)),
+        MAX_BODY_BYTES,
+    )?;
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target, String::new()),
@@ -138,7 +277,7 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
         path,
         query,
         body,
-        trace_parent,
+        trace_parent: head.trace_parent,
     }))
 }
 
@@ -184,47 +323,233 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a JSON response and flush. Connections are single-request
+/// The one response writer. Connections are single-request
 /// (`Connection: close`), which keeps lifecycle handling trivial.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write_response_full(stream, status, "application/json", None, body)
-}
-
-/// [`write_response`] with an explicit Content-Type (the Prometheus
-/// exposition endpoint serves `text/plain`).
-pub fn write_response_typed(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write_response_full(stream, status, content_type, None, body)
-}
-
-/// The full-control response writer: explicit Content-Type and an optional
-/// `Retry-After` (seconds) header, sent with 429/503 backpressure replies.
-pub fn write_response_full(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    retry_after_s: Option<u64>,
-    body: &str,
-) -> std::io::Result<()> {
-    let retry = match retry_after_s {
+fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
+    let retry = match r.retry_after_s {
         Some(s) => format!("Retry-After: {s}\r\n"),
         None => String::new(),
     };
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len(),
+        r.status,
+        reason(r.status),
+        r.content_type,
+        r.body.len(),
         retry
     );
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(r.body.as_bytes())?;
     stream.flush()
+}
+
+/// Lock, recovering from poisoning: every structure guarded in this crate
+/// stays valid at each lock release, so a thread that died holding a lock
+/// must not wedge the daemon.
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// What a daemon plugs into [`HttpServer`]: its routes, plus two optional
+/// observation hooks.
+pub trait Routes: Send + Sync + 'static {
+    /// Answer one parsed request.
+    fn route(&self, req: &Request) -> Response;
+
+    /// Called once per accepted connection, refused ones included.
+    fn accepted(&self) {}
+
+    /// Called once per answered request, before the reply is written;
+    /// `req` is `None` when the request did not parse.
+    fn answered(&self, _peer: Option<SocketAddr>, _req: Option<&Request>, _status: u16) {}
+}
+
+#[derive(Default)]
+struct Counts {
+    /// Handler threads alive, bounded by [`MAX_CONNECTIONS`].
+    live: usize,
+    /// Handlers that have read a complete request and not yet finished.
+    busy: usize,
+    /// Set by [`HttpServer::stop`]: the acceptor exits at its next wake.
+    stopping: bool,
+}
+
+/// Counts live handlers against the cap and, among them, the busy ones.
+/// Shutdown waits only for the busy ones: a handler still waiting on a
+/// silent client has nothing to finish, and its deadline reaps it.
+#[derive(Default)]
+struct ConnGate {
+    counts: Mutex<Counts>,
+    idle: Condvar,
+}
+
+/// One live handler's claim on the gate. Dropping it releases the claim
+/// wherever that happens: at the end of the handler, during a panic's
+/// unwind, or with the closure of a spawn that failed.
+struct Slot {
+    gate: Arc<ConnGate>,
+    busy: bool,
+}
+
+impl ConnGate {
+    fn try_enter(gate: &Arc<ConnGate>) -> Option<Slot> {
+        let mut counts = lock_clean(&gate.counts);
+        if counts.live >= MAX_CONNECTIONS {
+            return None;
+        }
+        counts.live += 1;
+        Some(Slot {
+            gate: Arc::clone(gate),
+            busy: false,
+        })
+    }
+
+    fn wait_idle(&self) {
+        let mut counts = lock_clean(&self.counts);
+        while counts.busy > 0 {
+            counts = self.idle.wait(counts).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+impl Slot {
+    /// Mark the handler as owing a reply: shutdown now waits for it.
+    fn set_busy(&mut self) {
+        lock_clean(&self.gate.counts).busy += 1;
+        self.busy = true;
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut counts = lock_clean(&self.gate.counts);
+        counts.live -= 1;
+        if self.busy {
+            counts.busy -= 1;
+            if counts.busy == 0 {
+                self.gate.idle.notify_all();
+            }
+        }
+    }
+}
+
+/// A running HTTP acceptor serving one [`Routes`]: a thread per
+/// connection, at most [`MAX_CONNECTIONS`] of them, every socket under
+/// [`IO_DEADLINE`].
+pub struct HttpServer {
+    addr: SocketAddr,
+    gate: Arc<ConnGate>,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+impl HttpServer {
+    /// Serve `routes` on `listener`. Threads are named `<name>-acceptor`
+    /// and `<name>-conn`.
+    pub fn start<R: Routes>(
+        listener: TcpListener,
+        name: &str,
+        routes: Arc<R>,
+    ) -> std::io::Result<HttpServer> {
+        let addr = listener.local_addr()?;
+        let gate = Arc::new(ConnGate::default());
+        let acceptor = {
+            let gate = Arc::clone(&gate);
+            let conn_name = format!("{name}-conn");
+            std::thread::Builder::new()
+                .name(format!("{name}-acceptor"))
+                .spawn(move || accept_loop(&listener, &routes, &gate, &conn_name))?
+        };
+        Ok(HttpServer {
+            addr,
+            gate,
+            acceptor: Some(acceptor),
+        })
+    }
+
+    /// The bound address (resolves ephemeral ports).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting, then wait for every handler that has read a
+    /// complete request to answer it. Idempotent.
+    pub fn stop(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        lock_clean(&self.gate.counts).stopping = true;
+        // wake the blocking accept with a throwaway connection
+        let _ = TcpStream::connect(self.addr);
+        let _ = acceptor.join();
+        self.gate.wait_idle();
+    }
+}
+
+impl Drop for HttpServer {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+fn accept_loop<R: Routes>(
+    listener: &TcpListener,
+    routes: &Arc<R>,
+    gate: &Arc<ConnGate>,
+    conn_name: &str,
+) {
+    for stream in listener.incoming() {
+        if lock_clean(&gate.counts).stopping {
+            break;
+        }
+        let Ok(mut stream) = stream else { continue };
+        routes.accepted();
+        // bounds every read and write, the refusal below included
+        let _ = stream.set_read_timeout(Some(IO_DEADLINE));
+        let _ = stream.set_write_timeout(Some(IO_DEADLINE));
+        let Some(slot) = ConnGate::try_enter(gate) else {
+            refuse(&mut stream);
+            continue;
+        };
+        let routes = Arc::clone(routes);
+        // a failed spawn drops the closure, and the slot with it
+        let _ = std::thread::Builder::new()
+            .name(conn_name.to_string())
+            .spawn(move || handle(&*routes, stream, slot));
+    }
+}
+
+/// Answer an over-cap connection with `503` + `Retry-After`, then discard
+/// whatever request bytes already arrived so the close is a clean FIN, not
+/// a reset that could destroy the reply in flight.
+fn refuse(stream: &mut TcpStream) {
+    let reply = Response::error(503, "too many connections").retry_after(RETRY_AFTER_S);
+    let _ = write_response(stream, &reply);
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = std::io::copy(
+            &mut stream.take(MAX_HEADER_BYTES as u64),
+            &mut std::io::sink(),
+        );
+    }
+}
+
+fn handle<R: Routes>(routes: &R, mut stream: TcpStream, mut slot: Slot) {
+    let peer = stream.peer_addr().ok();
+    let reply = match read_request(&stream) {
+        Ok(None) => return,
+        // the client went silent past the deadline: nobody to answer
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
+        Ok(Some(request)) => {
+            slot.set_busy();
+            let reply = routes.route(&request);
+            routes.answered(peer, Some(&request), reply.status);
+            reply
+        }
+        Err(e) => {
+            routes.answered(peer, None, 400);
+            Response::error(400, &e.to_string())
+        }
+    };
+    let _ = write_response(&mut stream, &reply);
 }
 
 #[cfg(test)]
@@ -256,6 +581,68 @@ mod tests {
         let mut r = Cursor::new(Vec::new());
         let mut buf = Vec::new();
         assert_eq!(read_line_capped(&mut r, &mut buf, 16).unwrap(), 0);
+    }
+
+    #[test]
+    fn head_reader_parses_requests_and_responses_alike() {
+        let mut r = Cursor::new(
+            b"HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+              content-length: 2\r\nRetry-After: 1\r\nX-Proof-Trace: 7:3\r\n\r\n{}"
+                .to_vec(),
+        );
+        let head = read_head(&mut r).unwrap().unwrap();
+        assert_eq!(head.start, "HTTP/1.1 429 Too Many Requests");
+        assert_eq!(head.content_length, Some(2));
+        assert_eq!(head.content_type.as_deref(), Some("application/json"));
+        assert_eq!(head.retry_after_s, Some(1));
+        assert_eq!(head.trace_parent, Some((7, 3)));
+        assert_eq!(read_body(&mut r, head.content_length, 16).unwrap(), "{}");
+
+        let mut empty = Cursor::new(Vec::new());
+        assert!(read_head(&mut empty).unwrap().is_none());
+        let mut cut = Cursor::new(b"GET / HTTP/1.1\r\nHost: x\r\n".to_vec());
+        assert!(read_head(&mut cut).is_err(), "EOF inside the headers");
+        let mut bad_len = Cursor::new(b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n".to_vec());
+        assert!(read_head(&mut bad_len).is_err());
+    }
+
+    #[test]
+    fn body_reader_enforces_length_and_cap() {
+        assert_eq!(read_body(&b"abcdef"[..], Some(3), 8).unwrap(), "abc");
+        assert_eq!(read_body(&b"abcdef"[..], None, 8).unwrap(), "abcdef");
+        assert!(
+            read_body(&b"abc"[..], Some(9), 8).is_err(),
+            "declared over cap"
+        );
+        assert!(
+            read_body(&b"abcdef"[..], None, 4).is_err(),
+            "undeclared over cap"
+        );
+        let short = read_body(&b"ab"[..], Some(3), 8).unwrap_err();
+        assert_eq!(short.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_slot_dropped_before_reaching_a_thread_releases_its_count() {
+        let gate = Arc::new(ConnGate::default());
+        let mut slots: Vec<Slot> = (0..MAX_CONNECTIONS)
+            .map(|_| ConnGate::try_enter(&gate).expect("below the cap"))
+            .collect();
+        assert!(ConnGate::try_enter(&gate).is_none(), "the cap holds");
+        // a spawn that fails drops its closure, and the slot inside it
+        let closure = {
+            let slot = slots.pop().unwrap();
+            move || drop(slot)
+        };
+        drop(closure);
+        assert!(ConnGate::try_enter(&gate).is_some(), "the count came back");
+        // a busy slot released the same way leaves no drain waiting
+        let mut busy = ConnGate::try_enter(&gate).unwrap();
+        busy.set_busy();
+        drop(busy);
+        gate.wait_idle();
+        drop(slots);
+        assert_eq!(lock_clean(&gate.counts).live, 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod queue;
 pub mod server;
 pub mod stage_cache;
 
-pub use client::{Response, RetryPolicy};
+pub use http::{HttpServer, Response, Routes};
 pub use job::{AnalysisJob, DEFAULT_SEED};
 pub use metrics::{Histogram, HistogramSnapshot, StageHistograms, WorkerMetrics, WorkerSnapshot};
 pub use peer::HttpPeer;

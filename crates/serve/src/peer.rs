@@ -7,7 +7,7 @@
 //! trying to save — and one attempt only: the store's degradation counters
 //! make peer flakiness visible, the local build makes it harmless.
 
-use crate::client::request_full_timeout;
+use crate::client::Call;
 use proof_store::{ArtifactKey, PeerClient, TierError};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -30,14 +30,10 @@ impl PeerClient for HttpPeer {
     }
 
     fn fetch(&self, key: &ArtifactKey) -> Result<Option<String>, TierError> {
-        let reply = request_full_timeout(
-            self.addr,
-            "GET",
-            &format!("/cache/{key}"),
-            None,
-            Some(self.timeout),
-        )
-        .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))?;
+        let reply = Call::new(self.addr, "GET", &format!("/cache/{key}"))
+            .timeout(self.timeout)
+            .send()
+            .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))?;
         match reply.status {
             200 => Ok(Some(reply.body)),
             404 => Ok(None),
@@ -50,14 +46,11 @@ impl PeerClient for HttpPeer {
     }
 
     fn publish(&self, key: &ArtifactKey, artifact: &str) -> Result<(), TierError> {
-        let reply = request_full_timeout(
-            self.addr,
-            "PUT",
-            &format!("/cache/{key}"),
-            Some(artifact),
-            Some(self.timeout),
-        )
-        .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))?;
+        let reply = Call::new(self.addr, "PUT", &format!("/cache/{key}"))
+            .body(artifact)
+            .timeout(self.timeout)
+            .send()
+            .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))?;
         match reply.status {
             200 | 201 => Ok(()),
             429 | 503 => Err(TierError::Busy),

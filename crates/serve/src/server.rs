@@ -1,17 +1,21 @@
-//! The daemon: TCP acceptor, worker pool, job registry, and HTTP routing.
+//! The daemon: worker pool, job registry, and the routes it plugs into
+//! the shared [`HttpServer`] scaffold.
 //!
 //! Lifecycle: `Server::start` binds the listener (port 0 picks an ephemeral
-//! port), spawns the acceptor and `workers` pipeline workers, and returns.
-//! `shutdown` stops accepting, waits for live connection handlers, closes
-//! the queue, and joins the workers — which drain every queued and
-//! in-flight job before exiting, so no accepted job is ever dropped.
+//! port), spawns `workers` pipeline workers and the HTTP acceptor, and
+//! returns. `shutdown` refuses new submissions, stops accepting, waits for
+//! the handlers that have read a complete request, closes the queue, and
+//! joins the workers — which drain every queued and in-flight job before
+//! exiting, so no accepted job is ever dropped.
 
-use crate::http::{read_request, write_response, write_response_full, Request};
+use crate::http::{
+    lock_clean, query_has, HttpServer, Reply, Request, Response, Routes, RETRY_AFTER_S,
+};
 use crate::job::AnalysisJob;
-use crate::metrics::{hist_value, Histogram, StageHistograms, WorkerMetrics};
+use crate::metrics::{hist_value, Histogram, StageHistograms, WorkerMetrics, WorkerSnapshot};
 use crate::peer::HttpPeer;
 use crate::queue::JobQueue;
-use crate::stage_cache::{StageCache, StageLookup};
+use crate::stage_cache::{StageCache, StageCacheStats, StageLookup};
 use proof_core::{
     merged_chrome_trace, run_metric_stages_ctx, PipelineStage, PreparedStages, ProfileReport,
     ProofError, RunCtx,
@@ -22,22 +26,17 @@ use proof_obs::{
     Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, RingCollector, Tracer,
     DEFAULT_FLIGHT_CAPACITY,
 };
-use proof_store::{ArtifactKey, HitTier, Lookup, StoreConfig, TieredStore};
+use proof_store::{ArtifactKey, HitTier, Lookup, StoreConfig, StoreStats, TieredStore};
+use serde::Serialize;
 use serde_json::{Map, Value};
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, HashMap};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// `Retry-After` seconds sent with 429/503 backpressure responses. One
-/// second is deliberate: the client's seeded exponential backoff treats the
-/// hint as a floor, so short hints keep retry storms cheap to test while
-/// real congestion is still paced by the exponential schedule.
-const RETRY_AFTER_S: u64 = 1;
 
 /// Daemon configuration (see `proof serve --help` for the CLI mapping).
 #[derive(Debug, Clone)]
@@ -153,86 +152,72 @@ struct JobRecord {
     timeout_ms: Option<u64>,
 }
 
+/// The job-status JSON (`GET /jobs/<id>`, and each member of a sweep).
+#[derive(Serialize)]
+struct JobView {
+    id: u64,
+    spec: Value,
+    key: String,
+    trace: u64,
+    remote_parent: Option<u64>,
+    status: &'static str,
+    group: Option<u64>,
+    cache_hit: Option<bool>,
+    cache_tier: Option<&'static str>,
+    error: Option<String>,
+    queue_wait_us: Option<u64>,
+    execute_us: Option<u64>,
+    attempts: u32,
+    timeout_ms: Option<u64>,
+}
+
 impl JobRecord {
-    fn to_value(&self, id: u64) -> Value {
-        let mut m = Map::new();
-        m.insert("id".to_string(), Value::from(id));
-        m.insert("spec".to_string(), self.spec.to_value());
-        m.insert("key".to_string(), Value::from(self.key.as_str()));
-        m.insert("trace".to_string(), Value::from(self.trace));
-        m.insert(
-            "remote_parent".to_string(),
-            self.remote_parent.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert("status".to_string(), Value::from(self.status.as_str()));
-        m.insert(
-            "group".to_string(),
-            self.group.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "cache_hit".to_string(),
-            self.cache_hit.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "cache_tier".to_string(),
-            self.cache_tier.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "error".to_string(),
-            self.error
-                .as_deref()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        );
-        m.insert(
-            "queue_wait_us".to_string(),
-            self.queue_wait_us.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert(
-            "execute_us".to_string(),
-            self.execute_us.map(Value::from).unwrap_or(Value::Null),
-        );
-        m.insert("attempts".to_string(), Value::from(self.attempts));
-        m.insert(
-            "timeout_ms".to_string(),
-            self.timeout_ms.map(Value::from).unwrap_or(Value::Null),
-        );
-        Value::Object(m)
-    }
-}
-
-/// Tracks live connection-handler threads so shutdown can wait for them.
-#[derive(Default)]
-struct ConnGate {
-    count: Mutex<usize>,
-    idle: Condvar,
-}
-
-impl ConnGate {
-    fn enter(&self) {
-        *lock_clean(&self.count) += 1;
-    }
-    fn exit(&self) {
-        let mut n = lock_clean(&self.count);
-        *n -= 1;
-        if *n == 0 {
-            self.idle.notify_all();
-        }
-    }
-    fn wait_idle(&self) {
-        let mut n = lock_clean(&self.count);
-        while *n > 0 {
-            n = self.idle.wait(n).unwrap_or_else(|e| e.into_inner());
+    fn view(&self, id: u64) -> JobView {
+        JobView {
+            id,
+            spec: self.spec.to_value(),
+            key: self.key.clone(),
+            trace: self.trace,
+            remote_parent: self.remote_parent,
+            status: self.status.as_str(),
+            group: self.group,
+            cache_hit: self.cache_hit,
+            cache_tier: self.cache_tier,
+            error: self.error.clone(),
+            queue_wait_us: self.queue_wait_us,
+            execute_us: self.execute_us,
+            attempts: self.attempts,
+            timeout_ms: self.timeout_ms,
         }
     }
 }
 
-/// Lock, recovering from poisoning. Workers run jobs under `catch_unwind`,
-/// but a handler thread could still die between lock and unlock; the shared
-/// maps stay structurally valid at every lock release, so recovery is safe
-/// and keeps one bad request from wedging the daemon.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Jobs by lifecycle state, over the whole registry or one sweep group.
+#[derive(Serialize, Default)]
+struct JobCounts {
+    total: usize,
+    queued: usize,
+    running: usize,
+    done: usize,
+    failed: usize,
+    timed_out: usize,
+}
+
+impl JobCounts {
+    fn of<'a>(records: impl Iterator<Item = &'a JobRecord>) -> JobCounts {
+        let mut c = JobCounts::default();
+        for r in records {
+            c.total += 1;
+            *match r.status {
+                JobStatus::Queued => &mut c.queued,
+                JobStatus::Running => &mut c.running,
+                JobStatus::Done => &mut c.done,
+                JobStatus::Failed => &mut c.failed,
+                JobStatus::TimedOut => &mut c.timed_out,
+            } += 1;
+        }
+        c
+    }
 }
 
 struct Shared {
@@ -278,8 +263,9 @@ struct Shared {
     local_addr: SocketAddr,
     /// Process start, for the `/healthz` uptime report.
     started: Instant,
+    /// Cleared by shutdown before the drain: submissions that arrive
+    /// after it answer 503 instead of enqueueing.
     running: AtomicBool,
-    conns: ConnGate,
 }
 
 impl Shared {
@@ -302,8 +288,7 @@ pub struct ShutdownReport {
 /// A running proof-serve daemon.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    http: HttpServer,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -352,7 +337,6 @@ impl Server {
             local_addr,
             started: Instant::now(),
             running: AtomicBool::new(true),
-            conns: ConnGate::default(),
         });
 
         let mut workers = Vec::with_capacity(config.workers.max(1));
@@ -365,28 +349,22 @@ impl Server {
             );
         }
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("proof-serve-acceptor".to_string())
-                .spawn(move || acceptor_loop(&shared, listener))?
-        };
-
+        let http = HttpServer::start(listener, "proof-serve", Arc::clone(&shared))?;
         Ok(Server {
             shared,
-            local_addr,
-            acceptor: Some(acceptor),
+            http,
             workers,
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.http.addr()
     }
 
-    /// Graceful shutdown: drains in-flight connections and every accepted
-    /// job before returning an accounting of the drain.
+    /// Graceful shutdown: answers every request already read, drains every
+    /// accepted job, and returns an accounting of the drain. A client still
+    /// sending its request is not waited for; its deadline closes it.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.stop()
     }
@@ -395,24 +373,19 @@ impl Server {
         if !self.shared.running.swap(false, Ordering::SeqCst) {
             return ShutdownReport::default();
         }
-        // wake the blocking accept with a throwaway connection
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // let live request handlers finish (they may still enqueue)
-        self.shared.conns.wait_idle();
+        // let handlers that read a request answer it (they may still
+        // enqueue; later submissions see `running` false and get 503)
+        self.http.stop();
         self.shared.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        let reg = self.shared.reg();
-        let count = |s: JobStatus| reg.values().filter(|r| r.status == s).count();
+        let c = JobCounts::of(self.shared.reg().values());
         ShutdownReport {
-            done: count(JobStatus::Done),
-            failed: count(JobStatus::Failed),
-            timed_out: count(JobStatus::TimedOut),
-            dropped: count(JobStatus::Queued) + count(JobStatus::Running),
+            done: c.done,
+            failed: c.failed,
+            timed_out: c.timed_out,
+            dropped: c.queued + c.running,
         }
     }
 }
@@ -420,23 +393,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if !shared.running.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        shared.conns.enter();
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("proof-serve-conn".to_string())
-            .spawn(move || {
-                handle_connection(&shared, stream);
-                shared.conns.exit();
-            });
     }
 }
 
@@ -706,32 +662,9 @@ fn run_staged(
     Ok((report, prep))
 }
 
-/// Why a submission was not accepted; maps to the HTTP reply.
-enum SubmitError {
-    /// Shutdown in progress — 503, do not retry against this instance.
-    ShuttingDown,
-    /// Bounded queue is full — 429 with `Retry-After` (backpressure).
-    QueueFull,
-}
-
-impl SubmitError {
-    fn reply(&self, shared: &Shared) -> (u16, String, Option<u64>) {
-        match self {
-            SubmitError::ShuttingDown => (503, error_body("server is shutting down"), None),
-            SubmitError::QueueFull => {
-                shared.rejected_total.inc();
-                shared.flight.record(
-                    "reject",
-                    "submission bounced: queue full",
-                    vec![("queue_depth", FieldValue::U64(shared.queue.depth() as u64))],
-                );
-                (429, error_body("job queue is full"), Some(RETRY_AFTER_S))
-            }
-        }
-    }
-}
-
-/// Register + enqueue one parsed job. Returns `(job id, trace id)`.
+/// Register + enqueue one parsed job. Returns `(job id, trace id)`, or the
+/// refusal to send: 503 during shutdown (do not retry against this
+/// instance), 429 + `Retry-After` when the bounded queue is full.
 /// `trace_ctx` is the submitter's distributed trace context: the job-spec
 /// `trace_parent` field wins, then the transport-level `X-Proof-Trace`
 /// header, then a locally allocated trace id.
@@ -740,9 +673,9 @@ fn submit(
     spec: AnalysisJob,
     group: Option<u64>,
     trace_ctx: Option<(u64, u64)>,
-) -> Result<(u64, u64), SubmitError> {
+) -> Result<(u64, u64), Response> {
     if !shared.running.load(Ordering::SeqCst) {
-        return Err(SubmitError::ShuttingDown);
+        return Err(Response::error(503, "server is shutting down"));
     }
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let (trace, remote_parent) = match spec.trace_parent.or(trace_ctx) {
@@ -770,7 +703,13 @@ fn submit(
     shared.reg().insert(id, record);
     if shared.queue.try_push(id).is_err() {
         shared.reg().remove(&id);
-        return Err(SubmitError::QueueFull);
+        shared.rejected_total.inc();
+        shared.flight.record(
+            "reject",
+            "submission bounced: queue full",
+            vec![("queue_depth", FieldValue::U64(shared.queue.depth() as u64))],
+        );
+        return Err(Response::error(429, "job queue is full").retry_after(RETRY_AFTER_S));
     }
     shared.flight.record(
         "submit",
@@ -784,188 +723,170 @@ fn submit(
     Ok((id, trace))
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    shared.http_requests.inc();
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let request = match read_request(&mut stream) {
-        Ok(Some(r)) => r,
-        Ok(None) => return,
-        Err(e) => {
-            access_log(shared, &peer, "-", "-", 400);
-            let _ = write_response(&mut stream, 400, &error_body(&e.to_string()));
-            return;
-        }
-    };
-    let (status, body, retry_after_s) = route(shared, &request);
-    access_log(shared, &peer, &request.method, &request.path, status);
-    // The Prometheus exposition is the one non-JSON response body.
-    let content_type = if request.path == "/metrics" && status == 200 && body.starts_with('#') {
-        "text/plain; version=0.0.4"
-    } else {
-        "application/json"
-    };
-    let _ = write_response_full(&mut stream, status, content_type, retry_after_s, &body);
-}
-
-/// One structured access-log event per request (stderr when `PROOF_LOG`
-/// allows `info`, and into the shared ring collector).
-fn access_log(shared: &Shared, peer: &str, method: &str, path: &str, status: u16) {
-    shared.tracer.event(
-        Level::Info,
-        "proof_serve::http",
-        format!("{method} {path} -> {status}"),
-        vec![
-            ("peer", FieldValue::Str(peer.to_string())),
-            ("status", FieldValue::U64(u64::from(status))),
-        ],
-    );
-}
-
-fn error_body(msg: &str) -> String {
-    let mut m = Map::new();
-    m.insert("error".to_string(), Value::from(msg));
-    Value::Object(m).to_string()
-}
-
-fn route(shared: &Shared, req: &Request) -> (u16, String, Option<u64>) {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    // The submission endpoints are the only ones that backpressure (and so
-    // the only ones that attach Retry-After).
-    match (req.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => return post_job(shared, &req.body, req.trace_parent),
-        ("POST", ["sweep"]) => return post_sweep(shared, &req.body, req.trace_parent),
-        _ => {}
+impl Routes for Shared {
+    fn route(&self, req: &Request) -> Response {
+        let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+        let reply = match (req.method.as_str(), segments.as_slice()) {
+            ("POST", ["jobs"]) => post_job(self, &req.body, req.trace_parent),
+            ("POST", ["sweep"]) => post_sweep(self, &req.body, req.trace_parent),
+            ("GET", ["jobs", id]) => get_job(self, id),
+            ("GET", ["jobs", id, "report"]) => get_report(self, id),
+            ("GET", ["sweep", gid]) => get_sweep(self, gid),
+            ("GET", ["trace", tid]) => get_trace(self, tid, &req.query),
+            ("GET", ["cache", key]) => get_cache(self, key),
+            ("PUT", ["cache", key]) => put_cache(self, key, &req.body),
+            ("POST", ["cache", "peers"]) => post_cache_peers(self, &req.body),
+            ("GET", ["metrics"]) if query_has(&req.query, "format", "prometheus") => {
+                Ok(Response::prometheus(prometheus_body(self)))
+            }
+            ("GET", ["metrics"]) => Ok(Response::encode(200, &metrics_json(self))),
+            ("GET", ["models"]) => {
+                let models = ModelId::ALL.iter().map(|id| id.slug()).collect();
+                Ok(Response::encode(200, &Models { models }))
+            }
+            ("GET", ["healthz"]) => Ok(Response::encode(200, &healthz(self))),
+            ("GET", ["debug", "events"]) => Ok(Response::json(200, self.flight.to_json())),
+            ("GET" | "POST" | "PUT", _) => Err(Response::error(404, "no such endpoint")),
+            _ => Err(Response::error(405, "method not allowed")),
+        };
+        reply.unwrap_or_else(|refusal| refusal)
     }
-    let (status, body) = match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["jobs", id]) => get_job(shared, id),
-        ("GET", ["jobs", id, "report"]) => get_report(shared, id),
-        ("GET", ["sweep", gid]) => get_sweep(shared, gid),
-        ("GET", ["trace", tid]) => get_trace(shared, tid, &req.query),
-        ("GET", ["cache", key]) => get_cache(shared, key),
-        ("PUT", ["cache", key]) => put_cache(shared, key, &req.body),
-        ("POST", ["cache", "peers"]) => post_cache_peers(shared, &req.body),
-        ("GET", ["metrics"]) => (200, metrics_body(shared, &req.query)),
-        ("GET", ["models"]) => (200, models_body()),
-        ("GET", ["healthz"]) => (200, healthz_body(shared)),
-        ("GET", ["debug", "events"]) => (200, shared.flight.to_json()),
-        ("GET" | "POST" | "PUT", _) => (404, error_body("no such endpoint")),
-        _ => (405, error_body("method not allowed")),
-    };
-    (status, body, None)
+
+    fn accepted(&self) {
+        self.http_requests.inc();
+    }
+
+    /// One structured access-log event per request (stderr when
+    /// `PROOF_LOG` allows `info`, and into the shared ring collector).
+    fn answered(&self, peer: Option<SocketAddr>, req: Option<&Request>, status: u16) {
+        let (method, path) = req.map_or(("-", "-"), |r| (r.method.as_str(), r.path.as_str()));
+        let peer = peer.map_or_else(|| "unknown".to_string(), |a| a.to_string());
+        self.tracer.event(
+            Level::Info,
+            "proof_serve::http",
+            format!("{method} {path} -> {status}"),
+            vec![
+                ("peer", FieldValue::Str(peer)),
+                ("status", FieldValue::U64(u64::from(status))),
+            ],
+        );
+    }
+}
+
+#[derive(Serialize)]
+struct Models {
+    models: Vec<&'static str>,
 }
 
 /// The fleet probe target: liveness plus the load signals a coordinator
 /// needs for capacity-weighted dispatch — queue depth/capacity, worker
 /// count, and workers busy right now — plus uptime, build version, and a
 /// per-tier cache hit/miss summary for operators eyeballing a node.
-fn healthz_body(shared: &Shared) -> String {
-    let workers = shared.worker_metrics.snapshot();
-    let mut m = Map::new();
-    m.insert("status".to_string(), Value::from("ok"));
-    m.insert(
-        "version".to_string(),
-        Value::from(env!("CARGO_PKG_VERSION")),
-    );
-    m.insert(
-        "uptime_s".to_string(),
-        Value::from(shared.started.elapsed().as_secs()),
-    );
-    m.insert(
-        "queue_depth".to_string(),
-        Value::from(shared.queue.depth() as u64),
-    );
-    m.insert(
-        "queue_capacity".to_string(),
-        Value::from(shared.queue.capacity() as u64),
-    );
-    m.insert("workers".to_string(), Value::from(workers.count as u64));
-    m.insert("in_flight".to_string(), Value::from(workers.busy));
-    m.insert("cache".to_string(), cache_tier_summary(shared));
-    Value::Object(m).to_string()
+#[derive(Serialize)]
+struct Healthz {
+    status: &'static str,
+    version: &'static str,
+    uptime_s: u64,
+    queue_depth: usize,
+    queue_capacity: usize,
+    workers: usize,
+    in_flight: u64,
+    cache: CacheTiers,
 }
 
 /// Per-tier cache hit counters plus the shared miss count, read from the
 /// registry instruments the tiered store keeps live.
-fn cache_tier_summary(shared: &Shared) -> Value {
-    let mut m = Map::new();
-    for (label, counter) in [
-        ("memory_hits", "cache_memory_hits_total"),
-        ("disk_hits", "cache_disk_hits_total"),
-        ("remote_hits", "cache_remote_hits_total"),
-        ("misses", "cache_misses_total"),
-    ] {
-        m.insert(
-            label.to_string(),
-            Value::from(shared.metrics.counter(counter).get()),
-        );
-    }
-    Value::Object(m)
+#[derive(Serialize)]
+struct CacheTiers {
+    memory_hits: u64,
+    disk_hits: u64,
+    remote_hits: u64,
+    misses: u64,
 }
 
-fn post_job(
-    shared: &Shared,
-    body: &str,
-    trace_ctx: Option<(u64, u64)>,
-) -> (u16, String, Option<u64>) {
-    let value: Value = match serde_json::from_str(body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}")), None),
-    };
-    let spec = match AnalysisJob::from_value(&value) {
-        Ok(s) => s,
-        Err(e) => return (400, error_body(&e), None),
-    };
-    match submit(shared, spec, None, trace_ctx) {
-        Ok((id, trace)) => {
-            let mut m = Map::new();
-            m.insert("id".to_string(), Value::from(id));
-            m.insert("key".to_string(), Value::from(spec.cache_key()));
-            m.insert("trace".to_string(), Value::from(trace));
-            m.insert("status".to_string(), Value::from("queued"));
-            (201, Value::Object(m).to_string(), None)
-        }
-        Err(e) => e.reply(shared),
-    }
-}
-
-fn parse_id(s: &str) -> Option<u64> {
-    s.parse().ok()
-}
-
-fn get_job(shared: &Shared, id: &str) -> (u16, String) {
-    let Some(id) = parse_id(id) else {
-        return (400, error_body("job id must be an integer"));
-    };
-    let reg = shared.reg();
-    match reg.get(&id) {
-        Some(rec) => (200, rec.to_value(id).to_string()),
-        None => (404, error_body("no such job")),
-    }
-}
-
-fn get_report(shared: &Shared, id: &str) -> (u16, String) {
-    let Some(id) = parse_id(id) else {
-        return (400, error_body("job id must be an integer"));
-    };
-    let reg = shared.reg();
-    match reg.get(&id) {
-        None => (404, error_body("no such job")),
-        Some(rec) => match (rec.status, &rec.artifact) {
-            (JobStatus::Done, Some(artifact)) => (200, artifact.as_str().to_string()),
-            (JobStatus::Failed, _) => (
-                500,
-                error_body(rec.error.as_deref().unwrap_or("job failed")),
-            ),
-            (JobStatus::TimedOut, _) => (
-                504,
-                error_body(rec.error.as_deref().unwrap_or("job deadline exceeded")),
-            ),
-            _ => (409, error_body("job not finished yet")),
+fn healthz(shared: &Shared) -> Healthz {
+    let workers = shared.worker_metrics.snapshot();
+    let counter = |name: &str| shared.metrics.counter(name).get();
+    Healthz {
+        status: "ok",
+        version: env!("CARGO_PKG_VERSION"),
+        uptime_s: shared.started.elapsed().as_secs(),
+        queue_depth: shared.queue.depth(),
+        queue_capacity: shared.queue.capacity(),
+        workers: workers.count,
+        in_flight: workers.busy,
+        cache: CacheTiers {
+            memory_hits: counter("cache_memory_hits_total"),
+            disk_hits: counter("cache_disk_hits_total"),
+            remote_hits: counter("cache_remote_hits_total"),
+            misses: counter("cache_misses_total"),
         },
     }
+}
+
+/// A 400 carrying `e` as its error message.
+fn invalid(e: impl std::fmt::Display) -> Response {
+    Response::error(400, &e.to_string())
+}
+
+fn parse_json(body: &str) -> Result<Value, Response> {
+    serde_json::from_str(body).map_err(|e| invalid(format!("invalid JSON: {e}")))
+}
+
+fn parse_id(s: &str, what: &str) -> Result<u64, Response> {
+    s.parse()
+        .map_err(|_| invalid(format!("{what} id must be an integer")))
+}
+
+#[derive(Serialize)]
+struct Submitted {
+    id: u64,
+    key: String,
+    trace: u64,
+    status: &'static str,
+}
+
+fn post_job(shared: &Shared, body: &str, trace_ctx: Option<(u64, u64)>) -> Reply {
+    let spec = AnalysisJob::from_value(&parse_json(body)?).map_err(invalid)?;
+    let (id, trace) = submit(shared, spec, None, trace_ctx)?;
+    let key = spec.cache_key();
+    Ok(Response::encode(
+        201,
+        &Submitted {
+            id,
+            key,
+            trace,
+            status: "queued",
+        },
+    ))
+}
+
+fn get_job(shared: &Shared, id: &str) -> Reply {
+    let id = parse_id(id, "job")?;
+    match shared.reg().get(&id) {
+        Some(rec) => Ok(Response::encode(200, &rec.view(id))),
+        None => Err(Response::error(404, "no such job")),
+    }
+}
+
+fn get_report(shared: &Shared, id: &str) -> Reply {
+    let id = parse_id(id, "job")?;
+    let reg = shared.reg();
+    let rec = reg
+        .get(&id)
+        .ok_or_else(|| Response::error(404, "no such job"))?;
+    Err(match (rec.status, &rec.artifact) {
+        (JobStatus::Done, Some(artifact)) => {
+            return Ok(Response::json(200, artifact.as_str().to_string()))
+        }
+        (JobStatus::Failed, _) => {
+            Response::error(500, rec.error.as_deref().unwrap_or("job failed"))
+        }
+        (JobStatus::TimedOut, _) => {
+            Response::error(504, rec.error.as_deref().unwrap_or("job deadline exceeded"))
+        }
+        _ => Response::error(409, "job not finished yet"),
+    })
 }
 
 /// `GET /trace/<trace-id>` — the merged Chrome-trace JSON of a finished
@@ -979,20 +900,19 @@ fn get_report(shared: &Shared, id: &str) -> (u16, String) {
 /// the trace here and re-assembles one document, which a pre-rendered
 /// per-job chrome trace could not support (an adopted trace spans many
 /// jobs).
-fn get_trace(shared: &Shared, tid: &str, query: &str) -> (u16, String) {
-    let Some(tid) = parse_id(tid) else {
-        return (400, error_body("trace id must be an integer"));
-    };
-    if crate::http::query_has(query, "format", "spans") {
-        return trace_spans_body(shared, tid);
+fn get_trace(shared: &Shared, tid: &str, query: &str) -> Reply {
+    let tid = parse_id(tid, "trace")?;
+    if query_has(query, "format", "spans") {
+        return trace_spans(shared, tid);
     }
     let reg = shared.reg();
-    match reg.values().find(|r| r.trace == tid) {
-        None => (404, error_body("no such trace")),
-        Some(rec) => match &rec.trace_json {
-            Some(json) => (200, json.as_str().to_string()),
-            None => (409, error_body("job not finished yet")),
-        },
+    let rec = reg
+        .values()
+        .find(|r| r.trace == tid)
+        .ok_or_else(|| Response::error(404, "no such trace"))?;
+    match &rec.trace_json {
+        Some(json) => Ok(Response::json(200, json.as_str().to_string())),
+        None => Err(Response::error(409, "job not finished yet")),
     }
 }
 
@@ -1007,100 +927,108 @@ fn field_value_json(v: &FieldValue) -> Value {
     }
 }
 
+#[derive(Serialize)]
+struct TraceSpans {
+    trace: u64,
+    spans: Vec<SpanView>,
+}
+
+#[derive(Serialize)]
+struct SpanView {
+    id: u64,
+    parent: u64,
+    name: &'static str,
+    start_us: f64,
+    end_us: f64,
+    wall_us: f64,
+    fields: BTreeMap<&'static str, Value>,
+}
+
 /// The `?format=spans` body: every span of `tid` still held by the ring,
 /// sorted by (logical start, id) so the listing is deterministic.
-fn trace_spans_body(shared: &Shared, tid: u64) -> (u16, String) {
+fn trace_spans(shared: &Shared, tid: u64) -> Reply {
     let mut spans = shared.ring.trace_spans(tid);
     if spans.is_empty() {
-        return (404, error_body("no such trace"));
+        return Err(Response::error(404, "no such trace"));
     }
     spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then(a.id.cmp(&b.id)));
-    let mut arr = Vec::with_capacity(spans.len());
-    for s in &spans {
-        let mut m = Map::new();
-        m.insert("id".to_string(), Value::from(s.id));
-        m.insert("parent".to_string(), Value::from(s.parent));
-        m.insert("name".to_string(), Value::from(s.name));
-        m.insert("start_us".to_string(), Value::from(s.start_us));
-        m.insert("end_us".to_string(), Value::from(s.end_us));
-        m.insert("wall_us".to_string(), Value::from(s.wall_us));
-        let mut fields = Map::new();
-        for (k, v) in &s.fields {
-            fields.insert(k.to_string(), field_value_json(v));
-        }
-        m.insert("fields".to_string(), Value::Object(fields));
-        arr.push(Value::Object(m));
-    }
-    let mut m = Map::new();
-    m.insert("trace".to_string(), Value::from(tid));
-    m.insert("spans".to_string(), Value::Array(arr));
-    (200, Value::Object(m).to_string())
+    let spans = spans
+        .iter()
+        .map(|s| SpanView {
+            id: s.id,
+            parent: s.parent,
+            name: s.name,
+            start_us: s.start_us,
+            end_us: s.end_us,
+            wall_us: s.wall_us,
+            fields: s
+                .fields
+                .iter()
+                .map(|(k, v)| (*k, field_value_json(v)))
+                .collect(),
+        })
+        .collect();
+    Ok(Response::encode(200, &TraceSpans { trace: tid, spans }))
 }
 
 /// `GET /cache/<key>` — the peer-cache read surface. Serves only the
 /// *local* tiers (memory, then disk): a peer asking us must never make us
 /// ask our own peers, or two cold nodes would chase each other's remote
 /// tiers for a key neither has.
-fn get_cache(shared: &Shared, key: &str) -> (u16, String) {
-    let key = match ArtifactKey::new(key) {
-        Ok(k) => k,
-        Err(e) => return (400, error_body(&e)),
-    };
+fn get_cache(shared: &Shared, key: &str) -> Reply {
+    let key = ArtifactKey::new(key).map_err(invalid)?;
     match shared.cache.get_local(&key) {
-        Some(artifact) => (200, artifact.as_str().to_string()),
-        None => (404, error_body("no such cache entry")),
+        Some(artifact) => Ok(Response::json(200, artifact.as_str().to_string())),
+        None => Err(Response::error(404, "no such cache entry")),
     }
+}
+
+#[derive(Serialize)]
+struct Stored {
+    key: String,
+    bytes: usize,
 }
 
 /// `PUT /cache/<key>` — the peer-cache write surface (publish-on-build
 /// replication). The body must parse as JSON; anything else is rejected so
 /// a confused peer cannot poison the local tiers.
-fn put_cache(shared: &Shared, key: &str, body: &str) -> (u16, String) {
-    let key = match ArtifactKey::new(key) {
-        Ok(k) => k,
-        Err(e) => return (400, error_body(&e)),
-    };
-    match shared.cache.insert_local(&key, body.to_string()) {
-        Ok(bytes) => {
-            let mut m = Map::new();
-            m.insert("key".to_string(), Value::from(key.as_str()));
-            m.insert("bytes".to_string(), Value::from(bytes as u64));
-            (201, Value::Object(m).to_string())
-        }
-        Err(e) => (400, error_body(&e.to_string())),
-    }
+fn put_cache(shared: &Shared, key: &str, body: &str) -> Reply {
+    let key = ArtifactKey::new(key).map_err(invalid)?;
+    let bytes = shared
+        .cache
+        .insert_local(&key, body.to_string())
+        .map_err(invalid)?;
+    let key = key.as_str().to_string();
+    Ok(Response::encode(201, &Stored { key, bytes }))
+}
+
+#[derive(Serialize)]
+struct PeersAdded {
+    added: u64,
+    peers: usize,
 }
 
 /// `POST /cache/peers` — fleet advertisement: `{"peers":["ip:port",...]}`
 /// attaches (or refreshes) peer cache endpoints on the remote tier.
-fn post_cache_peers(shared: &Shared, body: &str) -> (u16, String) {
-    let value: Value = match serde_json::from_str(body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}"))),
-    };
-    let Some(peers) = value.get("peers").and_then(Value::as_array) else {
-        return (
-            400,
-            error_body("body must be {\"peers\": [\"ip:port\", ...]}"),
-        );
-    };
+fn post_cache_peers(shared: &Shared, body: &str) -> Reply {
+    let value = parse_json(body)?;
+    let peers = value
+        .get("peers")
+        .and_then(Value::as_array)
+        .ok_or_else(|| invalid("body must be {\"peers\": [\"ip:port\", ...]}"))?;
     let mut added = 0u64;
     for peer in peers {
-        let Some(addr) = peer.as_str().and_then(|s| s.parse::<SocketAddr>().ok()) else {
-            return (400, error_body(&format!("invalid peer address: {peer}")));
-        };
+        let addr = peer
+            .as_str()
+            .and_then(|s| s.parse::<SocketAddr>().ok())
+            .ok_or_else(|| invalid(format!("invalid peer address: {peer}")))?;
         shared
             .cache
             .add_peer(Arc::new(HttpPeer::new(addr, shared.peer_timeout)));
         added += 1;
     }
-    let mut m = Map::new();
-    m.insert("added".to_string(), Value::from(added));
-    m.insert(
-        "peers".to_string(),
-        Value::from(shared.cache.peer_count() as u64),
-    );
-    (200, Value::Object(m).to_string())
+    let peers = shared.cache.peer_count();
+    Ok(Response::encode(200, &PeersAdded { added, peers }))
 }
 
 /// Expand a sweep request into its model × batch × dtype grid.
@@ -1155,54 +1083,58 @@ fn sweep_grid(body: &Value) -> Result<Vec<Value>, String> {
     Ok(grid)
 }
 
-fn post_sweep(
-    shared: &Shared,
-    body: &str,
-    trace_ctx: Option<(u64, u64)>,
-) -> (u16, String, Option<u64>) {
-    let value: Value = match serde_json::from_str(body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}")), None),
-    };
-    let grid = match sweep_grid(&value) {
-        Ok(g) => g,
-        Err(e) => return (400, error_body(&e), None),
-    };
+#[derive(Serialize)]
+struct SweepSubmitted {
+    group: u64,
+    submitted: usize,
+    jobs: Vec<u64>,
+}
+
+fn post_sweep(shared: &Shared, body: &str, trace_ctx: Option<(u64, u64)>) -> Reply {
+    let grid = sweep_grid(&parse_json(body)?).map_err(invalid)?;
     // validate the whole grid before enqueueing anything
-    let mut specs = Vec::with_capacity(grid.len());
-    for point in &grid {
-        match AnalysisJob::from_value(point) {
-            Ok(s) => specs.push(s),
-            Err(e) => return (400, error_body(&e), None),
-        }
-    }
+    let specs = grid
+        .iter()
+        .map(AnalysisJob::from_value)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(invalid)?;
     if shared.queue.capacity() - shared.queue.depth() < specs.len() {
         shared.rejected_total.inc();
-        return (
-            429,
-            error_body("job queue cannot hold the whole sweep"),
-            Some(RETRY_AFTER_S),
+        return Err(
+            Response::error(429, "job queue cannot hold the whole sweep")
+                .retry_after(RETRY_AFTER_S),
         );
     }
     let group = shared.next_group.fetch_add(1, Ordering::SeqCst);
-    let mut ids = Vec::with_capacity(specs.len());
+    let mut jobs = Vec::with_capacity(specs.len());
     for spec in specs {
-        match submit(shared, spec, Some(group), trace_ctx) {
-            Ok((id, _)) => ids.push(Value::from(id)),
-            Err(e) => return e.reply(shared),
-        }
+        jobs.push(submit(shared, spec, Some(group), trace_ctx)?.0);
     }
-    let mut m = Map::new();
-    m.insert("group".to_string(), Value::from(group));
-    m.insert("submitted".to_string(), Value::from(ids.len()));
-    m.insert("jobs".to_string(), Value::Array(ids));
-    (201, Value::Object(m).to_string(), None)
+    let submitted = jobs.len();
+    Ok(Response::encode(
+        201,
+        &SweepSubmitted {
+            group,
+            submitted,
+            jobs,
+        },
+    ))
 }
 
-fn get_sweep(shared: &Shared, gid: &str) -> (u16, String) {
-    let Some(gid) = parse_id(gid) else {
-        return (400, error_body("sweep group id must be an integer"));
-    };
+#[derive(Serialize)]
+struct SweepStatus {
+    group: u64,
+    total: usize,
+    queued: usize,
+    running: usize,
+    done: usize,
+    failed: usize,
+    timed_out: usize,
+    jobs: Vec<JobView>,
+}
+
+fn get_sweep(shared: &Shared, gid: &str) -> Reply {
+    let gid = parse_id(gid, "sweep group")?;
     let reg = shared.reg();
     let mut members: Vec<(u64, &JobRecord)> = reg
         .iter()
@@ -1210,94 +1142,72 @@ fn get_sweep(shared: &Shared, gid: &str) -> (u16, String) {
         .map(|(&id, r)| (id, r))
         .collect();
     if members.is_empty() {
-        return (404, error_body("no such sweep group"));
+        return Err(Response::error(404, "no such sweep group"));
     }
     members.sort_by_key(|(id, _)| *id);
-    let count = |s: JobStatus| members.iter().filter(|(_, r)| r.status == s).count();
-    let mut m = Map::new();
-    m.insert("group".to_string(), Value::from(gid));
-    m.insert("total".to_string(), Value::from(members.len()));
-    m.insert("queued".to_string(), Value::from(count(JobStatus::Queued)));
-    m.insert(
-        "running".to_string(),
-        Value::from(count(JobStatus::Running)),
-    );
-    m.insert("done".to_string(), Value::from(count(JobStatus::Done)));
-    m.insert("failed".to_string(), Value::from(count(JobStatus::Failed)));
-    m.insert(
-        "timed_out".to_string(),
-        Value::from(count(JobStatus::TimedOut)),
-    );
-    m.insert(
-        "jobs".to_string(),
-        Value::Array(members.iter().map(|(id, r)| r.to_value(*id)).collect()),
-    );
-    (200, Value::Object(m).to_string())
+    let c = JobCounts::of(members.iter().map(|(_, r)| *r));
+    Ok(Response::encode(
+        200,
+        &SweepStatus {
+            group: gid,
+            total: c.total,
+            queued: c.queued,
+            running: c.running,
+            done: c.done,
+            failed: c.failed,
+            timed_out: c.timed_out,
+            jobs: members.iter().map(|(id, r)| r.view(*id)).collect(),
+        },
+    ))
 }
 
-fn metrics_body(shared: &Shared, query: &str) -> String {
-    if crate::http::query_has(query, "format", "prometheus") {
-        return prometheus_body(shared);
+/// The JSON form of `GET /metrics`.
+#[derive(Serialize)]
+struct MetricsJson {
+    queue: QueueGauge,
+    jobs: JobCounts,
+    workers: WorkerSnapshot,
+    cache: StoreStats,
+    stage_cache: StageCacheStats,
+    latency: Latency,
+    stages: BTreeMap<String, Value>,
+}
+
+#[derive(Serialize)]
+struct QueueGauge {
+    depth: usize,
+    capacity: usize,
+}
+
+#[derive(Serialize)]
+struct Latency {
+    queue_wait_us: Value,
+    execute_us: Value,
+    total_us: Value,
+}
+
+fn metrics_json(shared: &Shared) -> MetricsJson {
+    MetricsJson {
+        queue: QueueGauge {
+            depth: shared.queue.depth(),
+            capacity: shared.queue.capacity(),
+        },
+        jobs: JobCounts::of(shared.reg().values()),
+        workers: shared.worker_metrics.snapshot(),
+        cache: shared.cache.stats(),
+        stage_cache: shared.stage_cache.stats(),
+        latency: Latency {
+            queue_wait_us: hist_value(&shared.hist_queue_wait.snapshot()),
+            execute_us: hist_value(&shared.hist_execute.snapshot()),
+            total_us: hist_value(&shared.hist_total.snapshot()),
+        },
+        stages: shared
+            .stage_hists
+            .snapshot()
+            .into_iter()
+            .map(|(name, snap)| (format!("{name}_us"), hist_value(&snap)))
+            .collect(),
     }
-    let mut queue = Map::new();
-    queue.insert("depth".to_string(), Value::from(shared.queue.depth()));
-    queue.insert("capacity".to_string(), Value::from(shared.queue.capacity()));
-
-    let mut jobs = Map::new();
-    {
-        let reg = shared.reg();
-        let count = |s: JobStatus| reg.values().filter(|r| r.status == s).count();
-        jobs.insert("total".to_string(), Value::from(reg.len()));
-        jobs.insert("queued".to_string(), Value::from(count(JobStatus::Queued)));
-        jobs.insert(
-            "running".to_string(),
-            Value::from(count(JobStatus::Running)),
-        );
-        jobs.insert("done".to_string(), Value::from(count(JobStatus::Done)));
-        jobs.insert("failed".to_string(), Value::from(count(JobStatus::Failed)));
-        jobs.insert(
-            "timed_out".to_string(),
-            Value::from(count(JobStatus::TimedOut)),
-        );
-    }
-
-    let mut latency = Map::new();
-    latency.insert(
-        "queue_wait_us".to_string(),
-        hist_value(&shared.hist_queue_wait.snapshot()),
-    );
-    latency.insert(
-        "execute_us".to_string(),
-        hist_value(&shared.hist_execute.snapshot()),
-    );
-    latency.insert(
-        "total_us".to_string(),
-        hist_value(&shared.hist_total.snapshot()),
-    );
-
-    let mut stages = Map::new();
-    for (name, snap) in shared.stage_hists.snapshot() {
-        stages.insert(format!("{name}_us"), hist_value(&snap));
-    }
-
-    let mut m = Map::new();
-    m.insert("queue".to_string(), Value::Object(queue));
-    m.insert("jobs".to_string(), Value::Object(jobs));
-    m.insert(
-        "workers".to_string(),
-        serde_json::to_value(&shared.worker_metrics.snapshot()),
-    );
-    m.insert(
-        "cache".to_string(),
-        serde_json::to_value(&shared.cache.stats()),
-    );
-    m.insert(
-        "stage_cache".to_string(),
-        serde_json::to_value(&shared.stage_cache.stats()),
-    );
-    m.insert("latency".to_string(), Value::Object(latency));
-    m.insert("stages".to_string(), Value::Object(stages));
-    Value::Object(m).to_string()
 }
 
 /// `GET /metrics?format=prometheus` — text exposition of every registry
@@ -1306,8 +1216,7 @@ fn metrics_body(shared: &Shared, query: &str) -> String {
 fn prometheus_body(shared: &Shared) -> String {
     let mut snap = shared.metrics.snapshot();
 
-    let reg = shared.reg();
-    let jobs = |s: JobStatus| reg.values().filter(|r| r.status == s).count() as u64;
+    let jobs = JobCounts::of(shared.reg().values());
     let workers = shared.worker_metrics.snapshot();
     let cache = shared.cache.stats();
     let stage_cache = shared.stage_cache.stats();
@@ -1317,13 +1226,10 @@ fn prometheus_body(shared: &Shared) -> String {
     // already carries them; only the aggregate and non-registry series are
     // derived here.
     snap.counters.extend([
-        ("jobs_done_total".to_string(), jobs(JobStatus::Done)),
-        ("jobs_failed_total".to_string(), jobs(JobStatus::Failed)),
-        (
-            "jobs_timed_out_total".to_string(),
-            jobs(JobStatus::TimedOut),
-        ),
-        ("jobs_submitted_total".to_string(), reg.len() as u64),
+        ("jobs_done_total".to_string(), jobs.done as u64),
+        ("jobs_failed_total".to_string(), jobs.failed as u64),
+        ("jobs_timed_out_total".to_string(), jobs.timed_out as u64),
+        ("jobs_submitted_total".to_string(), jobs.total as u64),
         ("jobs_executed_total".to_string(), workers.jobs_executed),
         ("cache_hits_total".to_string(), cache.hits),
         ("stage_cache_hits_total".to_string(), stage_cache.hits),
@@ -1336,8 +1242,8 @@ fn prometheus_body(shared: &Shared) -> String {
     snap.gauges.extend([
         ("queue_depth".to_string(), shared.queue.depth() as f64),
         ("queue_capacity".to_string(), shared.queue.capacity() as f64),
-        ("jobs_queued".to_string(), jobs(JobStatus::Queued) as f64),
-        ("jobs_running".to_string(), jobs(JobStatus::Running) as f64),
+        ("jobs_queued".to_string(), jobs.queued as f64),
+        ("jobs_running".to_string(), jobs.running as f64),
         ("workers".to_string(), workers.count as f64),
         ("workers_busy".to_string(), workers.busy as f64),
         ("worker_utilization".to_string(), workers.utilization),
@@ -1350,22 +1256,7 @@ fn prometheus_body(shared: &Shared) -> String {
             stage_cache.entries as f64,
         ),
     ]);
-    drop(reg);
     snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
     snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
     prometheus_text(&snap, "proof_serve_")
-}
-
-fn models_body() -> String {
-    let mut m = Map::new();
-    m.insert(
-        "models".to_string(),
-        Value::Array(
-            ModelId::ALL
-                .iter()
-                .map(|id| Value::from(id.slug()))
-                .collect(),
-        ),
-    );
-    Value::Object(m).to_string()
 }

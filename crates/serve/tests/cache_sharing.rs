@@ -7,7 +7,7 @@ use proof_hw::PlatformId;
 use proof_ir::DType;
 use proof_models::ModelId;
 use proof_runtime::{BackendFlavor, SessionConfig};
-use proof_serve::client::{get, post, request};
+use proof_serve::client::{get, post, Call};
 use proof_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -69,10 +69,12 @@ fn cache_endpoints_round_trip() {
     let addr = server.addr();
 
     // PUT a valid artifact, read it back byte-for-byte
-    let (status, reply) =
-        request(addr, "PUT", "/cache/deadbeef00112233", Some(r#"{"x":1}"#)).unwrap();
-    assert_eq!(status, 201, "{reply}");
-    let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+    let r = Call::new(addr, "PUT", "/cache/deadbeef00112233")
+        .body(r#"{"x":1}"#)
+        .send()
+        .unwrap();
+    assert_eq!(r.status, 201, "{}", r.body);
+    let v: serde_json::Value = serde_json::from_str(&r.body).unwrap();
     assert_eq!(v["key"], "deadbeef00112233");
     assert_eq!(v["bytes"], 7u64);
     let (status, body) = get(addr, "/cache/deadbeef00112233").unwrap();
@@ -86,8 +88,11 @@ fn cache_endpoints_round_trip() {
     let (status, _) = get(addr, "/cache/.hidden").unwrap();
     assert_eq!(status, 400);
     // a PUT of non-JSON bytes must not poison the store
-    let (status, _) = request(addr, "PUT", "/cache/deadbeef99887766", Some("not-json{")).unwrap();
-    assert_eq!(status, 400);
+    let r = Call::new(addr, "PUT", "/cache/deadbeef99887766")
+        .body("not-json{")
+        .send()
+        .unwrap();
+    assert_eq!(r.status, 400);
     let (status, _) = get(addr, "/cache/deadbeef99887766").unwrap();
     assert_eq!(status, 404);
     server.shutdown();

@@ -1,12 +1,12 @@
 //! End-to-end fault-tolerance scenarios against a live daemon, driven by
 //! the deterministic fault-injection plan (`proof_obs::fault`): worker
-//! panic isolation, deadline timeouts, queue backpressure with client
-//! backoff, and transient-failure retries.
+//! panic isolation, deadline timeouts, queue backpressure a client rides
+//! out by honoring `Retry-After`, and transient-failure retries.
 //!
 //! The installed plan is process-global, so every test serializes on one
 //! mutex and clears the plan on exit (panic included) via a drop guard.
 
-use proof_serve::client::{get, post, post_with_retry, request_full, RetryPolicy};
+use proof_serve::client::{get, post, Call};
 use proof_serve::{ServeConfig, Server};
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
@@ -129,7 +129,7 @@ fn deadline_overrun_reports_timed_out_and_504() {
 }
 
 #[test]
-fn full_queue_backpressures_with_429_and_seeded_backoff_recovers() {
+fn full_queue_backpressures_with_429_and_recovers_after_retry_after() {
     let _guard = install("metrics:stall:600@999");
     let server = boot(ServeConfig {
         workers: 1,
@@ -159,18 +159,26 @@ fn full_queue_backpressures_with_429_and_seeded_backoff_recovers() {
     );
     // ...and the next submission bounces with 429 + Retry-After
     let third = r#"{"model":"mobilenetv2-0.5","hardware":"a100","batch":4,"seed":12}"#;
-    let r = request_full(addr, "POST", "/jobs", Some(third)).unwrap();
+    let r = Call::new(addr, "POST", "/jobs").body(third).send().unwrap();
     assert_eq!(r.status, 429, "{}", r.body);
     assert_eq!(r.retry_after_s, Some(1), "429 must carry Retry-After");
     assert!(prom_counter(addr, "proof_serve_rejected_total") >= 1);
 
-    // the seeded-backoff client rides out the stall and gets in
-    let policy = RetryPolicy::new(4242);
-    let (status, reply) = post_with_retry(addr, "/jobs", third, &policy).unwrap();
-    assert_eq!(status, 201, "{reply}");
-    let third_id = serde_json::from_str::<serde_json::Value>(&reply).unwrap()["id"]
-        .as_u64()
-        .unwrap();
+    // a client that waits out each Retry-After hint rides out the stall
+    // and gets in
+    let mut attempts = 0;
+    let third_id = loop {
+        let r = Call::new(addr, "POST", "/jobs").body(third).send().unwrap();
+        if r.status == 201 {
+            break serde_json::from_str::<serde_json::Value>(&r.body).unwrap()["id"]
+                .as_u64()
+                .unwrap();
+        }
+        assert_eq!(r.status, 429, "{}", r.body);
+        attempts += 1;
+        assert!(attempts < 30, "the queue never drained");
+        std::thread::sleep(Duration::from_secs(r.retry_after_s.expect("Retry-After")));
+    };
 
     for id in [stalled, queued, third_id] {
         assert_eq!(wait_terminal(addr, id)["status"], "done");

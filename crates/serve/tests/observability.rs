@@ -117,15 +117,11 @@ fn jobs_adopt_the_submitters_trace_context() {
     let addr = server.addr();
 
     // submit under an external trace context via the X-Proof-Trace header
-    let reply = proof_serve::client::request_full_timeout_headers(
-        addr,
-        "POST",
-        "/jobs",
-        Some(SPEC),
-        None,
-        &[("X-Proof-Trace", "424242:9")],
-    )
-    .unwrap();
+    let reply = proof_serve::client::Call::new(addr, "POST", "/jobs")
+        .body(SPEC)
+        .headers(&[("X-Proof-Trace", "424242:9")])
+        .send()
+        .unwrap();
     assert_eq!(reply.status, 201, "{}", reply.body);
     let v: serde_json::Value = serde_json::from_str(&reply.body).unwrap();
     assert_eq!(

@@ -133,3 +133,74 @@ fn zero_timeout_is_a_400() {
     assert!(body.contains("timeout_ms"), "{body}");
     assert_alive(addr);
 }
+
+/// Connect and send the start of a request line, then go silent.
+fn silent_client(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"GET /heal").unwrap();
+    stream
+}
+
+#[test]
+fn shutdown_is_not_stalled_by_a_silent_client() {
+    let server = boot();
+    let silent = silent_client(server.addr());
+    // let the acceptor hand the connection to a handler
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let report = finished
+        .recv_timeout(std::time::Duration::from_secs(1))
+        .expect("shutdown waited on a client that never sent its request");
+    assert_eq!(report.dropped, 0);
+    drop(silent);
+}
+
+#[test]
+fn a_silent_client_is_closed_within_the_deadline() {
+    let server = boot();
+    let addr = server.addr();
+    let mut silent = silent_client(addr);
+    let slack = std::time::Duration::from_secs(3);
+    silent
+        .set_read_timeout(Some(proof_serve::http::IO_DEADLINE + slack))
+        .unwrap();
+    let start = std::time::Instant::now();
+    // the daemon gives up on the request: whatever it says, it then closes
+    let mut reply = Vec::new();
+    silent
+        .read_to_end(&mut reply)
+        .expect("the daemon closed the connection instead of holding it");
+    assert!(start.elapsed() < proof_serve::http::IO_DEADLINE + slack);
+    assert_alive(addr);
+}
+
+#[test]
+fn connections_past_the_cap_get_503_with_retry_after_until_slots_free() {
+    use proof_serve::client::Call;
+    use proof_serve::http::MAX_CONNECTIONS;
+    let server = boot();
+    let addr = server.addr();
+    // every handler slot held by a client that connected and said nothing
+    let silent: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    let r = Call::new(addr, "GET", "/healthz").send().unwrap();
+    assert_eq!(r.status, 503, "{}", r.body);
+    assert_eq!(r.retry_after_s, Some(1), "503 must carry Retry-After");
+
+    // once they hang up, their slots come back
+    drop(silent);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let r = Call::new(addr, "GET", "/healthz").send().unwrap();
+        if r.status == 200 {
+            break;
+        }
+        assert_eq!(r.status, 503, "{}", r.body);
+        assert!(std::time::Instant::now() < deadline, "slots never freed");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}

@@ -270,5 +270,6 @@ fn api_error_paths() {
 }
 
 fn request_delete(addr: SocketAddr) -> std::io::Result<(u16, String)> {
-    proof_serve::client::request(addr, "DELETE", "/jobs/1", None)
+    let r = proof_serve::client::Call::new(addr, "DELETE", "/jobs/1").send()?;
+    Ok((r.status, r.body))
 }
