@@ -47,7 +47,7 @@ print(f"  trace OK: {len(events)} events, cats {sorted(cats)}")
 EOF
 rm -f /tmp/proof_ci_trace_a.json /tmp/proof_ci_trace_b.json
 
-echo "==> proof serve smoke test (healthz + prometheus metrics)"
+echo "==> proof serve smoke test (healthz, prometheus metrics, keep-alive, job wait)"
 serve_log="$(mktemp)"
 ./target/release/proof serve --addr 127.0.0.1:0 --workers 1 >"$serve_log" &
 serve_pid=$!
@@ -62,6 +62,16 @@ prom="$(curl -sf "http://${serve_addr}/metrics?format=prometheus")"
 grep -q "^# TYPE proof_serve_http_requests_total counter" <<<"$prom"
 grep -q "^proof_serve_queue_capacity " <<<"$prom"
 grep -q "^proof_serve_stage_compile_us_count " <<<"$prom"
+# opt-in keep-alive: two URLs in one curl run share one connection
+connects="$(curl -sf -H 'Connection: keep-alive' -w '%{num_connects}\n' \
+    -o /dev/null "http://${serve_addr}/healthz" -o /dev/null "http://${serve_addr}/models")"
+[ "$connects" = "$(printf '1\n0')" ] || { echo "kept-alive connection not reused: ${connects}"; exit 1; }
+# a repeated spec submitted with wait_ms settles in the submit exchange
+wait_spec='{"model":"mobilenetv2-0.5","hardware":"a100","batch":1,"seed":5}'
+curl -sf -X POST "http://${serve_addr}/jobs" -d "$wait_spec" >/dev/null
+settled="$(curl -s -i -X POST "http://${serve_addr}/jobs?wait_ms=2000" -d "$wait_spec")"
+grep -q "^HTTP/1.1 200 " <<<"$settled"
+grep -qi "^X-Proof-Job: " <<<"$settled"
 kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
 rm -f "$serve_log"

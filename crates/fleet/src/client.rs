@@ -2,16 +2,19 @@
 //! `proof_serve::client` that turns HTTP status codes into the outcomes the
 //! dispatcher schedules on.
 //!
-//! Every call goes through one helper bounded by the fleet's per-request
-//! timeout, so a wedged node surfaces as [`WorkerError::Unreachable`]
-//! instead of hanging the dispatch loop. Nothing here retries: a 429/503
-//! is its own variant, [`WorkerError::Busy`] — the node is alive, just
-//! saturated, and the dispatcher schedules around it — and a job the
-//! worker itself reports as failed/timed-out is a third: the *shard* needs
-//! a different node, not this node declared dead on one bad job alone.
+//! Every call is bounded by the fleet's per-request timeout, so a wedged
+//! node surfaces as [`WorkerError::Unreachable`] instead of hanging the
+//! dispatch loop. A [`WorkerClient`] keeps its node's connections alive in
+//! a pool shared by its clones, and splits the exchanges the dispatcher
+//! overlaps across nodes into a write now and a [`Pending::read`] later.
+//! Nothing here retries: a 429/503 is its own variant,
+//! [`WorkerError::Busy`] — the node is alive, just saturated, and the
+//! dispatcher schedules around it — and a job the worker itself reports as
+//! failed/timed-out is a third: the *shard* needs a different node, not
+//! this node declared dead on one bad job alone.
 
 use proof_obs::{FieldValue, Level};
-use proof_serve::client::Call;
+use proof_serve::client::{Call, ConnPool, Sent};
 use proof_serve::Response;
 use serde::Serialize;
 use serde_json::Value;
@@ -59,6 +62,16 @@ impl std::fmt::Display for WorkerError {
     }
 }
 
+/// What a submission settled as, from `POST /jobs`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Submission {
+    /// `201`: queued under this job id; its status says when it is done.
+    Queued(u64),
+    /// `200`: the job finished within the submission's wait, and `report`
+    /// is its artifact, byte-exact.
+    Done { job_id: u64, report: String },
+}
+
 /// Lifecycle of a submitted job, from `GET /jobs/<id>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobPoll {
@@ -104,22 +117,24 @@ fn capacity_signal(v: &Value, addr: SocketAddr, key: &str, warned: &AtomicBool) 
     }
 }
 
-/// The one transport call both clients make: a single bounded exchange,
-/// whose failure means the far end is suspect.
-fn call(
-    addr: SocketAddr,
-    timeout: Duration,
-    method: &str,
-    path: &str,
-    body: &str,
-    headers: &[(&str, &str)],
-) -> Result<Response, WorkerError> {
-    Call::new(addr, method, path)
-        .body(body)
-        .timeout(timeout)
-        .headers(headers)
-        .send()
-        .map_err(|e| WorkerError::Unreachable(e.to_string()))
+/// A transport failure: the far end is suspect.
+fn unreachable(e: std::io::Error) -> WorkerError {
+    WorkerError::Unreachable(e.to_string())
+}
+
+/// A request written to a worker whose reply is still to be read: the
+/// dispatcher writes to every node before it reads from any.
+#[derive(Debug)]
+pub struct Pending<T> {
+    sent: Sent,
+    parse: fn(Response) -> Result<T, WorkerError>,
+}
+
+impl<T> Pending<T> {
+    /// Read the reply and interpret it.
+    pub fn read(self) -> Result<T, WorkerError> {
+        (self.parse)(self.sent.read().map_err(unreachable)?)
+    }
 }
 
 fn parse(body: &str) -> Result<Value, WorkerError> {
@@ -132,12 +147,67 @@ fn busy(r: &Response) -> WorkerError {
     }
 }
 
+fn submission(r: Response) -> Result<Submission, WorkerError> {
+    match (r.status, r.job) {
+        (200, Some(job_id)) => Ok(Submission::Done {
+            job_id,
+            report: r.body,
+        }),
+        (201, _) => parse(&r.body)?
+            .get("id")
+            .and_then(Value::as_u64)
+            .map(Submission::Queued)
+            .ok_or_else(|| WorkerError::Protocol("submission reply without id".into())),
+        (429 | 503, _) => Err(busy(&r)),
+        (s, _) => Err(WorkerError::Protocol(format!(
+            "submission returned {s}: {}",
+            r.body
+        ))),
+    }
+}
+
+fn job_poll(r: Response) -> Result<JobPoll, WorkerError> {
+    // a backpressured status GET means the node is alive but saturated —
+    // the dispatcher must keep the shard's deadline ticking, not treat
+    // this as protocol breakage
+    if r.status == 429 || r.status == 503 {
+        return Err(busy(&r));
+    }
+    if r.status != 200 {
+        return Err(WorkerError::Protocol(format!(
+            "job status returned {}: {}",
+            r.status, r.body
+        )));
+    }
+    let v = parse(&r.body)?;
+    let status = v.get("status").and_then(Value::as_str).unwrap_or("");
+    let error = || {
+        v.get("error")
+            .and_then(Value::as_str)
+            .unwrap_or("unknown error")
+            .to_string()
+    };
+    match status {
+        "queued" | "running" => Ok(JobPoll::Pending),
+        "done" => Ok(JobPoll::Done),
+        "failed" | "timed_out" => Ok(JobPoll::Failed(error())),
+        other => Err(WorkerError::Protocol(format!("unknown job status {other}"))),
+    }
+}
+
+/// The `?wait_ms=` suffix of a job request that may wait for the job.
+fn wait_query(wait: Option<Duration>) -> String {
+    wait.map_or(String::new(), |w| format!("?wait_ms={}", w.as_millis()))
+}
+
 /// A handle to one worker daemon.
 #[derive(Debug, Clone)]
 pub struct WorkerClient {
     pub addr: SocketAddr,
     /// Per-request transport bound (connect + each read/write).
     pub timeout: Duration,
+    /// The node's kept-alive connections, shared by every clone.
+    pool: ConnPool,
 }
 
 #[derive(Serialize)]
@@ -147,11 +217,22 @@ struct PeerList {
 
 impl WorkerClient {
     pub fn new(addr: SocketAddr, timeout: Duration) -> WorkerClient {
-        WorkerClient { addr, timeout }
+        WorkerClient {
+            addr,
+            timeout,
+            pool: ConnPool::default(),
+        }
+    }
+
+    /// A bounded call to this node over a kept-alive connection.
+    fn call<'a>(&'a self, method: &'a str, path: &'a str) -> Call<'a> {
+        Call::new(self.addr, method, path)
+            .timeout(self.timeout)
+            .keep_alive(&self.pool)
     }
 
     fn get(&self, path: &str) -> Result<Response, WorkerError> {
-        call(self.addr, self.timeout, "GET", path, "", &[])
+        self.call("GET", path).send().map_err(unreachable)
     }
 
     /// `GET /healthz` — one bounded attempt: a probe that needs a retry is
@@ -176,77 +257,64 @@ impl WorkerClient {
 
     /// `POST /jobs`; returns the job id.
     pub fn submit(&self, job: &Value) -> Result<u64, WorkerError> {
-        self.submit_traced(job, None)
+        match self.begin_submit(job, None, None)?.read()? {
+            Submission::Queued(id) | Submission::Done { job_id: id, .. } => Ok(id),
+        }
     }
 
-    /// [`WorkerClient::submit`] carrying the coordinator's distributed
-    /// trace context as an `X-Proof-Trace: <trace>:<parent span>` header,
-    /// so the worker executes the job inside the fleet's trace instead of
-    /// allocating its own.
-    pub fn submit_traced(
+    /// Write `POST /jobs` carrying the coordinator's distributed trace
+    /// context as an `X-Proof-Trace: <trace>:<parent span>` header, so the
+    /// worker executes the job inside the fleet's trace instead of
+    /// allocating its own. With `wait`, the worker holds the reply until
+    /// the job is done or `wait` passes, and a done job comes back inline.
+    ///
+    /// A 429/503 reads as `Busy` at once: sleeping out the node's
+    /// Retry-After here would block the single-threaded dispatch loop, so
+    /// the registry holds the node off instead while other nodes keep
+    /// working.
+    pub fn begin_submit(
         &self,
         job: &Value,
         trace: Option<(u64, u64)>,
-    ) -> Result<u64, WorkerError> {
+        wait: Option<Duration>,
+    ) -> Result<Pending<Submission>, WorkerError> {
         let header_value = trace.map(|(t, s)| format!("{t}:{s}"));
         let headers: Vec<(&str, &str)> = header_value
             .as_deref()
             .map(|v| vec![("X-Proof-Trace", v)])
             .unwrap_or_default();
-        // A 429/503 surfaces immediately as `Busy`: sleeping out the
-        // node's Retry-After here would block the single-threaded dispatch
-        // loop, so the registry holds the node off instead while other
-        // nodes keep working.
-        let r = call(
-            self.addr,
-            self.timeout,
-            "POST",
-            "/jobs",
-            &job.to_string(),
-            &headers,
-        )?;
-        match r.status {
-            201 => parse(&r.body)?
-                .get("id")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| WorkerError::Protocol("submission reply without id".into())),
-            429 | 503 => Err(busy(&r)),
-            s => Err(WorkerError::Protocol(format!(
-                "submission returned {s}: {}",
-                r.body
-            ))),
-        }
+        let path = format!("/jobs{}", wait_query(wait));
+        let body = job.to_string();
+        let sent = self
+            .call("POST", &path)
+            .body(&body)
+            .headers(&headers)
+            .write()
+            .map_err(unreachable)?;
+        Ok(Pending {
+            sent,
+            parse: submission,
+        })
     }
 
     /// `GET /jobs/<id>` — current lifecycle state.
     pub fn poll(&self, id: u64) -> Result<JobPoll, WorkerError> {
-        let r = self.get(&format!("/jobs/{id}"))?;
-        // a backpressured status GET means the node is alive but
-        // saturated — the dispatcher must keep the shard's deadline
-        // ticking, not treat this as protocol breakage
-        if r.status == 429 || r.status == 503 {
-            return Err(busy(&r));
-        }
-        if r.status != 200 {
-            return Err(WorkerError::Protocol(format!(
-                "job status returned {}: {}",
-                r.status, r.body
-            )));
-        }
-        let v = parse(&r.body)?;
-        let status = v.get("status").and_then(Value::as_str).unwrap_or("");
-        let error = || {
-            v.get("error")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown error")
-                .to_string()
-        };
-        match status {
-            "queued" | "running" => Ok(JobPoll::Pending),
-            "done" => Ok(JobPoll::Done),
-            "failed" | "timed_out" => Ok(JobPoll::Failed(error())),
-            other => Err(WorkerError::Protocol(format!("unknown job status {other}"))),
-        }
+        self.begin_poll(id, None)?.read()
+    }
+
+    /// Write `GET /jobs/<id>`; with `wait`, the worker holds the reply
+    /// until the job is final or `wait` passes.
+    pub fn begin_poll(
+        &self,
+        id: u64,
+        wait: Option<Duration>,
+    ) -> Result<Pending<JobPoll>, WorkerError> {
+        let path = format!("/jobs/{id}{}", wait_query(wait));
+        let sent = self.call("GET", &path).write().map_err(unreachable)?;
+        Ok(Pending {
+            sent,
+            parse: job_poll,
+        })
     }
 
     /// `POST /cache/peers` — advertise the other nodes' cache endpoints so
@@ -257,7 +325,11 @@ impl WorkerClient {
             peers: peers.iter().map(|a| a.to_string()).collect(),
         };
         let body = serde_json::to_string(&body).expect("writing JSON to a String cannot fail");
-        let r = call(self.addr, self.timeout, "POST", "/cache/peers", &body, &[])?;
+        let r = self
+            .call("POST", "/cache/peers")
+            .body(&body)
+            .send()
+            .map_err(unreachable)?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
                 "peer advertisement returned {}: {}",
@@ -353,21 +425,22 @@ impl CoordinatorClient {
         CoordinatorClient { addr, timeout }
     }
 
+    fn call(&self, method: &str, path: &str, body: &str) -> Result<Response, WorkerError> {
+        Call::new(self.addr, method, path)
+            .body(body)
+            .timeout(self.timeout)
+            .send()
+            .map_err(unreachable)
+    }
+
     fn get(&self, path: &str) -> Result<Response, WorkerError> {
-        call(self.addr, self.timeout, "GET", path, "", &[])
+        self.call("GET", path, "")
     }
 
     /// `POST /grid/submit` — validate the spec and mint a run; returns the
     /// run id the status/result endpoints key on.
     pub fn submit_grid(&self, spec_json: &str) -> Result<u64, WorkerError> {
-        let r = call(
-            self.addr,
-            self.timeout,
-            "POST",
-            "/grid/submit",
-            spec_json,
-            &[],
-        )?;
+        let r = self.call("POST", "/grid/submit", spec_json)?;
         if r.status != 202 {
             return Err(WorkerError::Protocol(format!(
                 "grid submit returned {}: {}",

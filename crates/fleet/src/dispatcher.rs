@@ -4,21 +4,27 @@
 //! Single-threaded by design — worker daemons provide the parallelism; the
 //! coordinator only needs to keep every node's in-flight window full. One
 //! pass of the loop (1) probes every node on a cadence — refreshing its
-//! advertised load signals and reviving restarted daemons, (2) dispatches
-//! pending shards to the node with the best estimated completion time
+//! advertised load signals and reviving restarted daemons, then (2) writes
+//! before it reads: it writes a submission for every pending shard a node
+//! can take — to the node with the best estimated completion time
 //! (`(in_flight + 1) × latency-EWMA ÷ workers`; see
-//! [`crate::registry::SchedPolicy`]) under its capacity-scaled in-flight
-//! cap, (3) polls in-flight jobs and resolves them: completed reports are
-//! collected, while worker-reported failures, shard timeouts, and
-//! transport errors send the shard back to the queue (charging the node)
-//! until its attempt budget runs out.
+//! [`crate::registry::SchedPolicy`]), under its capacity-scaled in-flight
+//! cap — and one status request per in-flight job, across all nodes, and
+//! only then (3) reads the replies. Each of those requests asks the node to
+//! hold its reply until the job is final or `poll_interval` passes
+//! (`wait_ms`), so the nodes wait in parallel over kept-alive connections.
+//! A submission the node settles within the wait (a cache hit, or a build
+//! that fast) comes back `200` with the report inline; a status of `done`
+//! is followed by a report fetch. Worker-reported failures, shard
+//! timeouts, and transport errors send the shard back to the queue
+//! (charging the node) until its attempt budget runs out.
 //!
 //! Rescheduling never loses work and never duplicates results: a shard is
 //! either pending, in flight on exactly one node, or resolved, and results
 //! are slotted by canonical shard id so the merge cannot double-count a
 //! job that was rescheduled after the original node silently finished it.
 
-use crate::client::{JobPoll, WorkerError};
+use crate::client::{JobPoll, Pending, Submission, WorkerError};
 use crate::coordinator::FleetError;
 use crate::planner::{Shard, ShardPlan};
 use crate::progress::ProgressSink;
@@ -44,7 +50,9 @@ pub struct DispatcherConfig {
     /// Wall-clock budget for one shard on one node, submission to report;
     /// past it the shard is rescheduled and the node charged.
     pub shard_timeout: Duration,
-    /// Pause between dispatch-loop passes when nothing resolved.
+    /// How long a node may hold a submission or status reply waiting for
+    /// the job to finish (`wait_ms`), and the shortest a dispatch pass
+    /// lasts when nothing resolved: such a pass sleeps out what is left.
     pub poll_interval: Duration,
     /// How often every node is re-probed: dead nodes for revival, live
     /// ones to refresh the advertised load signals the scheduler uses.
@@ -147,6 +155,22 @@ struct PendingShard {
     last_error: Option<String>,
 }
 
+/// A submission written this pass, its reply not read yet.
+struct SubmitSent {
+    entry: PendingShard,
+    node: usize,
+    est_us: u64,
+    sent_at: Instant,
+    reply: Pending<Submission>,
+}
+
+/// A status request written this pass for an in-flight job, or the error
+/// that kept it from being written.
+struct StatusSent {
+    entry: InFlight,
+    reply: Result<Pending<JobPoll>, WorkerError>,
+}
+
 /// Everything one run's dispatch reports through: counters, tracing,
 /// flight recorder, the run's [`ProgressSink`], and the shared
 /// [`FleetView`] the HTTP surface reads mid-run.
@@ -240,32 +264,54 @@ impl Dispatcher {
         self.ctx.view.set_nodes(registry.snapshot());
 
         while !pending.is_empty() || !inflight.is_empty() {
-            let now = Instant::now();
+            let pass = Instant::now();
             // probe pass on the cadence, for every node: dead ones so a
             // restarted daemon rejoins, live ones so the scheduler's
             // advertised load signals (workers, queue capacity) stay fresh
             for (i, last) in last_probe.iter_mut().enumerate() {
-                if now.duration_since(*last) >= self.config.probe_interval {
+                if pass.duration_since(*last) >= self.config.probe_interval {
                     self.probe(registry, i, &mut outcome);
                     *last = Instant::now();
                 }
             }
 
-            self.dispatch_pending(registry, &mut pending, &mut inflight, &mut outcome)?;
+            // write phase: every submission and status request goes out
+            // before any reply is read, so the nodes work in parallel
+            let submits = self.write_submits(registry, &mut pending, &mut outcome)?;
+            let wait = Some(self.config.poll_interval);
+            let statuses: Vec<StatusSent> = inflight
+                .drain(..)
+                .map(|entry| StatusSent {
+                    reply: registry.client(entry.node).begin_poll(entry.job_id, wait),
+                    entry,
+                })
+                .collect();
 
-            if !pending.is_empty() && inflight.is_empty() && registry.alive() == 0 {
+            if !pending.is_empty()
+                && submits.is_empty()
+                && statuses.is_empty()
+                && registry.alive() == 0
+            {
                 return Err(FleetError::AllNodesDead {
                     unresolved: pending.len(),
                 });
             }
 
-            let resolved =
-                self.poll_inflight(registry, &mut pending, &mut inflight, &mut outcome)?;
+            // read phase, in write order
+            let mut resolved = false;
+            for sent in submits {
+                resolved |=
+                    self.read_submit(registry, sent, &mut pending, &mut inflight, &mut outcome);
+            }
+            for sent in statuses {
+                resolved |=
+                    self.read_status(registry, sent, &mut pending, &mut inflight, &mut outcome)?;
+            }
             // republish the registry view every pass so `/nodes` and
             // `/healthz` track health transitions and in-flight counts live
             self.ctx.view.set_nodes(registry.snapshot());
             if !resolved {
-                std::thread::sleep(self.config.poll_interval);
+                std::thread::sleep(self.config.poll_interval.saturating_sub(pass.elapsed()));
             }
         }
         self.ctx.view.set_nodes(registry.snapshot());
@@ -315,15 +361,17 @@ impl Dispatcher {
         }
     }
 
-    /// Push pending shards onto live nodes until the queue drains or every
-    /// node is at its cap / backing off.
-    fn dispatch_pending(
+    /// Write a submission for pending shards until the queue drains or
+    /// every node is at its cap / backing off. A shard whose submission
+    /// cannot even be written goes back to the queue at once, so the next
+    /// pick already sees the node's failure.
+    fn write_submits(
         &self,
         registry: &mut NodeRegistry,
         pending: &mut VecDeque<PendingShard>,
-        inflight: &mut Vec<InFlight>,
         outcome: &mut DispatchOutcome,
-    ) -> Result<(), FleetError> {
+    ) -> Result<Vec<SubmitSent>, FleetError> {
+        let mut sent = Vec::new();
         while !pending.is_empty() {
             let now = Instant::now();
             let Some(node) =
@@ -332,13 +380,13 @@ impl Dispatcher {
                 // every node busy, dead, or backing off — or the weighted
                 // policy is holding the shard for the projected-fastest
                 // node rather than feeding a slower one
-                return Ok(());
+                break;
             };
             if self.config.policy == SchedPolicy::Weighted {
                 self.ctx.counters.weighted_picks.inc();
             }
             let est_us = registry.est_shard_us(node);
-            let mut entry = pending.pop_front().expect("non-empty");
+            let entry = pending.pop_front().expect("non-empty");
             if entry.attempts >= self.config.max_shard_attempts {
                 self.ctx.counters.shard_failures.inc();
                 return Err(FleetError::ShardFailed {
@@ -347,104 +395,162 @@ impl Dispatcher {
                     last_error: entry.last_error.unwrap_or_else(|| "unknown".to_string()),
                 });
             }
-            let client = registry.client(node).clone();
-            match client.submit_traced(
+            match registry.client(node).begin_submit(
                 &entry.shard.cell.to_job_value(),
                 Some((self.ctx.trace, self.ctx.parent_span)),
+                Some(self.config.poll_interval),
             ) {
-                Ok(job_id) => {
+                Ok(reply) => {
                     registry.note_dispatch(node);
-                    self.ctx.counters.dispatched.inc();
-                    outcome.dispatched += 1;
-                    entry.attempts += 1;
-                    self.ctx.tracer.event(
-                        Level::Debug,
-                        "proof_fleet",
-                        format!("shard {} -> {} (job {job_id})", entry.shard.id, client.addr),
-                        vec![
-                            ("shard", FieldValue::U64(entry.shard.id as u64)),
-                            ("attempt", FieldValue::U64(u64::from(entry.attempts))),
-                        ],
-                    );
-                    self.ctx.flight.record(
-                        "dispatch",
-                        format!("shard {} -> node {node} (job {job_id})", entry.shard.id),
-                        vec![
-                            ("shard", FieldValue::U64(entry.shard.id as u64)),
-                            ("node", FieldValue::U64(node as u64)),
-                            ("job", FieldValue::U64(job_id)),
-                            ("attempt", FieldValue::U64(u64::from(entry.attempts))),
-                            (
-                                "policy",
-                                FieldValue::Str(self.config.policy.as_str().to_string()),
-                            ),
-                            ("est_us", FieldValue::U64(est_us)),
-                        ],
-                    );
-                    self.ctx
-                        .progress
-                        .note_dispatched(entry.shard.id, node, job_id, entry.attempts);
-                    inflight.push(InFlight {
-                        shard: entry.shard,
-                        attempts: entry.attempts,
+                    sent.push(SubmitSent {
+                        entry,
                         node,
-                        job_id,
-                        deadline: now + self.config.shard_timeout,
-                        started: now,
+                        est_us,
+                        sent_at: now,
+                        reply,
                     });
                 }
-                Err(WorkerError::Busy { retry_after_s }) => {
-                    let hold = Duration::from_secs(retry_after_s.unwrap_or(1).max(1));
-                    registry.note_backoff(node, now + hold, false);
-                    pending.push_front(entry); // not an attempt, not a failure
-                }
                 Err(e) => {
-                    let state_before = registry.node(node).state;
-                    registry.note_failure(node, false);
-                    self.note_health_transition(registry, node, state_before);
-                    self.ctx.tracer.event(
-                        Level::Warn,
-                        "proof_fleet",
-                        format!("submit to {} failed: {e}", client.addr),
-                        vec![("shard", FieldValue::U64(entry.shard.id as u64))],
-                    );
-                    self.ctx.flight.record(
-                        "reschedule",
-                        format!("shard {} submit to node {node} failed: {e}", entry.shard.id),
-                        vec![
-                            ("shard", FieldValue::U64(entry.shard.id as u64)),
-                            ("node", FieldValue::U64(node as u64)),
-                        ],
-                    );
-                    entry.last_error = Some(e.to_string());
-                    // the shard is being re-queued onto the survivors; it
-                    // never reached the node, so nothing leaves flight
-                    self.ctx.counters.rescheduled.inc();
-                    outcome.rescheduled += 1;
-                    self.ctx.progress.note_rescheduled(
-                        entry.shard.id,
-                        node,
-                        0,
-                        entry.attempts,
-                        false,
-                    );
+                    let entry = self.submit_failed(registry, entry, node, e, false, outcome);
                     pending.push_front(entry);
-                    if registry.alive() == 0 && inflight.is_empty() {
-                        return Err(FleetError::AllNodesDead {
-                            unresolved: pending.len(),
-                        });
-                    }
                 }
             }
         }
-        Ok(())
+        Ok(sent)
     }
 
-    /// Poll every in-flight job once. Returns whether anything resolved
-    /// (completed or rescheduled) this pass.
-    fn poll_inflight(
+    /// Read one submission's reply: the shard settles inline, goes in
+    /// flight, or returns to the queue. Returns whether it resolved.
+    fn read_submit(
         &self,
         registry: &mut NodeRegistry,
+        sent: SubmitSent,
+        pending: &mut VecDeque<PendingShard>,
+        inflight: &mut Vec<InFlight>,
+        outcome: &mut DispatchOutcome,
+    ) -> bool {
+        let SubmitSent {
+            mut entry,
+            node,
+            est_us,
+            sent_at,
+            reply,
+        } = sent;
+        let submission = match reply.read() {
+            Ok(submission) => submission,
+            Err(WorkerError::Busy { retry_after_s }) => {
+                let hold = Duration::from_secs(retry_after_s.unwrap_or(1).max(1));
+                registry.note_backoff(node, Instant::now() + hold, true);
+                pending.push_front(entry); // not an attempt, not a failure
+                return false;
+            }
+            Err(e) => {
+                let entry = self.submit_failed(registry, entry, node, e, true, outcome);
+                pending.push_front(entry);
+                return false;
+            }
+        };
+        let job_id = match submission {
+            Submission::Queued(id) | Submission::Done { job_id: id, .. } => id,
+        };
+        registry.note_accepted(node);
+        self.ctx.counters.dispatched.inc();
+        outcome.dispatched += 1;
+        entry.attempts += 1;
+        let addr = registry.client(node).addr;
+        self.ctx.tracer.event(
+            Level::Debug,
+            "proof_fleet",
+            format!("shard {} -> {addr} (job {job_id})", entry.shard.id),
+            vec![
+                ("shard", FieldValue::U64(entry.shard.id as u64)),
+                ("attempt", FieldValue::U64(u64::from(entry.attempts))),
+            ],
+        );
+        self.ctx.flight.record(
+            "dispatch",
+            format!("shard {} -> node {node} (job {job_id})", entry.shard.id),
+            vec![
+                ("shard", FieldValue::U64(entry.shard.id as u64)),
+                ("node", FieldValue::U64(node as u64)),
+                ("job", FieldValue::U64(job_id)),
+                ("attempt", FieldValue::U64(u64::from(entry.attempts))),
+                (
+                    "policy",
+                    FieldValue::Str(self.config.policy.as_str().to_string()),
+                ),
+                ("est_us", FieldValue::U64(est_us)),
+            ],
+        );
+        self.ctx
+            .progress
+            .note_dispatched(entry.shard.id, node, job_id, entry.attempts);
+        let flight = InFlight {
+            shard: entry.shard,
+            attempts: entry.attempts,
+            node,
+            job_id,
+            deadline: sent_at + self.config.shard_timeout,
+            started: sent_at,
+        };
+        match submission {
+            Submission::Queued(_) => {
+                inflight.push(flight);
+                false
+            }
+            Submission::Done { report, .. } => {
+                self.complete(registry, flight, report, outcome);
+                true
+            }
+        }
+    }
+
+    /// A submission to `node` failed: charge the node and return the shard
+    /// for the front of the queue. It never reached the node as a job, so
+    /// it consumed no attempt; `written` says whether it held an in-flight
+    /// count.
+    fn submit_failed(
+        &self,
+        registry: &mut NodeRegistry,
+        mut entry: PendingShard,
+        node: usize,
+        e: WorkerError,
+        written: bool,
+        outcome: &mut DispatchOutcome,
+    ) -> PendingShard {
+        let state_before = registry.node(node).state;
+        registry.note_failure(node, written);
+        self.note_health_transition(registry, node, state_before);
+        self.ctx.tracer.event(
+            Level::Warn,
+            "proof_fleet",
+            format!("submit to {} failed: {e}", registry.client(node).addr),
+            vec![("shard", FieldValue::U64(entry.shard.id as u64))],
+        );
+        self.ctx.flight.record(
+            "reschedule",
+            format!("shard {} submit to node {node} failed: {e}", entry.shard.id),
+            vec![
+                ("shard", FieldValue::U64(entry.shard.id as u64)),
+                ("node", FieldValue::U64(node as u64)),
+            ],
+        );
+        entry.last_error = Some(e.to_string());
+        self.ctx.counters.rescheduled.inc();
+        outcome.rescheduled += 1;
+        self.ctx
+            .progress
+            .note_rescheduled(entry.shard.id, node, 0, entry.attempts, false);
+        entry
+    }
+
+    /// Read one in-flight job's status reply and resolve it: collect its
+    /// report, reschedule it, or keep it in flight. Returns whether it
+    /// resolved.
+    fn read_status(
+        &self,
+        registry: &mut NodeRegistry,
+        sent: StatusSent,
         pending: &mut VecDeque<PendingShard>,
         inflight: &mut Vec<InFlight>,
         outcome: &mut DispatchOutcome,
@@ -455,159 +561,171 @@ impl Dispatcher {
             Done(String),
             Fail { why: String, timed_out: bool },
         }
-        let mut resolved_any = false;
-        let mut i = 0;
-        while i < inflight.len() {
-            let now = Instant::now();
-            let entry = &inflight[i];
-            let client = registry.client(entry.node).clone();
-            let resolution = match client.poll(entry.job_id) {
-                Ok(JobPoll::Done) => match client.report(entry.job_id) {
-                    Ok(body) => Resolution::Done(body),
-                    // the report GET itself backpressured: the artifact
-                    // exists, fetch it next pass (deadline still applies)
-                    Err(WorkerError::Busy { .. }) => Resolution::Keep,
-                    Err(e) => Resolution::Fail {
-                        why: e.to_string(),
-                        timed_out: false,
-                    },
-                },
-                Ok(JobPoll::Failed(msg)) => Resolution::Fail {
-                    why: msg,
-                    timed_out: false,
-                },
-                // still running, or the status GET backpressured (node
-                // alive, just saturated) — either way the shard stays in
-                // flight and its deadline keeps ticking below
-                Ok(JobPoll::Pending) | Err(WorkerError::Busy { .. }) => Resolution::Keep,
-                // unreachable or protocol breakage (e.g. restarted daemon
-                // that lost the job registry): node died mid-job
+        let StatusSent { entry, reply } = sent;
+        let client = registry.client(entry.node);
+        let resolution = match reply.and_then(Pending::read) {
+            Ok(JobPoll::Done) => match client.report(entry.job_id) {
+                Ok(body) => Resolution::Done(body),
+                // the report GET itself backpressured: the artifact
+                // exists, fetch it next pass (deadline still applies)
+                Err(WorkerError::Busy { .. }) => Resolution::Keep,
                 Err(e) => Resolution::Fail {
                     why: e.to_string(),
                     timed_out: false,
                 },
-            };
-            // the deadline governs every non-resolving outcome: a node
-            // that answers only 429s must still release its shard at
-            // `shard_timeout`, exactly like one that stays Pending
-            let resolution = match resolution {
-                Resolution::Keep if now >= entry.deadline => Resolution::Fail {
-                    why: format!(
-                        "shard timeout after {:?} on {}",
-                        self.config.shard_timeout, client.addr
-                    ),
-                    timed_out: true,
-                },
-                r => r,
-            };
-            match resolution {
-                Resolution::Keep => i += 1,
-                Resolution::Done(report) => {
-                    let entry = inflight.swap_remove(i);
-                    registry.note_success(entry.node);
-                    self.ctx.counters.completed.inc();
-                    let shard_us = entry
-                        .started
-                        .elapsed()
-                        .as_micros()
-                        .min(u128::from(u64::MAX)) as u64;
-                    self.ctx
-                        .metrics
-                        .histogram(&format!("node{}_shard_us", entry.node))
-                        .record_us(shard_us);
-                    let ewma = registry.note_latency(entry.node, shard_us);
-                    self.ctx
-                        .metrics
-                        .gauge(&format!("node{}_ewma_us", entry.node))
-                        .set(ewma);
-                    let mut span = self.ctx.tracer.span_in(self.ctx.trace, "fleet_shard");
-                    span.field("shard", entry.shard.id as u64);
-                    span.field("node", entry.node as u64);
-                    span.field("attempts", u64::from(entry.attempts));
-                    span.field("status", "done");
-                    span.finish();
-                    let record = ShardReport {
-                        shard: entry.shard.id,
-                        node: entry.node,
-                        job_id: entry.job_id,
-                        attempts: entry.attempts,
-                    };
-                    self.ctx.progress.note_completed(&record);
-                    outcome.shards.push(record);
-                    outcome.results.push((entry.shard.id, report));
-                    resolved_any = true;
-                }
-                Resolution::Fail { why, timed_out } => {
-                    let entry = inflight.swap_remove(i);
-                    let state_before = registry.node(entry.node).state;
-                    registry.note_failure(entry.node, true);
-                    self.note_health_transition(registry, entry.node, state_before);
-                    if timed_out {
-                        // charge the full elapsed time to the node's
-                        // latency estimate — without this a wedged-but-
-                        // healthy node keeps winning weighted picks and
-                        // burns the shard's whole attempt budget
-                        let elapsed_us = entry
-                            .started
-                            .elapsed()
-                            .as_micros()
-                            .min(u128::from(u64::MAX))
-                            as u64;
-                        let ewma = registry.note_latency(entry.node, elapsed_us);
-                        self.ctx
-                            .metrics
-                            .gauge(&format!("node{}_ewma_us", entry.node))
-                            .set(ewma);
-                    }
-                    self.ctx.flight.record(
-                        "reschedule",
-                        format!(
-                            "shard {} on node {} rescheduling: {why}",
-                            entry.shard.id, entry.node
-                        ),
-                        vec![
-                            ("shard", FieldValue::U64(entry.shard.id as u64)),
-                            ("node", FieldValue::U64(entry.node as u64)),
-                        ],
-                    );
-                    self.ctx.tracer.event(
-                        Level::Warn,
-                        "proof_fleet",
-                        format!(
-                            "shard {} on node {} rescheduling: {why}",
-                            entry.shard.id, entry.node
-                        ),
-                        vec![
-                            ("shard", FieldValue::U64(entry.shard.id as u64)),
-                            ("node", FieldValue::U64(entry.node as u64)),
-                        ],
-                    );
-                    if entry.attempts >= self.config.max_shard_attempts {
-                        self.ctx.counters.shard_failures.inc();
-                        return Err(FleetError::ShardFailed {
-                            shard: entry.shard.id,
-                            attempts: entry.attempts,
-                            last_error: why,
-                        });
-                    }
-                    self.ctx.counters.rescheduled.inc();
-                    outcome.rescheduled += 1;
-                    self.ctx.progress.note_rescheduled(
-                        entry.shard.id,
-                        entry.node,
-                        entry.job_id,
-                        entry.attempts,
-                        true,
-                    );
-                    pending.push_back(PendingShard {
-                        shard: entry.shard,
-                        attempts: entry.attempts,
-                        last_error: Some(why),
-                    });
-                    resolved_any = true;
-                }
+            },
+            Ok(JobPoll::Failed(msg)) => Resolution::Fail {
+                why: msg,
+                timed_out: false,
+            },
+            // still running, or the status GET backpressured (node
+            // alive, just saturated) — either way the shard stays in
+            // flight and its deadline keeps ticking below
+            Ok(JobPoll::Pending) | Err(WorkerError::Busy { .. }) => Resolution::Keep,
+            // unreachable or protocol breakage (e.g. restarted daemon
+            // that lost the job registry): node died mid-job
+            Err(e) => Resolution::Fail {
+                why: e.to_string(),
+                timed_out: false,
+            },
+        };
+        // the deadline governs every non-resolving outcome: a node
+        // that answers only 429s must still release its shard at
+        // `shard_timeout`, exactly like one that stays Pending
+        let resolution = match resolution {
+            Resolution::Keep if Instant::now() >= entry.deadline => Resolution::Fail {
+                why: format!(
+                    "shard timeout after {:?} on {}",
+                    self.config.shard_timeout, client.addr
+                ),
+                timed_out: true,
+            },
+            r => r,
+        };
+        match resolution {
+            Resolution::Keep => {
+                inflight.push(entry);
+                Ok(false)
+            }
+            Resolution::Done(report) => {
+                self.complete(registry, entry, report, outcome);
+                Ok(true)
+            }
+            Resolution::Fail { why, timed_out } => {
+                self.reschedule(registry, entry, why, timed_out, pending, outcome)?;
+                Ok(true)
             }
         }
-        Ok(resolved_any)
+    }
+
+    /// Collect a finished shard's report.
+    fn complete(
+        &self,
+        registry: &mut NodeRegistry,
+        entry: InFlight,
+        report: String,
+        outcome: &mut DispatchOutcome,
+    ) {
+        registry.note_success(entry.node);
+        self.ctx.counters.completed.inc();
+        let shard_us = entry
+            .started
+            .elapsed()
+            .as_micros()
+            .min(u128::from(u64::MAX)) as u64;
+        self.ctx
+            .metrics
+            .histogram(&format!("node{}_shard_us", entry.node))
+            .record_us(shard_us);
+        let ewma = registry.note_latency(entry.node, shard_us);
+        self.ctx
+            .metrics
+            .gauge(&format!("node{}_ewma_us", entry.node))
+            .set(ewma);
+        let mut span = self.ctx.tracer.span_in(self.ctx.trace, "fleet_shard");
+        span.field("shard", entry.shard.id as u64);
+        span.field("node", entry.node as u64);
+        span.field("attempts", u64::from(entry.attempts));
+        span.field("status", "done");
+        span.finish();
+        let record = ShardReport {
+            shard: entry.shard.id,
+            node: entry.node,
+            job_id: entry.job_id,
+            attempts: entry.attempts,
+        };
+        self.ctx.progress.note_completed(&record);
+        outcome.shards.push(record);
+        outcome.results.push((entry.shard.id, report));
+    }
+
+    /// Charge the node an in-flight shard failed on and requeue the shard,
+    /// or fail the run once the shard's attempt budget is spent.
+    fn reschedule(
+        &self,
+        registry: &mut NodeRegistry,
+        entry: InFlight,
+        why: String,
+        timed_out: bool,
+        pending: &mut VecDeque<PendingShard>,
+        outcome: &mut DispatchOutcome,
+    ) -> Result<(), FleetError> {
+        let state_before = registry.node(entry.node).state;
+        registry.note_failure(entry.node, true);
+        self.note_health_transition(registry, entry.node, state_before);
+        if timed_out {
+            // charge the full elapsed time to the node's latency estimate
+            // — without this a wedged-but-healthy node keeps winning
+            // weighted picks and burns the shard's whole attempt budget
+            let elapsed_us = entry
+                .started
+                .elapsed()
+                .as_micros()
+                .min(u128::from(u64::MAX)) as u64;
+            let ewma = registry.note_latency(entry.node, elapsed_us);
+            self.ctx
+                .metrics
+                .gauge(&format!("node{}_ewma_us", entry.node))
+                .set(ewma);
+        }
+        let message = format!(
+            "shard {} on node {} rescheduling: {why}",
+            entry.shard.id, entry.node
+        );
+        let fields = || {
+            vec![
+                ("shard", FieldValue::U64(entry.shard.id as u64)),
+                ("node", FieldValue::U64(entry.node as u64)),
+            ]
+        };
+        self.ctx
+            .flight
+            .record("reschedule", message.clone(), fields());
+        self.ctx
+            .tracer
+            .event(Level::Warn, "proof_fleet", message, fields());
+        if entry.attempts >= self.config.max_shard_attempts {
+            self.ctx.counters.shard_failures.inc();
+            return Err(FleetError::ShardFailed {
+                shard: entry.shard.id,
+                attempts: entry.attempts,
+                last_error: why,
+            });
+        }
+        self.ctx.counters.rescheduled.inc();
+        outcome.rescheduled += 1;
+        self.ctx.progress.note_rescheduled(
+            entry.shard.id,
+            entry.node,
+            entry.job_id,
+            entry.attempts,
+            true,
+        );
+        pending.push_back(PendingShard {
+            shard: entry.shard,
+            attempts: entry.attempts,
+            last_error: Some(why),
+        });
+        Ok(())
     }
 }

@@ -59,7 +59,10 @@ pub mod runs;
 pub mod server;
 pub mod trace;
 
-pub use client::{CoordinatorClient, JobPoll, RunResult, WorkerClient, WorkerError, WorkerHealth};
+pub use client::{
+    CoordinatorClient, JobPoll, Pending, RunResult, Submission, WorkerClient, WorkerError,
+    WorkerHealth,
+};
 pub use coordinator::{run_grid_local, Fleet, FleetConfig, FleetError, FleetRun};
 pub use dispatcher::{
     DispatchCtx, DispatchOutcome, Dispatcher, DispatcherConfig, FleetCounters, ShardReport,

@@ -298,11 +298,16 @@ impl NodeRegistry {
         n.queue_depth = health.queue_depth;
     }
 
-    /// A shard was submitted to node `i`.
+    /// A shard's submission to node `i` is on the wire: it counts against
+    /// the node's in-flight cap until it resolves.
     pub fn note_dispatch(&mut self, i: usize) {
-        let n = &mut self.nodes[i];
-        n.in_flight += 1;
-        n.dispatched += 1;
+        self.nodes[i].in_flight += 1;
+    }
+
+    /// Node `i` accepted a submission noted with
+    /// [`note_dispatch`](Self::note_dispatch).
+    pub fn note_accepted(&mut self, i: usize) {
+        self.nodes[i].dispatched += 1;
     }
 
     /// A shard on node `i` resolved successfully.

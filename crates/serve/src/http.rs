@@ -5,6 +5,11 @@
 //! route returns, one response writer, and one capped head reader that
 //! parses request heads here and response heads in [`crate::client`].
 //!
+//! A connection carries one request unless the request asks for more with
+//! `Connection: keep-alive`; then the handler answers `Connection:
+//! keep-alive` and reads the next request on the same socket. Every other
+//! exchange is `Connection: close`, byte for byte as before keep-alive.
+//!
 //! Every read from the peer is capped (`MAX_HEADER_BYTES` for the start
 //! line + headers, a per-side cap for bodies) **while reading**, not
 //! after: an earlier version buffered an arbitrarily long request line via
@@ -12,8 +17,9 @@
 //! exhaust memory.
 
 use serde::Serialize;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -22,8 +28,8 @@ pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// The read and write timeout of every accepted socket: a client that goes
-/// silent, mid-request or mid-reply, loses its connection and its handler
-/// thread once this runs out.
+/// silent, mid-request or mid-reply, or leaves a kept-alive connection
+/// idle, loses its connection and its handler thread once this runs out.
 pub const IO_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Live connection handlers per daemon. Past the cap the acceptor answers
@@ -52,6 +58,9 @@ pub struct Request {
     /// dispatched work should adopt. Malformed values are ignored — trace
     /// context is observability metadata and must never fail a request.
     pub trace_parent: Option<(u64, u64)>,
+    /// The request sent `Connection: keep-alive`: the handler keeps the
+    /// connection open for the next request.
+    pub keep_alive: bool,
 }
 
 /// One HTTP reply: what a route returns and what the client reads back.
@@ -61,6 +70,9 @@ pub struct Response {
     pub content_type: String,
     /// `Retry-After` seconds, sent with 429/503 backpressure replies.
     pub retry_after_s: Option<u64>,
+    /// `X-Proof-Job`: the job a submission settled inline, whose artifact
+    /// is the body.
+    pub job: Option<u64>,
     pub body: String,
 }
 
@@ -81,6 +93,7 @@ impl Response {
             status,
             content_type: JSON.to_string(),
             retry_after_s: None,
+            job: None,
             body,
         }
     }
@@ -113,6 +126,14 @@ impl Response {
     pub fn retry_after(self, seconds: u64) -> Response {
         Response {
             retry_after_s: Some(seconds),
+            ..self
+        }
+    }
+
+    /// Attach an `X-Proof-Job` id (a submission settled inline).
+    pub fn job(self, id: u64) -> Response {
+        Response {
+            job: Some(id),
             ..self
         }
     }
@@ -176,7 +197,10 @@ pub(crate) struct Head {
     pub content_length: Option<usize>,
     pub content_type: Option<String>,
     pub retry_after_s: Option<u64>,
+    pub job: Option<u64>,
     pub trace_parent: Option<(u64, u64)>,
+    /// `Connection: keep-alive` (any other value, or none, means close).
+    pub keep_alive: bool,
 }
 
 /// The one head reader: start line plus headers, `MAX_HEADER_BYTES` in
@@ -216,8 +240,12 @@ pub(crate) fn read_head<R: BufRead>(reader: &mut R) -> std::io::Result<Option<He
             head.content_type = Some(value.to_string());
         } else if name.eq_ignore_ascii_case("retry-after") {
             head.retry_after_s = value.parse().ok();
+        } else if name.eq_ignore_ascii_case("x-proof-job") {
+            head.job = value.parse().ok();
         } else if name.eq_ignore_ascii_case("x-proof-trace") {
             head.trace_parent = parse_trace_header(value);
+        } else if name.eq_ignore_ascii_case("connection") {
+            head.keep_alive = value.eq_ignore_ascii_case("keep-alive");
         }
     }
     Ok(head)
@@ -252,9 +280,8 @@ pub(crate) fn read_body<R: Read>(
 
 /// Read one request. `Ok(None)` means the peer closed the connection
 /// before sending anything.
-fn read_request(stream: &TcpStream) -> std::io::Result<Option<Request>> {
-    let mut reader = BufReader::new(stream);
-    let Some(head) = read_head(&mut reader)? else {
+fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Request>> {
+    let Some(head) = read_head(reader)? else {
         return Ok(None);
     };
     let mut parts = head.start.split_whitespace();
@@ -278,6 +305,7 @@ fn read_request(stream: &TcpStream) -> std::io::Result<Option<Request>> {
         query,
         body,
         trace_parent: head.trace_parent,
+        keep_alive: head.keep_alive,
     }))
 }
 
@@ -311,6 +339,7 @@ fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
+        202 => "Accepted",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
@@ -323,24 +352,29 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// The one response writer. Connections are single-request
-/// (`Connection: close`), which keeps lifecycle handling trivial.
-fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
-    let retry = match r.retry_after_s {
-        Some(s) => format!("Retry-After: {s}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n",
+/// The one response writer: head and body leave in one `write_all`, so a
+/// kept-alive exchange never waits on Nagle's algorithm against the
+/// peer's delayed ACK.
+fn write_response(mut stream: &TcpStream, r: &Response, keep_alive: bool) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    let mut head = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         r.status,
         reason(r.status),
         r.content_type,
-        r.body.len(),
-        retry
+        r.body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(r.body.as_bytes())?;
-    stream.flush()
+    if let Some(s) = r.retry_after_s {
+        let _ = write!(head, "Retry-After: {s}\r\n");
+    }
+    if let Some(id) = r.job {
+        let _ = write!(head, "X-Proof-Job: {id}\r\n");
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let _ = write!(head, "Connection: {connection}\r\n\r\n");
+    let mut out = head.into_bytes();
+    out.extend_from_slice(r.body.as_bytes());
+    stream.write_all(&out)
 }
 
 /// Lock, recovering from poisoning: every structure guarded in this crate
@@ -356,8 +390,10 @@ pub trait Routes: Send + Sync + 'static {
     /// Answer one parsed request.
     fn route(&self, req: &Request) -> Response;
 
-    /// Called once per accepted connection, refused ones included.
-    fn accepted(&self) {}
+    /// Called once per request read off a connection, parsed or not, and
+    /// once per connection the acceptor refuses at the cap. A kept-alive
+    /// connection counts each of its requests.
+    fn received(&self) {}
 
     /// Called once per answered request, before the reply is written;
     /// `req` is `None` when the request did not parse.
@@ -368,15 +404,22 @@ pub trait Routes: Send + Sync + 'static {
 struct Counts {
     /// Handler threads alive, bounded by [`MAX_CONNECTIONS`].
     live: usize,
-    /// Handlers that have read a complete request and not yet finished.
+    /// Handlers that have read a complete request and not yet answered it.
     busy: usize,
-    /// Set by [`HttpServer::stop`]: the acceptor exits at its next wake.
+    /// Set by [`HttpServer::stop`]: the acceptor exits at its next wake,
+    /// and no connection is kept alive past its current reply.
     stopping: bool,
+    /// Kept-alive connections waiting for their next request, by slot id:
+    /// `stop` shuts them down so their handlers see EOF at once.
+    kept_alive: HashMap<u64, TcpStream>,
+    /// The id of the next slot handed out.
+    next_slot: u64,
 }
 
 /// Counts live handlers against the cap and, among them, the busy ones.
 /// Shutdown waits only for the busy ones: a handler still waiting on a
-/// silent client has nothing to finish, and its deadline reaps it.
+/// silent client has nothing to finish, and its deadline reaps it; a
+/// handler idle between kept-alive requests is closed by `stop`.
 #[derive(Default)]
 struct ConnGate {
     counts: Mutex<Counts>,
@@ -388,6 +431,7 @@ struct ConnGate {
 /// unwind, or with the closure of a spawn that failed.
 struct Slot {
     gate: Arc<ConnGate>,
+    id: u64,
     busy: bool,
 }
 
@@ -398,10 +442,20 @@ impl ConnGate {
             return None;
         }
         counts.live += 1;
+        counts.next_slot += 1;
         Some(Slot {
             gate: Arc::clone(gate),
+            id: counts.next_slot,
             busy: false,
         })
+    }
+
+    /// One busy handler has answered: wake the drain when it was the last.
+    fn release(&self, counts: &mut Counts) {
+        counts.busy -= 1;
+        if counts.busy == 0 {
+            self.idle.notify_all();
+        }
     }
 
     fn wait_idle(&self) {
@@ -415,8 +469,35 @@ impl ConnGate {
 impl Slot {
     /// Mark the handler as owing a reply: shutdown now waits for it.
     fn set_busy(&mut self) {
-        lock_clean(&self.gate.counts).busy += 1;
+        let mut counts = lock_clean(&self.gate.counts);
+        counts.kept_alive.remove(&self.id);
+        counts.busy += 1;
         self.busy = true;
+    }
+
+    /// Whether the connection may outlive the reply being written.
+    fn may_keep_alive(&self) -> bool {
+        !lock_clean(&self.gate.counts).stopping
+    }
+
+    /// The reply is written and the handler waits for the next request on
+    /// `stream`, where `stop` can reach it. `false` when the server is
+    /// stopping and the connection must close instead.
+    fn set_idle(&mut self, stream: &TcpStream) -> bool {
+        let mut counts = lock_clean(&self.gate.counts);
+        if std::mem::take(&mut self.busy) {
+            self.gate.release(&mut counts);
+        }
+        if counts.stopping {
+            return false;
+        }
+        match stream.try_clone() {
+            Ok(clone) => {
+                counts.kept_alive.insert(self.id, clone);
+                true
+            }
+            Err(_) => false,
+        }
     }
 }
 
@@ -424,11 +505,9 @@ impl Drop for Slot {
     fn drop(&mut self) {
         let mut counts = lock_clean(&self.gate.counts);
         counts.live -= 1;
+        counts.kept_alive.remove(&self.id);
         if self.busy {
-            counts.busy -= 1;
-            if counts.busy == 0 {
-                self.gate.idle.notify_all();
-            }
+            self.gate.release(&mut counts);
         }
     }
 }
@@ -471,13 +550,20 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stop accepting, then wait for every handler that has read a
-    /// complete request to answer it. Idempotent.
+    /// Stop accepting, close every kept-alive connection waiting for its
+    /// next request, then wait for every handler that has read a complete
+    /// request to answer it. Idempotent.
     pub fn stop(&mut self) {
         let Some(acceptor) = self.acceptor.take() else {
             return;
         };
-        lock_clean(&self.gate.counts).stopping = true;
+        {
+            let mut counts = lock_clean(&self.gate.counts);
+            counts.stopping = true;
+            for (_, idle) in counts.kept_alive.drain() {
+                let _ = idle.shutdown(Shutdown::Both);
+            }
+        }
         // wake the blocking accept with a throwaway connection
         let _ = TcpStream::connect(self.addr);
         let _ = acceptor.join();
@@ -502,11 +588,12 @@ fn accept_loop<R: Routes>(
             break;
         }
         let Ok(mut stream) = stream else { continue };
-        routes.accepted();
         // bounds every read and write, the refusal below included
         let _ = stream.set_read_timeout(Some(IO_DEADLINE));
         let _ = stream.set_write_timeout(Some(IO_DEADLINE));
+        let _ = stream.set_nodelay(true);
         let Some(slot) = ConnGate::try_enter(gate) else {
+            routes.received();
             refuse(&mut stream);
             continue;
         };
@@ -523,7 +610,7 @@ fn accept_loop<R: Routes>(
 /// a reset that could destroy the reply in flight.
 fn refuse(stream: &mut TcpStream) {
     let reply = Response::error(503, "too many connections").retry_after(RETRY_AFTER_S);
-    let _ = write_response(stream, &reply);
+    let _ = write_response(stream, &reply, false);
     if stream.set_nonblocking(true).is_ok() {
         let _ = std::io::copy(
             &mut stream.take(MAX_HEADER_BYTES as u64),
@@ -532,24 +619,36 @@ fn refuse(stream: &mut TcpStream) {
     }
 }
 
-fn handle<R: Routes>(routes: &R, mut stream: TcpStream, mut slot: Slot) {
+/// Serve one connection: one request, or as many as the client keeps it
+/// alive for.
+fn handle<R: Routes>(routes: &R, stream: TcpStream, mut slot: Slot) {
     let peer = stream.peer_addr().ok();
-    let reply = match read_request(&stream) {
-        Ok(None) => return,
-        // the client went silent past the deadline: nobody to answer
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
-        Ok(Some(request)) => {
-            slot.set_busy();
-            let reply = routes.route(&request);
-            routes.answered(peer, Some(&request), reply.status);
-            reply
+    let mut reader = BufReader::new(&stream);
+    loop {
+        let (reply, keep_alive) = match read_request(&mut reader) {
+            Ok(None) => return,
+            // the client went silent past the deadline: nobody to answer
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
+            Ok(Some(request)) => {
+                slot.set_busy();
+                routes.received();
+                let reply = routes.route(&request);
+                routes.answered(peer, Some(&request), reply.status);
+                (reply, request.keep_alive && slot.may_keep_alive())
+            }
+            Err(e) => {
+                routes.received();
+                routes.answered(peer, None, 400);
+                (Response::error(400, &e.to_string()), false)
+            }
+        };
+        if write_response(&stream, &reply, keep_alive).is_err()
+            || !keep_alive
+            || !slot.set_idle(&stream)
+        {
+            return;
         }
-        Err(e) => {
-            routes.answered(peer, None, 400);
-            Response::error(400, &e.to_string())
-        }
-    };
-    let _ = write_response(&mut stream, &reply);
+    }
 }
 
 #[cfg(test)]
@@ -640,6 +739,15 @@ mod tests {
         let mut busy = ConnGate::try_enter(&gate).unwrap();
         busy.set_busy();
         drop(busy);
+        // and so does one that went idle between kept-alive requests
+        let mut kept = ConnGate::try_enter(&gate).unwrap();
+        kept.set_busy();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(kept.set_idle(&stream));
+        gate.wait_idle();
+        drop(kept);
+        assert!(lock_clean(&gate.counts).kept_alive.is_empty());
         gate.wait_idle();
         drop(slots);
         assert_eq!(lock_clean(&gate.counts).live, 0);

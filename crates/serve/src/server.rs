@@ -7,9 +7,16 @@
 //! the handlers that have read a complete request, closes the queue, and
 //! joins the workers — which drain every queued and in-flight job before
 //! exiting, so no accepted job is ever dropped.
+//!
+//! `POST /jobs?wait_ms=N` and `GET /jobs/<id>?wait_ms=N` hold the reply
+//! until the job is final, N ms pass (at most [`MAX_JOB_WAIT`]), or the
+//! daemon shuts down. A submission whose job is done within the wait
+//! answers `200` with the artifact as its body and the job id in
+//! `X-Proof-Job`, so a cache hit settles in one exchange; otherwise it
+//! answers the `201` it always did.
 
 use crate::http::{
-    lock_clean, query_has, HttpServer, Reply, Request, Response, Routes, RETRY_AFTER_S,
+    lock_clean, query_has, query_param, HttpServer, Reply, Request, Response, Routes, RETRY_AFTER_S,
 };
 use crate::job::AnalysisJob;
 use crate::metrics::{hist_value, Histogram, StageHistograms, WorkerMetrics, WorkerSnapshot};
@@ -34,9 +41,14 @@ use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The longest a `wait_ms` request holds its reply, whatever it asks for:
+/// well inside the socket deadline, so the waiting reply never outlives
+/// the connection it answers on.
+pub const MAX_JOB_WAIT: Duration = Duration::from_secs(1);
 
 /// Daemon configuration (see `proof serve --help` for the CLI mapping).
 #[derive(Debug, Clone)]
@@ -223,6 +235,9 @@ impl JobCounts {
 struct Shared {
     queue: JobQueue<u64>,
     registry: Mutex<HashMap<u64, JobRecord>>,
+    /// Signalled, under the registry lock, when a job becomes final and
+    /// when shutdown begins: what `wait_ms` requests wait on.
+    finished: Condvar,
     next_id: AtomicU64,
     next_group: AtomicU64,
     cache: TieredStore,
@@ -272,6 +287,26 @@ impl Shared {
     fn reg(&self) -> MutexGuard<'_, HashMap<u64, JobRecord>> {
         lock_clean(&self.registry)
     }
+
+    /// The registry, once job `id` is final, `wait` has passed, or the
+    /// daemon is shutting down — whichever comes first.
+    fn reg_when_final(&self, id: u64, wait: Duration) -> MutexGuard<'_, HashMap<u64, JobRecord>> {
+        let deadline = Instant::now() + wait;
+        let mut reg = self.reg();
+        loop {
+            let pending = reg
+                .get(&id)
+                .is_some_and(|r| matches!(r.status, JobStatus::Queued | JobStatus::Running));
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !pending || left.is_zero() || !self.running.load(Ordering::SeqCst) {
+                return reg;
+            }
+            reg = match self.finished.wait_timeout(reg, left) {
+                Ok((reg, _)) => reg,
+                Err(e) => e.into_inner().0,
+            };
+        }
+    }
 }
 
 /// What a graceful shutdown drained: every accepted job must be accounted
@@ -312,6 +347,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
             registry: Mutex::new(HashMap::new()),
+            finished: Condvar::new(),
             next_id: AtomicU64::new(1),
             next_group: AtomicU64::new(1),
             cache,
@@ -372,6 +408,12 @@ impl Server {
     fn stop(&mut self) -> ShutdownReport {
         if !self.shared.running.swap(false, Ordering::SeqCst) {
             return ShutdownReport::default();
+        }
+        // release every `wait_ms` reply now rather than at its wait's end;
+        // the registry lock orders this after any waiter's `running` check
+        {
+            let _reg = self.shared.reg();
+            self.shared.finished.notify_all();
         }
         // let handlers that read a request answer it (they may still
         // enqueue; later submissions see `running` false and get 503)
@@ -625,6 +667,7 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
             rec.error = Some(msg);
         }
     }
+    shared.finished.notify_all();
 }
 
 /// Run a job through the staged pipeline, reusing the mode-independent
@@ -727,9 +770,9 @@ impl Routes for Shared {
     fn route(&self, req: &Request) -> Response {
         let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
         let reply = match (req.method.as_str(), segments.as_slice()) {
-            ("POST", ["jobs"]) => post_job(self, &req.body, req.trace_parent),
+            ("POST", ["jobs"]) => post_job(self, req),
             ("POST", ["sweep"]) => post_sweep(self, &req.body, req.trace_parent),
-            ("GET", ["jobs", id]) => get_job(self, id),
+            ("GET", ["jobs", id]) => get_job(self, id, &req.query),
             ("GET", ["jobs", id, "report"]) => get_report(self, id),
             ("GET", ["sweep", gid]) => get_sweep(self, gid),
             ("GET", ["trace", tid]) => get_trace(self, tid, &req.query),
@@ -752,7 +795,7 @@ impl Routes for Shared {
         reply.unwrap_or_else(|refusal| refusal)
     }
 
-    fn accepted(&self) {
+    fn received(&self) {
         self.http_requests.inc();
     }
 
@@ -846,9 +889,32 @@ struct Submitted {
     status: &'static str,
 }
 
-fn post_job(shared: &Shared, body: &str, trace_ctx: Option<(u64, u64)>) -> Reply {
-    let spec = AnalysisJob::from_value(&parse_json(body)?).map_err(invalid)?;
-    let (id, trace) = submit(shared, spec, None, trace_ctx)?;
+/// The `wait_ms` query param, capped at [`MAX_JOB_WAIT`]; `None` when
+/// absent.
+fn job_wait(query: &str) -> Result<Option<Duration>, Response> {
+    query_param(query, "wait_ms")
+        .map(|ms| {
+            ms.parse()
+                .map(|ms| Duration::from_millis(ms).min(MAX_JOB_WAIT))
+                .map_err(|_| invalid("wait_ms must be an integer"))
+        })
+        .transpose()
+}
+
+fn post_job(shared: &Shared, req: &Request) -> Reply {
+    let wait = job_wait(&req.query)?;
+    let spec = AnalysisJob::from_value(&parse_json(&req.body)?).map_err(invalid)?;
+    let (id, trace) = submit(shared, spec, None, req.trace_parent)?;
+    if let Some(wait) = wait {
+        let done = shared
+            .reg_when_final(id, wait)
+            .get(&id)
+            .filter(|r| r.status == JobStatus::Done)
+            .and_then(|r| r.artifact.clone());
+        if let Some(artifact) = done {
+            return Ok(Response::json(200, artifact.as_str().to_string()).job(id));
+        }
+    }
     let key = spec.cache_key();
     Ok(Response::encode(
         201,
@@ -861,9 +927,13 @@ fn post_job(shared: &Shared, body: &str, trace_ctx: Option<(u64, u64)>) -> Reply
     ))
 }
 
-fn get_job(shared: &Shared, id: &str) -> Reply {
+fn get_job(shared: &Shared, id: &str, query: &str) -> Reply {
     let id = parse_id(id, "job")?;
-    match shared.reg().get(&id) {
+    let reg = match job_wait(query)? {
+        Some(wait) => shared.reg_when_final(id, wait),
+        None => shared.reg(),
+    };
+    match reg.get(&id) {
         Some(rec) => Ok(Response::encode(200, &rec.view(id))),
         None => Err(Response::error(404, "no such job")),
     }

@@ -2,12 +2,16 @@
 //! 4xx (or a summarily closed connection) and leave the daemon serving —
 //! `/healthz` is probed after each abuse. These pin the fixes for the
 //! unbounded request-line read (memory-exhaustion DoS) and the
-//! empty-batch-sweep panic.
+//! empty-batch-sweep panic. The bounds on kept-alive connections and on
+//! `wait_ms` job waits are pinned here too: neither may hold a reply past
+//! its cap or delay a shutdown.
 
 use proof_serve::client::get;
-use proof_serve::{ServeConfig, Server};
+use proof_serve::{ServeConfig, Server, MAX_JOB_WAIT};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn boot() -> Server {
     Server::start(ServeConfig {
@@ -203,4 +207,181 @@ fn connections_past_the_cap_get_503_with_retry_after_until_slots_free() {
         assert!(std::time::Instant::now() < deadline, "slots never freed");
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
+}
+
+/// Read exactly one reply off a kept-alive connection: the head, then as
+/// many body bytes as it declares.
+fn read_one(stream: &mut TcpStream) -> String {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).unwrap();
+        raw.push(byte[0]);
+    }
+    let head = String::from_utf8(raw.clone()).unwrap();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .unwrap()
+        .parse()
+        .unwrap();
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).unwrap();
+    raw.extend(body);
+    String::from_utf8(raw).unwrap()
+}
+
+/// Open a connection and leave it idle after one kept-alive exchange.
+fn kept_alive_idle(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    let reply = read_one(&mut stream);
+    assert!(reply.contains("Connection: keep-alive\r\n"), "{reply}");
+    stream
+}
+
+fn requests_total(addr: SocketAddr) -> u64 {
+    let (_, body) = get(addr, "/metrics?format=prometheus").unwrap();
+    body.lines()
+        .find_map(|l| l.strip_prefix("proof_serve_http_requests_total "))
+        .and_then(|v| v.parse::<f64>().ok())
+        .expect("request counter exported") as u64
+}
+
+#[test]
+fn requests_on_a_kept_alive_connection_count_one_each() {
+    let server = boot();
+    let addr = server.addr();
+    let before = requests_total(addr);
+    let mut stream = kept_alive_idle(addr);
+    stream
+        .write_all(b"GET /models HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    read_one(&mut stream);
+    // two requests on one connection, plus the second scrape itself
+    assert_eq!(requests_total(addr), before + 2 + 1);
+}
+
+#[test]
+fn an_idle_kept_alive_connection_does_not_delay_shutdown() {
+    let server = boot();
+    let mut idle = kept_alive_idle(server.addr());
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let report = finished
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown waited on an idle kept-alive connection");
+    assert_eq!(report.dropped, 0);
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest)
+        .expect("the daemon closed the idle connection");
+    assert!(rest.is_empty(), "EOF, no further reply");
+}
+
+/// Seeds whose jobs stall 1500 ms at the metrics stage, one per test so no
+/// two tests share a job (identical jobs would coalesce on one build).
+const HELD: [u64; 3] = [770_001, 770_002, 770_003];
+
+/// Install the stall plan for [`HELD`] once. Every entry is scoped to its
+/// seed, so other tests in this binary never meet a fault.
+fn hold_jobs() {
+    static PLAN: std::sync::Once = std::sync::Once::new();
+    PLAN.call_once(|| {
+        let plan = HELD
+            .iter()
+            .map(|seed| format!("metrics:stall:1500@{seed}"))
+            .collect::<Vec<_>>()
+            .join(";");
+        proof_obs::fault::install(proof_obs::fault::FaultPlan::parse(&plan).unwrap());
+    });
+}
+
+fn held_spec(seed: u64) -> String {
+    format!(r#"{{"model":"mobilenetv2-0.5","hardware":"a100","batch":1,"seed":{seed}}}"#)
+}
+
+/// Submit `body` with `wait_ms` on a helper thread; the reply arrives on
+/// the returned channel with the time the exchange took.
+fn submit_waiting(
+    addr: SocketAddr,
+    wait_ms: u64,
+    body: String,
+) -> mpsc::Receiver<(u16, String, Duration)> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let start = Instant::now();
+        let (status, reply) =
+            proof_serve::client::post(addr, &format!("/jobs?wait_ms={wait_ms}"), &body).unwrap();
+        let _ = tx.send((status, reply, start.elapsed()));
+    });
+    rx
+}
+
+#[test]
+fn a_waiting_submission_of_a_held_job_answers_201_after_the_wait() {
+    hold_jobs();
+    let server = boot();
+    let replies = submit_waiting(server.addr(), 200, held_spec(HELD[0]));
+    let (status, body, took) = replies
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the wait outlived wait_ms");
+    assert_eq!(status, 201, "{body}");
+    assert!(body.contains(r#""id":1"#), "{body}");
+    assert!(
+        took >= Duration::from_millis(200),
+        "answered early: {took:?}"
+    );
+    assert!(
+        took < Duration::from_millis(1200),
+        "answered late: {took:?}"
+    );
+    assert_eq!(server.shutdown().dropped, 0);
+}
+
+#[test]
+fn shutdown_during_a_job_wait_answers_it_promptly() {
+    hold_jobs();
+    let server = boot();
+    let replies = submit_waiting(server.addr(), 1000, held_spec(HELD[1]));
+    // let the request reach its wait
+    std::thread::sleep(Duration::from_millis(100));
+    let (done, finished) = mpsc::channel();
+    let shutdown_at = Instant::now();
+    std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let (status, body, _) = replies
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the wait never returned");
+    assert_eq!(status, 201, "{body}");
+    assert!(
+        shutdown_at.elapsed() < Duration::from_millis(600),
+        "shutdown did not cut the wait short: {:?}",
+        shutdown_at.elapsed()
+    );
+    // the drain still finishes the held job
+    let report = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown never returned");
+    assert_eq!((report.done, report.dropped), (1, 0));
+}
+
+#[test]
+fn an_oversized_wait_ms_is_capped() {
+    hold_jobs();
+    let server = boot();
+    let replies = submit_waiting(server.addr(), 600_000, held_spec(HELD[2]));
+    let (status, body, took) = replies
+        .recv_timeout(MAX_JOB_WAIT + Duration::from_secs(3))
+        .expect("the wait ran past its cap");
+    assert_eq!(status, 201, "{body}");
+    assert!(took >= MAX_JOB_WAIT, "answered before the cap: {took:?}");
+    assert_eq!(server.shutdown().dropped, 0);
 }
