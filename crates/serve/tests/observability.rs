@@ -282,3 +282,39 @@ fn prometheus_exposition_covers_the_registry_and_derived_series() {
     let m: serde_json::Value = serde_json::from_str(&json).unwrap();
     assert!(m["queue"]["capacity"].as_u64().is_some());
 }
+
+/// The JSON `/metrics` histograms: one fixed key set, and buckets as
+/// `[le, count]` pairs with power-of-two bounds that add up to `count`.
+#[test]
+fn metrics_histograms_keep_their_key_set_and_bucket_shape() {
+    let server = boot(1);
+    let addr = server.addr();
+    run_one_job(addr, SPEC);
+    let (status, body) = get(addr, "/metrics").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let m: serde_json::Value = serde_json::from_str(&body).unwrap();
+    for hist in [&m["latency"]["total_us"], &m["stages"]["compile_us"]] {
+        let obj = hist.as_object().expect("histogram object");
+        let keys: Vec<&str> = obj.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            ["buckets", "count", "max_us", "mean_us", "p50_us", "p99_us", "sum_us"],
+            "{hist}"
+        );
+        let count = hist["count"].as_u64().unwrap();
+        assert!(count >= 1, "{hist}");
+        let buckets = hist["buckets"].as_array().unwrap();
+        assert!(!buckets.is_empty(), "{hist}");
+        let mut total = 0;
+        for b in buckets {
+            let pair = b.as_array().expect("bucket is an array");
+            assert_eq!(pair.len(), 2, "{hist}");
+            let (le, n) = (pair[0].as_u64().unwrap(), pair[1].as_u64().unwrap());
+            assert!(le.is_power_of_two() && n > 0, "{hist}");
+            total += n;
+        }
+        assert_eq!(total, count, "{hist}");
+        assert!(hist["mean_us"].as_f64().is_some(), "{hist}");
+    }
+    server.shutdown();
+}
