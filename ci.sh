@@ -259,10 +259,24 @@ assert hits is not None, "fleet_cache_remote_hits missing from prometheus export
 assert hits > 0, "fresh node never hit the warm peer's cache"
 print(f"  warm-peer cache OK: {hits} remote-tier hit(s)")
 EOF
+# the /nodes body of the real binary: exactly the pinned keys per node
+# (ewma_us only once a node has observed a shard), lowercase states
+curl -sf "http://${coord_addr}/nodes" -o /tmp/proof_ci_cache_nodes.json
+python3 - <<'EOF'
+import json
+nodes = json.load(open("/tmp/proof_ci_cache_nodes.json"))
+pinned = {"addr", "completed", "dispatched", "failures", "in_flight", "state", "workers"}
+assert len(nodes) == 2, nodes
+for n in nodes:
+    assert set(n) - {"ewma_us"} == pinned, f"unexpected /nodes keys: {sorted(n)}"
+    assert n["state"] in ("healthy", "suspect", "dead"), n
+print(f"  /nodes OK: {len(nodes)} node(s), {sum('ewma_us' in n for n in nodes)} with ewma_us")
+EOF
 kill "$pid_b" "$pid_c" "$pid_f" 2>/dev/null || true
 trap - EXIT
 rm -f "$log_a" "$log_b" "$log_c" "$log_f" /tmp/proof_ci_cache_warm.json \
-    /tmp/proof_ci_cache_ref.json /tmp/proof_ci_cache_fresh.json /tmp/proof_ci_cache_prom.txt
+    /tmp/proof_ci_cache_ref.json /tmp/proof_ci_cache_fresh.json /tmp/proof_ci_cache_prom.txt \
+    /tmp/proof_ci_cache_nodes.json
 
 echo "==> proof fleet trace smoke (merged cross-node trace, byte-reproducible)"
 # each run gets its own pair of fresh single-worker daemons (cold caches
@@ -313,7 +327,7 @@ rm -f /tmp/proof_ci_fleet_t1.json /tmp/proof_ci_fleet_t2.json
 
 echo "==> proof fleet heterogeneous smoke (weighted scheduler favours the fast node)"
 # fast daemon: 2 workers, no faults; slow daemon: 1 worker, every shard
-# stalls 600 ms at the metrics stage. Under --sched weighted the EWMA and
+# stalls 600 ms at the metrics stage. The weighted scheduler's EWMA and
 # the advertised worker count must route most of the sweep to the fast
 # daemon — and the merged artifact must still match the in-process
 # reference byte-for-byte (scheduling never touches artifact bytes)
@@ -334,7 +348,7 @@ addr_a="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$log_a" | head -n1)"
 addr_b="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$log_b" | head -n1)"
 
 hetero_spec=(--models mobilenetv2-0.5 --platforms a100 --batches 1,2,3,4,5,6,7,8,9,10 --seed 23)
-./target/release/proof fleet sweep --nodes "${addr_a},${addr_b}" --sched weighted "${hetero_spec[@]}" \
+./target/release/proof fleet sweep --nodes "${addr_a},${addr_b}" "${hetero_spec[@]}" \
     --out /tmp/proof_ci_hetero.json --metrics-out /tmp/proof_ci_hetero_m.json 2>/dev/null
 ./target/release/proof fleet sweep --in-process "${hetero_spec[@]}" \
     --out /tmp/proof_ci_hetero_ref.json 2>/dev/null

@@ -17,7 +17,7 @@
 //!             [--peer-cache IP:PORT,...] [--peer-timeout-ms 2000]
 //! proof fleet sweep (--nodes IP:PORT,... | --local N) --models m1,m2 --platforms p1,p2
 //!                   [--backends b,...] [--precisions d,...] [--batches 1,2,4] [--mode M]
-//!                   [--seed N] [--sched least-loaded|weighted] [--out FILE]
+//!                   [--seed N] [--out FILE]
 //!                   [--metrics-out FILE] [--trace-out FILE]
 //!                   [--in-process] [--watch] [--peer-cache on|off]
 //! proof fleet serve [--addr 127.0.0.1:7979] (--nodes IP:PORT,... | --local N)
@@ -36,7 +36,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  proof list\n  proof inspect --model <slug> [--batch N] [--dot FILE] [--json FILE]\n  proof profile (--model <slug> | --model-file FILE) --platform <id>\n                [--backend trt|ort|ov] [--batch N] [--precision fp32|fp16|int8]\n                [--mode predicted|measured] [--seed N] [--top N] [--trace] [--timeout-ms N]\n                [--svg FILE] [--csv FILE] [--json FILE] [--html FILE] [--trace-out FILE]\n  proof peak --platform <id> [--precision fp16]\n  proof memory --model <slug> [--batch N] [--precision P] [--budget-gb G]\n  proof headroom --model <slug> --platform <id> [--batch N] [--top N]\n  proof serve [--addr HOST:PORT] [--workers N] [--cache-budget-mb MB] [--cache-dir DIR] [--queue-cap N] [--stage-cache-cap N]\n              [--job-timeout MS] [--job-retries N] [--peer-cache IP:PORT,...] [--peer-timeout-ms MS]\n  proof fleet sweep (--nodes IP:PORT,... | --local N) --models m1,m2 --platforms p1,p2\n                    [--backends b,...] [--precisions d,...] [--batches 1,2,4] [--mode predicted|measured]\n                    [--seed N] [--sched least-loaded|weighted] [--shard-timeout-ms MS] [--out FILE] [--metrics-out FILE] [--trace-out FILE] [--in-process] [--watch] [--peer-cache on|off]\n  proof fleet serve [--addr HOST:PORT] (--nodes IP:PORT,... | --local N) [--workers N] [--sched least-loaded|weighted] [--peer-cache on|off]\n\nenv: PROOF_LOG=error|warn|info|debug gates structured stderr log events\n     PROOF_FAULT=\"site:panic|stall:<ms>|fail:<n>[@seed];...\" injects deterministic pipeline faults\nmodels: {}\nplatforms: {}",
+        "usage:\n  proof list\n  proof inspect --model <slug> [--batch N] [--dot FILE] [--json FILE]\n  proof profile (--model <slug> | --model-file FILE) --platform <id>\n                [--backend trt|ort|ov] [--batch N] [--precision fp32|fp16|int8]\n                [--mode predicted|measured] [--seed N] [--top N] [--trace] [--timeout-ms N]\n                [--svg FILE] [--csv FILE] [--json FILE] [--html FILE] [--trace-out FILE]\n  proof peak --platform <id> [--precision fp16]\n  proof memory --model <slug> [--batch N] [--precision P] [--budget-gb G]\n  proof headroom --model <slug> --platform <id> [--batch N] [--top N]\n  proof serve [--addr HOST:PORT] [--workers N] [--cache-budget-mb MB] [--cache-dir DIR] [--queue-cap N] [--stage-cache-cap N]\n              [--job-timeout MS] [--job-retries N] [--peer-cache IP:PORT,...] [--peer-timeout-ms MS]\n  proof fleet sweep (--nodes IP:PORT,... | --local N) --models m1,m2 --platforms p1,p2\n                    [--backends b,...] [--precisions d,...] [--batches 1,2,4] [--mode predicted|measured]\n                    [--seed N] [--shard-timeout-ms MS] [--out FILE] [--metrics-out FILE] [--trace-out FILE] [--in-process] [--watch] [--peer-cache on|off]\n  proof fleet serve [--addr HOST:PORT] (--nodes IP:PORT,... | --local N) [--workers N] [--peer-cache on|off]\n\nenv: PROOF_LOG=error|warn|info|debug gates structured stderr log events\n     PROOF_FAULT=\"site:panic|stall:<ms>|fail:<n>[@seed];...\" injects deterministic pipeline faults\nmodels: {}\nplatforms: {}",
         ModelId::ALL.map(|m| m.slug()).join(", "),
         PlatformId::ALL.map(|p| format!("{p:?}").to_lowercase()).join(", ")
     );
@@ -512,15 +512,6 @@ fn fleet_config(flags: &HashMap<String, String>) -> proof_fleet::FleetConfig {
     if let Some(ms) = flags.get("shard-timeout-ms") {
         config.dispatcher.shard_timeout =
             std::time::Duration::from_millis(ms.parse().expect("shard-timeout-ms"));
-    }
-    if let Some(s) = flags.get("sched") {
-        config.dispatcher.policy = match proof_fleet::SchedPolicy::parse(s) {
-            Some(p) => p,
-            None => {
-                eprintln!("--sched must be least-loaded|weighted, got {s}");
-                usage();
-            }
-        };
     }
     if let Some(v) = flags.get("peer-cache") {
         config.advertise_peer_cache = match v.as_str() {

@@ -1,22 +1,22 @@
 //! Heterogeneous-fleet end-to-end test: two real `proof serve` daemons with
 //! different capacity (`--workers`) and different injected per-shard stalls
-//! (`PROOF_FAULT=metrics:stall:<ms>`), driven through both schedulers.
+//! (`PROOF_FAULT=metrics:stall:<ms>`), driven through the weighted
+//! scheduler.
 //!
 //! Asserts the two properties the weighted scheduler exists for:
 //!
-//! 1. **throughput routing** — under `--sched weighted` the fast node
-//!    completes strictly more shards than it does under least-loaded (and
-//!    strictly more than the slow node), because the EWMA learns the slow
-//!    node's latency and the capacity term favours the wider daemon;
-//! 2. **byte determinism** — under *both* schedulers the merged artifact is
-//!    byte-identical to the in-process [`proof_fleet::run_grid_local`]
-//!    reference; scheduling policy never touches artifact bytes.
+//! 1. **throughput routing** — the fast node completes strictly more
+//!    shards than the slow node, because the EWMA learns the slow node's
+//!    latency and the capacity term favours the wider daemon;
+//! 2. **byte determinism** — the merged artifact is byte-identical to the
+//!    in-process [`proof_fleet::run_grid_local`] reference; scheduling
+//!    never touches artifact bytes.
 //!
 //! The daemons are separate subprocesses because the fault plan is
 //! process-global: each child reads its own `PROOF_FAULT` once at startup.
 
 use proof_core::GridSpec;
-use proof_fleet::{run_grid_local, Fleet, FleetConfig, NodeSnapshot, SchedPolicy};
+use proof_fleet::{run_grid_local, Fleet, FleetConfig, NodeSnapshot};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -72,9 +72,8 @@ fn spawn_daemon(workers: u32, fault: &str) -> Daemon {
     Daemon { child, addr }
 }
 
-/// 24 one-cell shards; the seed keys every daemon-side cache, so runs with
-/// distinct seeds never serve each other's artifacts (each scheduler is
-/// measured against cold daemons).
+/// 24 one-cell shards; the seed keys every daemon-side cache, so the run
+/// is measured against cold daemons.
 fn spec(seed: u64) -> GridSpec {
     let batches: Vec<u64> = (1..=24).collect();
     GridSpec::from_value(&serde_json::json!({
@@ -86,17 +85,11 @@ fn spec(seed: u64) -> GridSpec {
     .unwrap()
 }
 
-/// Run one grid under `policy` against the given nodes; return the merged
-/// artifact and the per-node snapshots (same order as `nodes`).
-fn run_policy(
-    nodes: Vec<SocketAddr>,
-    policy: SchedPolicy,
-    seed: u64,
-) -> (String, Vec<NodeSnapshot>) {
+/// Run one grid against the given nodes; return the merged artifact and
+/// the per-node snapshots (same order as `nodes`).
+fn run(nodes: Vec<SocketAddr>, seed: u64) -> (String, Vec<NodeSnapshot>) {
     let s = spec(seed);
-    let mut config = FleetConfig::remote(nodes);
-    config.dispatcher.policy = policy;
-    let fleet = Fleet::start(config).expect("fleet start");
+    let fleet = Fleet::start(FleetConfig::remote(nodes)).expect("fleet start");
     let run = fleet.run_grid(&s).expect("fleet run");
     let snaps = fleet.nodes();
     fleet.shutdown();
@@ -108,17 +101,9 @@ fn weighted_scheduler_favours_the_fast_node_and_keeps_bytes_identical() {
     // fast: 2 workers, 200 ms per shard; slow: 1 worker, 1.5 s per shard
     let fast = spawn_daemon(2, "metrics:stall:200");
     let slow = spawn_daemon(1, "metrics:stall:1500");
-    let nodes = vec![fast.addr, slow.addr];
+    let (w_merged, w_nodes) = run(vec![fast.addr, slow.addr], 2002);
 
-    let (ll_merged, ll_nodes) = run_policy(nodes.clone(), SchedPolicy::LeastLoaded, 1001);
-    let (w_merged, w_nodes) = run_policy(nodes, SchedPolicy::Weighted, 2002);
-
-    // byte determinism: both schedulers reproduce the in-process reference
-    assert_eq!(
-        ll_merged,
-        run_grid_local(&spec(1001)).unwrap(),
-        "least-loaded merged artifact diverged from the in-process reference"
-    );
+    // byte determinism: the run reproduces the in-process reference
     assert_eq!(
         w_merged,
         run_grid_local(&spec(2002)).unwrap(),
@@ -126,13 +111,7 @@ fn weighted_scheduler_favours_the_fast_node_and_keeps_bytes_identical() {
     );
 
     // node order in the snapshots follows the configured node order
-    let (ll_fast, ll_slow) = (ll_nodes[0].completed, ll_nodes[1].completed);
     let (w_fast, w_slow) = (w_nodes[0].completed, w_nodes[1].completed);
-    assert_eq!(
-        ll_fast + ll_slow,
-        24,
-        "least-loaded lost or double-counted shards"
-    );
     assert_eq!(
         w_fast + w_slow,
         24,
@@ -140,16 +119,10 @@ fn weighted_scheduler_favours_the_fast_node_and_keeps_bytes_identical() {
     );
 
     // throughput routing: the weighted scheduler must send the fast node
-    // strictly more work than least-loaded does, and strictly more than
-    // the stalled node gets
+    // strictly more work than the stalled node gets
     assert!(
         w_fast > w_slow,
         "weighted sent the stalled node as much work as the fast node \
          (fast {w_fast}, slow {w_slow})"
-    );
-    assert!(
-        w_fast > ll_fast,
-        "weighted did not beat least-loaded on the fast node \
-         (weighted {w_fast}, least-loaded {ll_fast}, slow got {w_slow}/{ll_slow})"
     );
 }

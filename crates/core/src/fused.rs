@@ -311,32 +311,9 @@ impl<'g> OptimizedRepr<'g> {
     /// Boundary input/output tensors of a group (activations only; weights
     /// are interior by definition).
     pub fn group_io(&self, id: GroupId) -> (Vec<TensorId>, Vec<TensorId>) {
-        let g = self.graph();
-        // members stay sorted, so membership is a binary search
+        // members stay sorted: iteration order and membership agree
         let members = &self.groups[id as usize].members;
-        let inside = |n: NodeId| members.binary_search(&n).is_ok();
-        let mut ins: Vec<TensorId> = Vec::new();
-        let mut outs: Vec<TensorId> = Vec::new();
-        for &m in members {
-            for &t in &g.node(m).inputs {
-                if g.tensor(t).kind == TensorKind::Weight {
-                    continue;
-                }
-                let produced_inside = self.index.producer(t).is_some_and(inside);
-                if !produced_inside && !ins.contains(&t) {
-                    ins.push(t);
-                }
-            }
-            for &t in &g.node(m).outputs {
-                let cs = self.index.consumers(t);
-                let all_inside = !cs.is_empty() && cs.iter().all(|&c| inside(c));
-                let is_graph_output = g.outputs.contains(&t);
-                if (!all_inside || is_graph_output) && !outs.contains(&t) {
-                    outs.push(t);
-                }
-            }
-        }
-        (ins, outs)
+        self.index.group_io(members, members)
     }
 
     /// Predicted cost of a group: FLOP is the sum over members; memory

@@ -65,7 +65,7 @@ impl LayerReport {
 /// metadata, deliberately excluded from both the JSON form and equality:
 /// two runs of the same (spec, seed) yield equal, byte-identical reports
 /// even though their stage timings differ.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProfileReport {
     pub model: String,
     pub platform: String,
@@ -88,105 +88,8 @@ pub struct ProfileReport {
     pub unresolved_layers: usize,
     /// Per-stage timings of the pipeline run that produced this report
     /// (not serialized, not part of equality).
+    #[serde(skip)]
     pub trace: PipelineTrace,
-}
-
-// Hand-written (instead of derived) so `trace` stays out of the canonical
-// JSON form — the vendored derive has no `#[serde(skip)]`.
-impl Serialize for ProfileReport {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::value::new_object();
-        m.insert("model".to_string(), self.model.to_value());
-        m.insert("platform".to_string(), self.platform.to_value());
-        m.insert("backend".to_string(), self.backend.to_value());
-        m.insert("precision".to_string(), self.precision.to_value());
-        m.insert("batch".to_string(), self.batch.to_value());
-        m.insert("mode".to_string(), self.mode.to_value());
-        m.insert("layers".to_string(), self.layers.to_value());
-        m.insert("ceiling".to_string(), self.ceiling.to_value());
-        m.insert(
-            "total_latency_ms".to_string(),
-            self.total_latency_ms.to_value(),
-        );
-        m.insert("total_flops".to_string(), self.total_flops.to_value());
-        m.insert(
-            "total_memory_bytes".to_string(),
-            self.total_memory_bytes.to_value(),
-        );
-        m.insert(
-            "metric_collection_s".to_string(),
-            self.metric_collection_s.to_value(),
-        );
-        m.insert("util_gpu".to_string(), self.util_gpu.to_value());
-        m.insert("util_mem".to_string(), self.util_mem.to_value());
-        m.insert(
-            "unresolved_layers".to_string(),
-            self.unresolved_layers.to_value(),
-        );
-        serde::Value::Object(m)
-    }
-
-    // the same 15 keys, in the tree's sorted order
-    fn write_json(&self, w: &mut serde::ser::Writer) {
-        w.begin_object();
-        w.key("backend");
-        w.str(&self.backend);
-        w.key("batch");
-        w.u64(self.batch);
-        w.key("ceiling");
-        self.ceiling.write_json(w);
-        w.key("layers");
-        self.layers.write_json(w);
-        w.key("metric_collection_s");
-        w.f64(self.metric_collection_s);
-        w.key("mode");
-        self.mode.write_json(w);
-        w.key("model");
-        w.str(&self.model);
-        w.key("platform");
-        w.str(&self.platform);
-        w.key("precision");
-        w.str(&self.precision);
-        w.key("total_flops");
-        w.u64(self.total_flops);
-        w.key("total_latency_ms");
-        w.f64(self.total_latency_ms);
-        w.key("total_memory_bytes");
-        w.u64(self.total_memory_bytes);
-        w.key("unresolved_layers");
-        self.unresolved_layers.write_json(w);
-        w.key("util_gpu");
-        w.f64(self.util_gpu);
-        w.key("util_mem");
-        w.f64(self.util_mem);
-        w.end_object();
-    }
-}
-
-impl Deserialize for ProfileReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("ProfileReport: expected object"))?;
-        Ok(ProfileReport {
-            model: serde::de::field(obj, "model")?,
-            platform: serde::de::field(obj, "platform")?,
-            backend: serde::de::field(obj, "backend")?,
-            precision: serde::de::field(obj, "precision")?,
-            batch: serde::de::field(obj, "batch")?,
-            mode: serde::de::field(obj, "mode")?,
-            layers: serde::de::field(obj, "layers")?,
-            ceiling: serde::de::field(obj, "ceiling")?,
-            total_latency_ms: serde::de::field(obj, "total_latency_ms")?,
-            total_flops: serde::de::field(obj, "total_flops")?,
-            total_memory_bytes: serde::de::field(obj, "total_memory_bytes")?,
-            metric_collection_s: serde::de::field(obj, "metric_collection_s")?,
-            util_gpu: serde::de::field(obj, "util_gpu")?,
-            util_mem: serde::de::field(obj, "util_mem")?,
-            unresolved_layers: serde::de::field(obj, "unresolved_layers")?,
-            trace: PipelineTrace::default(),
-        })
-    }
 }
 
 impl PartialEq for ProfileReport {

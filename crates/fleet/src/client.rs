@@ -256,7 +256,7 @@ impl WorkerClient {
     }
 
     /// `POST /jobs`; returns the job id.
-    pub fn submit(&self, job: &Value) -> Result<u64, WorkerError> {
+    pub fn submit<T: Serialize + ?Sized>(&self, job: &T) -> Result<u64, WorkerError> {
         match self.begin_submit(job, None, None)?.read()? {
             Submission::Queued(id) | Submission::Done { job_id: id, .. } => Ok(id),
         }
@@ -272,9 +272,9 @@ impl WorkerClient {
     /// Retry-After here would block the single-threaded dispatch loop, so
     /// the registry holds the node off instead while other nodes keep
     /// working.
-    pub fn begin_submit(
+    pub fn begin_submit<T: Serialize + ?Sized>(
         &self,
-        job: &Value,
+        job: &T,
         trace: Option<(u64, u64)>,
         wait: Option<Duration>,
     ) -> Result<Pending<Submission>, WorkerError> {
@@ -284,7 +284,7 @@ impl WorkerClient {
             .map(|v| vec![("X-Proof-Trace", v)])
             .unwrap_or_default();
         let path = format!("/jobs{}", wait_query(wait));
-        let body = job.to_string();
+        let body = serde::ser::to_json(job, false);
         let sent = self
             .call("POST", &path)
             .body(&body)

@@ -29,7 +29,9 @@ use proof_obs::{
     FieldValue, FlightRecorder, MetricsRegistry, RingCollector, Tracer, DEFAULT_FLIGHT_CAPACITY,
 };
 use proof_serve::AnalysisJob;
-use serde_json::{Map, Value};
+use serde::Serialize;
+use serde_json::Value;
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -555,22 +557,22 @@ fn scrape_remote_hits(registry: &NodeRegistry) -> Vec<Option<u64>> {
 /// complete even mid-run).
 pub(crate) fn metrics_json_from(metrics: &MetricsRegistry, nodes: &[NodeSnapshot]) -> String {
     let snap = metrics.snapshot();
-    let mut m = Map::new();
-    let mut counters = Map::new();
-    for (name, v) in &snap.counters {
-        counters.insert(name.clone(), Value::from(*v));
-    }
-    m.insert("counters".to_string(), Value::Object(counters));
-    let mut gauges = Map::new();
-    for (name, v) in &snap.gauges {
-        gauges.insert(name.clone(), Value::from(*v));
-    }
-    m.insert("gauges".to_string(), Value::Object(gauges));
-    m.insert(
-        "nodes".to_string(),
-        Value::Array(nodes.iter().map(NodeSnapshot::to_value).collect()),
-    );
-    Value::Object(m).to_string()
+    serde::ser::to_json(
+        &MetricsJson {
+            counters: snap.counters.into_iter().collect(),
+            gauges: snap.gauges.into_iter().collect(),
+            nodes: nodes.to_vec(),
+        },
+        false,
+    )
+}
+
+/// The coordinator's JSON metrics document.
+#[derive(Serialize)]
+struct MetricsJson {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    nodes: Vec<NodeSnapshot>,
 }
 
 /// The single-node, in-process reference: execute every cell in canonical
@@ -580,7 +582,8 @@ pub fn run_grid_local(spec: &GridSpec) -> Result<String, ProofError> {
     spec.validate()?;
     let mut results = Vec::new();
     for (id, cell) in spec.cells().into_iter().enumerate() {
-        let job = AnalysisJob::from_value(&cell.to_job_value()).map_err(ProofError::InvalidSpec)?;
+        let job = AnalysisJob::from_value(&serde_json::to_value(&cell))
+            .map_err(ProofError::InvalidSpec)?;
         let report = job.execute()?;
         results.push((id, report.try_to_json()?));
     }

@@ -8,7 +8,7 @@
 //! before it reads: it writes a submission for every pending shard a node
 //! can take — to the node with the best estimated completion time
 //! (`(in_flight + 1) × latency-EWMA ÷ workers`; see
-//! [`crate::registry::SchedPolicy`]), under its capacity-scaled in-flight
+//! [`NodeRegistry::pick_weighted`]), under its capacity-scaled in-flight
 //! cap — and one status request per in-flight job, across all nodes, and
 //! only then (3) reads the replies. Each of those requests asks the node to
 //! hold its reply until the job is final or `poll_interval` passes
@@ -28,7 +28,7 @@ use crate::client::{JobPoll, Pending, Submission, WorkerError};
 use crate::coordinator::FleetError;
 use crate::planner::{Shard, ShardPlan};
 use crate::progress::ProgressSink;
-use crate::registry::{NodeRegistry, NodeState, SchedPolicy};
+use crate::registry::{NodeRegistry, NodeState};
 use crate::runs::FleetView;
 use proof_obs::{Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, Tracer};
 use std::collections::VecDeque;
@@ -39,13 +39,8 @@ use std::time::{Duration, Instant};
 /// for real networks.
 #[derive(Debug, Clone)]
 pub struct DispatcherConfig {
-    /// How the next node is picked for a pending shard. Weighted (the
-    /// default) scores estimated completion time from advertised worker
-    /// counts and observed shard latency; least-loaded is the legacy
-    /// homogeneous-fleet policy.
-    pub policy: SchedPolicy,
     /// Base limit on unresolved shards submitted to one node at a time.
-    /// The weighted policy scales it by the node's advertised workers.
+    /// Each node's cap scales it by the node's advertised workers.
     pub max_in_flight_per_node: usize,
     /// Wall-clock budget for one shard on one node, submission to report;
     /// past it the shard is rescheduled and the node charged.
@@ -68,7 +63,6 @@ pub struct DispatcherConfig {
 impl Default for DispatcherConfig {
     fn default() -> Self {
         DispatcherConfig {
-            policy: SchedPolicy::default(),
             max_in_flight_per_node: 2,
             shard_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(5),
@@ -89,8 +83,7 @@ pub struct FleetCounters {
     pub shard_failures: Arc<Counter>,
     pub probes: Arc<Counter>,
     pub probe_failures: Arc<Counter>,
-    /// Dispatch decisions made by the weighted scheduler (0 under
-    /// `--sched least-loaded`).
+    /// Dispatch decisions made by the weighted scheduler.
     pub weighted_picks: Arc<Counter>,
 }
 
@@ -374,17 +367,13 @@ impl Dispatcher {
         let mut sent = Vec::new();
         while !pending.is_empty() {
             let now = Instant::now();
-            let Some(node) =
-                registry.pick_node(self.config.policy, self.config.max_in_flight_per_node, now)
-            else {
+            let Some(node) = registry.pick_weighted(self.config.max_in_flight_per_node, now) else {
                 // every node busy, dead, or backing off — or the weighted
                 // policy is holding the shard for the projected-fastest
                 // node rather than feeding a slower one
                 break;
             };
-            if self.config.policy == SchedPolicy::Weighted {
-                self.ctx.counters.weighted_picks.inc();
-            }
+            self.ctx.counters.weighted_picks.inc();
             let est_us = registry.est_shard_us(node);
             let entry = pending.pop_front().expect("non-empty");
             if entry.attempts >= self.config.max_shard_attempts {
@@ -396,7 +385,7 @@ impl Dispatcher {
                 });
             }
             match registry.client(node).begin_submit(
-                &entry.shard.cell.to_job_value(),
+                &entry.shard.cell,
                 Some((self.ctx.trace, self.ctx.parent_span)),
                 Some(self.config.poll_interval),
             ) {
@@ -475,10 +464,6 @@ impl Dispatcher {
                 ("node", FieldValue::U64(node as u64)),
                 ("job", FieldValue::U64(job_id)),
                 ("attempt", FieldValue::U64(u64::from(entry.attempts))),
-                (
-                    "policy",
-                    FieldValue::Str(self.config.policy.as_str().to_string()),
-                ),
                 ("est_us", FieldValue::U64(est_us)),
             ],
         );

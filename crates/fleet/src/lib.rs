@@ -6,13 +6,13 @@
 //! that grid out: a [`GridSpec`](proof_core::GridSpec) is expanded into
 //! canonically ordered shards ([`planner`]), dispatched over the existing
 //! HTTP JSON API to a registry of worker daemons ([`registry`], [`client`],
-//! [`dispatcher`]) — by default capacity/latency-weighted
-//! ([`registry::SchedPolicy`]): each candidate is scored by estimated
+//! [`dispatcher`]) — capacity/latency-weighted
+//! ([`NodeRegistry::pick_weighted`]): each candidate is scored by estimated
 //! completion time from its advertised worker count and an EWMA of
 //! observed shard latency, so heterogeneous fleets keep fast nodes fed —
 //! and the per-cell reports are reassembled ([`merger`]) into one combined
 //! artifact that is **byte-identical** to a single-node run of the same
-//! spec and seed, regardless of scheduler choice.
+//! spec and seed, wherever each shard ran.
 //!
 //! Fault model: a node that times out, keeps answering 429/5xx past the
 //! shard deadline, or dies mid-job has its shards requeued onto surviving
@@ -70,7 +70,7 @@ pub use dispatcher::{
 pub use merger::merge_run;
 pub use planner::{plan_shards, Shard, ShardPlan};
 pub use progress::{ProgressCounts, ProgressEvent, ProgressKind, ProgressSink};
-pub use registry::{NodeRegistry, NodeSnapshot, NodeState, SchedPolicy};
+pub use registry::{NodeRegistry, NodeSnapshot, NodeState};
 pub use runs::{FleetView, RunHandle, RunLedger};
 pub use server::{FleetServer, FleetServerConfig};
 pub use trace::merge_fleet_trace;

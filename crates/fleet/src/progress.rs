@@ -13,11 +13,12 @@
 //! the dispatch that preceded it.
 
 use crate::dispatcher::ShardReport;
-use serde_json::{Map, Value};
+use serde::Serialize;
 use std::sync::Mutex;
 
 /// What happened to one shard at one point in the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[serde(rename_all = "lowercase")]
 pub enum ProgressKind {
     /// Submitted to a node; the shard is now in flight there.
     Dispatched,
@@ -28,20 +29,10 @@ pub enum ProgressKind {
     Rescheduled,
 }
 
-impl ProgressKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProgressKind::Dispatched => "dispatched",
-            ProgressKind::Completed => "completed",
-            ProgressKind::Rescheduled => "rescheduled",
-        }
-    }
-}
-
 /// One seq-numbered entry in the run's progress stream. `Completed`
 /// events carry the full [`ShardReport`] fields, so a client that only
 /// reads the stream still ends up with every completion record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ProgressEvent {
     /// Position in the run's stream: 1-based, strictly increasing.
     pub seq: u64,
@@ -55,22 +46,6 @@ pub struct ProgressEvent {
     pub job_id: u64,
     /// Dispatch attempts the shard had consumed when the event fired.
     pub attempts: u32,
-}
-
-impl ProgressEvent {
-    pub fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("seq".to_string(), Value::from(self.seq));
-        m.insert("kind".to_string(), Value::from(self.kind.as_str()));
-        m.insert("shard".to_string(), Value::from(self.shard as u64));
-        m.insert("node".to_string(), Value::from(self.node as u64));
-        m.insert("job_id".to_string(), Value::from(self.job_id));
-        m.insert(
-            "attempts".to_string(),
-            Value::from(u64::from(self.attempts)),
-        );
-        Value::Object(m)
-    }
 }
 
 /// Point-in-time totals derived from the stream. `pending + in_flight +
@@ -328,7 +303,7 @@ mod tests {
         sink.note_dispatched(0, 2, 9, 1);
         sink.note_completed(&report(0, 2, 9, 1));
         let (_, events) = sink.since(1);
-        let v = events[0].to_value();
+        let v = serde_json::to_value(&events[0]);
         assert_eq!(v["kind"], "completed");
         assert_eq!(v["shard"].as_u64(), Some(0));
         assert_eq!(v["node"].as_u64(), Some(2));

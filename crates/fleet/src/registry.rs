@@ -10,12 +10,12 @@
 //! Beyond health, every node carries a load picture for the weighted
 //! scheduler: the worker/queue capacities its `/healthz` advertises
 //! (refreshed on the probe cadence) and an EWMA of observed shard latency.
-//! [`NodeRegistry::pick_node`] scores candidates by estimated completion
+//! [`NodeRegistry::pick_weighted`] scores candidates by estimated completion
 //! time — `(in_flight + 1) × ewma_us ÷ workers` — so a heterogeneous fleet
 //! keeps its fast nodes fed instead of tail-waiting on the slowest one.
 
 use crate::client::{WorkerClient, WorkerHealth};
-use serde_json::{Map, Value};
+use serde::Serialize;
 use std::time::Instant;
 
 /// EWMA smoothing factor for observed shard latency: recent shards count
@@ -23,38 +23,9 @@ use std::time::Instant;
 /// completions without one outlier dominating.
 const EWMA_ALPHA: f64 = 0.3;
 
-/// How the dispatcher picks the next node for a pending shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Legacy: fewest in-flight shards wins, uniform per-node cap.
-    LeastLoaded,
-    /// Estimated-completion-time scoring from advertised capacity and
-    /// observed shard latency; per-node cap scales with advertised
-    /// workers. The default.
-    #[default]
-    Weighted,
-}
-
-impl SchedPolicy {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SchedPolicy::LeastLoaded => "least-loaded",
-            SchedPolicy::Weighted => "weighted",
-        }
-    }
-
-    /// Parse the CLI spelling; `None` for anything unrecognised.
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        match s {
-            "least-loaded" => Some(SchedPolicy::LeastLoaded),
-            "weighted" => Some(SchedPolicy::Weighted),
-            _ => None,
-        }
-    }
-}
-
 /// Scheduling health of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[serde(rename_all = "lowercase")]
 pub enum NodeState {
     Healthy,
     /// At least one recent failure; still dispatchable, next probe decides.
@@ -102,7 +73,7 @@ pub struct Node {
 }
 
 /// Point-in-time, JSON-ready view of one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NodeSnapshot {
     pub addr: String,
     pub state: NodeState,
@@ -110,27 +81,11 @@ pub struct NodeSnapshot {
     /// Advertised worker count at the last probe.
     pub workers: u64,
     /// Shard-latency EWMA rounded to whole µs, when observed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub ewma_us: Option<u64>,
     pub dispatched: u64,
     pub completed: u64,
     pub failures: u64,
-}
-
-impl NodeSnapshot {
-    pub fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("addr".to_string(), Value::from(self.addr.as_str()));
-        m.insert("state".to_string(), Value::from(self.state.as_str()));
-        m.insert("in_flight".to_string(), Value::from(self.in_flight as u64));
-        m.insert("workers".to_string(), Value::from(self.workers));
-        if let Some(e) = self.ewma_us {
-            m.insert("ewma_us".to_string(), Value::from(e));
-        }
-        m.insert("dispatched".to_string(), Value::from(self.dispatched));
-        m.insert("completed".to_string(), Value::from(self.completed));
-        m.insert("failures".to_string(), Value::from(self.failures));
-        Value::Object(m)
-    }
 }
 
 /// The fleet's worker set. Indexes are stable for the registry's lifetime;
@@ -189,31 +144,6 @@ impl NodeRegistry {
             .count()
     }
 
-    /// Pick the dispatch target under `policy`. `base_cap` is the
-    /// configured `max_in_flight_per_node`; the weighted policy scales it
-    /// by each node's advertised worker count. Both policies are
-    /// deterministic: ties break by registry index.
-    pub fn pick_node(&self, policy: SchedPolicy, base_cap: usize, now: Instant) -> Option<usize> {
-        match policy {
-            SchedPolicy::LeastLoaded => self.pick_least_loaded(base_cap, now),
-            SchedPolicy::Weighted => self.pick_weighted(base_cap, now),
-        }
-    }
-
-    /// Pick the non-dead, non-backing-off node with the fewest in-flight
-    /// shards, capped at `max_in_flight` each. Ties break by index, so
-    /// the choice is deterministic for a given state.
-    pub fn pick_least_loaded(&self, max_in_flight: usize, now: Instant) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.state != NodeState::Dead)
-            .filter(|(_, n)| n.in_flight < max_in_flight)
-            .filter(|(_, n)| n.backoff_until.is_none_or(|t| t <= now))
-            .min_by_key(|(i, n)| (n.in_flight, *i))
-            .map(|(i, _)| i)
-    }
-
     /// Estimated-completion-time pick: every eligible (non-dead,
     /// non-backing-off) node is scored `(in_flight + 1) × est_us ÷
     /// workers`, lowest score wins, ties break by index. Nodes without an
@@ -227,7 +157,10 @@ impl NodeRegistry {
     /// queueing behind the fast node beats feeding the slow one. Liveness
     /// holds because in-flight shards free slots on completion and the
     /// shard deadline bounds a wedged winner.
-    fn pick_weighted(&self, base_cap: usize, now: Instant) -> Option<usize> {
+    ///
+    /// `base_cap` is the configured `max_in_flight_per_node`, which each
+    /// node's cap scales by its advertised worker count.
+    pub fn pick_weighted(&self, base_cap: usize, now: Instant) -> Option<usize> {
         let fallback = self.fallback_est();
         let mut best: Option<(f64, usize)> = None;
         for (i, n) in self.nodes.iter().enumerate() {
@@ -404,19 +337,21 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_pick_prefers_idle_nodes_and_respects_the_cap() {
+    fn cold_weighted_pick_prefers_idle_nodes_and_respects_the_cap() {
+        // with no latency observed and one worker each, the score is
+        // in-flight + 1: the least-loaded node wins, ties by index
         let mut r = registry(3);
         let now = Instant::now();
-        assert_eq!(r.pick_least_loaded(2, now), Some(0), "ties break by index");
+        assert_eq!(r.pick_weighted(2, now), Some(0), "ties break by index");
         r.note_dispatch(0);
-        assert_eq!(r.pick_least_loaded(2, now), Some(1));
+        assert_eq!(r.pick_weighted(2, now), Some(1));
         r.note_dispatch(1);
         r.note_dispatch(2);
-        assert_eq!(r.pick_least_loaded(2, now), Some(0));
+        assert_eq!(r.pick_weighted(2, now), Some(0));
         r.note_dispatch(0);
         // node 0 is at the cap now
-        assert_eq!(r.pick_least_loaded(2, now), Some(1));
-        assert_eq!(r.pick_least_loaded(1, now), None, "all at cap 1");
+        assert_eq!(r.pick_weighted(2, now), Some(1));
+        assert_eq!(r.pick_weighted(1, now), None, "all at cap 1");
     }
 
     #[test]
@@ -428,7 +363,7 @@ mod tests {
         r.note_failure(0, false);
         assert_eq!(r.node(0).state, NodeState::Dead);
         assert_eq!(r.alive(), 1);
-        assert_eq!(r.pick_least_loaded(2, now), Some(1), "dead node skipped");
+        assert_eq!(r.pick_weighted(2, now), Some(1), "dead node skipped");
         r.note_probe(0, true);
         assert_eq!(r.node(0).state, NodeState::Healthy);
         assert_eq!(r.alive(), 2);
@@ -439,10 +374,10 @@ mod tests {
         let mut r = registry(1);
         let now = Instant::now();
         r.note_backoff(0, now + Duration::from_secs(60), false);
-        assert_eq!(r.pick_least_loaded(2, now), None, "backing off");
+        assert_eq!(r.pick_weighted(2, now), None, "backing off");
         assert_eq!(r.node(0).state, NodeState::Healthy, "health untouched");
         assert_eq!(
-            r.pick_least_loaded(2, now + Duration::from_secs(61)),
+            r.pick_weighted(2, now + Duration::from_secs(61)),
             Some(0),
             "deadline passed"
         );
@@ -471,11 +406,10 @@ mod tests {
         r.note_probe(0, true);
         assert_eq!(r.node(0).state, NodeState::Healthy);
         assert_eq!(
-            r.pick_node(SchedPolicy::Weighted, 2, now),
+            r.pick_weighted(2, now),
             Some(0),
             "revived node dispatches immediately, stale 60s backoff cleared"
         );
-        assert_eq!(r.pick_node(SchedPolicy::LeastLoaded, 2, now), Some(0));
     }
 
     #[test]
@@ -487,7 +421,7 @@ mod tests {
         r.note_backoff(0, now + Duration::from_secs(60), false);
         r.note_probe(0, true);
         assert_eq!(
-            r.pick_node(SchedPolicy::Weighted, 2, now),
+            r.pick_weighted(2, now),
             None,
             "live node's holdoff survives a healthy probe"
         );
@@ -499,11 +433,11 @@ mod tests {
         let now = Instant::now();
         r.note_health(1, &health(2, 8));
         // cold start, equal estimates: the two-worker node scores half
-        assert_eq!(r.pick_node(SchedPolicy::Weighted, 2, now), Some(1));
+        assert_eq!(r.pick_weighted(2, now), Some(1));
         r.note_dispatch(1);
         r.note_dispatch(1);
         // node 1 at 2 in flight scores (3)/2 = 1.5 vs idle node 0 at 1.0
-        assert_eq!(r.pick_node(SchedPolicy::Weighted, 2, now), Some(0));
+        assert_eq!(r.pick_weighted(2, now), Some(0));
         assert_eq!(r.effective_cap(1, 2), 4, "cap scales with workers");
         assert_eq!(r.effective_cap(0, 2), 2);
     }
@@ -514,19 +448,15 @@ mod tests {
         let now = Instant::now();
         r.note_latency(0, 100_000);
         r.note_latency(1, 1_000_000);
-        assert_eq!(
-            r.pick_node(SchedPolicy::Weighted, 1, now),
-            Some(0),
-            "10x-faster node wins"
-        );
+        assert_eq!(r.pick_weighted(1, now), Some(0), "10x-faster node wins");
         r.note_dispatch(0);
         // fast node at cap still scores best (2 × 100ms = 200ms vs 1s on
         // the slow node): the pick is withheld — queueing behind the fast
         // node beats feeding the slow one
-        assert_eq!(r.pick_node(SchedPolicy::Weighted, 1, now), None);
+        assert_eq!(r.pick_weighted(1, now), None);
         // once the slow node would genuinely finish sooner, it gets work
         r.note_latency(0, 10_000_000);
-        assert_eq!(r.pick_node(SchedPolicy::Weighted, 1, now), Some(1));
+        assert_eq!(r.pick_weighted(1, now), Some(1));
     }
 
     #[test]
@@ -534,7 +464,7 @@ mod tests {
         let mut r = registry(3);
         let now = Instant::now();
         assert_eq!(
-            r.pick_node(SchedPolicy::Weighted, 2, now),
+            r.pick_weighted(2, now),
             Some(0),
             "cold start is deterministic: lowest index wins the tie"
         );
@@ -559,13 +489,13 @@ mod tests {
         r.note_health(0, &health(1, 1)); // floored signals
         r.note_health(1, &health(4, 16));
         for _ in 0..3 {
-            let pick = r.pick_node(SchedPolicy::Weighted, 2, now).unwrap();
+            let pick = r.pick_weighted(2, now).unwrap();
             assert_eq!(pick, 1, "big node absorbs the first wave");
             r.note_dispatch(1);
         }
         // node 1 now scores (4)/4 = 1.0, tying the idle floored node;
         // the tie breaks to the lower index, so node 0 gets work
-        assert_eq!(r.pick_node(SchedPolicy::Weighted, 2, now), Some(0));
+        assert_eq!(r.pick_weighted(2, now), Some(0));
     }
 
     #[test]

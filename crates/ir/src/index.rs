@@ -11,7 +11,7 @@
 //! [`Graph::validate`] checks that, and every graph the builder or
 //! [`Graph::from_json`] hands out passes it.
 
-use crate::{Graph, NodeId, TensorId};
+use crate::{Graph, NodeId, TensorId, TensorKind};
 use std::collections::HashMap;
 
 /// Producer-table entry of a tensor no node produces (inputs, weights).
@@ -90,6 +90,41 @@ impl<'g> GraphIndex<'g> {
             &[c] => Some(c),
             _ => None,
         }
+    }
+
+    /// Boundary activation tensors of a node group: inputs produced
+    /// outside it, and outputs consumed outside it or returned by the
+    /// graph. Weights are interior by definition. Tensors come in the
+    /// order `members` lists the nodes; `sorted` holds the same nodes
+    /// sorted, for membership tests.
+    pub fn group_io(
+        &self,
+        members: &[NodeId],
+        sorted: &[NodeId],
+    ) -> (Vec<TensorId>, Vec<TensorId>) {
+        let g = self.graph;
+        let inside = |n: &NodeId| sorted.binary_search(n).is_ok();
+        let mut ins: Vec<TensorId> = Vec::new();
+        let mut outs: Vec<TensorId> = Vec::new();
+        for &m in members {
+            for &t in &g.node(m).inputs {
+                if g.tensor(t).kind == TensorKind::Weight {
+                    continue;
+                }
+                let produced_inside = self.producer(t).is_some_and(|p| inside(&p));
+                if !produced_inside && !ins.contains(&t) {
+                    ins.push(t);
+                }
+            }
+            for &t in &g.node(m).outputs {
+                let cs = self.consumers(t);
+                let all_inside = !cs.is_empty() && cs.iter().all(inside);
+                if (!all_inside || g.outputs.contains(&t)) && !outs.contains(&t) {
+                    outs.push(t);
+                }
+            }
+        }
+        (ins, outs)
     }
 }
 

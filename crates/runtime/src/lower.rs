@@ -153,26 +153,7 @@ impl<'a> Lowerer<'a> {
     /// Boundary activation tensors of a group (inputs consumed from outside,
     /// outputs visible outside) — what the runtime reports as layer io.
     pub fn group_io(&self, grp: &RtGroup) -> (Vec<TensorId>, Vec<TensorId>) {
-        let members = sorted_members(grp);
-        let (mut ins, mut outs) = (Vec::new(), Vec::new());
-        for &m in &grp.members {
-            let node = self.g.node(m);
-            for &t in &node.inputs {
-                if self.g.tensor(t).kind == TensorKind::Weight {
-                    continue;
-                }
-                if !self.produced_inside(t, &members) && !ins.contains(&t) {
-                    ins.push(t);
-                }
-            }
-            for &t in &node.outputs {
-                let all_inside = self.consumed_inside(t, &members);
-                if (!all_inside || self.g.outputs.contains(&t)) && !outs.contains(&t) {
-                    outs.push(t);
-                }
-            }
-        }
-        (ins, outs)
+        self.ix.group_io(&grp.members, &sorted_members(grp))
     }
 
     /// Boundary activations in/out + member weight bytes for a group.

@@ -10,35 +10,37 @@ use proof_core::{PipelineStage, StageTiming};
 use proof_obs::MetricsRegistry;
 pub use proof_obs::{Histogram, HistogramSnapshot};
 use serde::Serialize;
-use serde_json::{Map, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Render a histogram snapshot as the `/metrics` JSON shape (`proof-obs`
-/// types can't implement the vendored `Serialize` from here, so the value
-/// is built by hand — same shape as the old derive).
-pub fn hist_value(snap: &HistogramSnapshot) -> Value {
-    let mut m = Map::new();
-    m.insert("count".to_string(), Value::from(snap.count));
-    m.insert("sum_us".to_string(), Value::from(snap.sum_us));
-    m.insert("max_us".to_string(), Value::from(snap.max_us));
-    m.insert("mean_us".to_string(), Value::from(snap.mean_us));
-    // quantile estimates from the log2 buckets (exact to within one power
-    // of two); the Prometheus exposition is unchanged — scrapers derive
-    // quantiles from the cumulative buckets themselves
-    m.insert("p50_us".to_string(), Value::from(snap.quantile_us(0.5)));
-    m.insert("p99_us".to_string(), Value::from(snap.quantile_us(0.99)));
-    m.insert(
-        "buckets".to_string(),
-        Value::Array(
-            snap.buckets
-                .iter()
-                .map(|&(le, c)| Value::Array(vec![Value::from(le), Value::from(c)]))
-                .collect(),
-        ),
-    );
-    Value::Object(m)
+/// A histogram snapshot in the `/metrics` JSON shape: totals, quantile
+/// estimates from the log2 buckets (exact to within one power of two;
+/// the Prometheus exposition leaves quantiles to scrapers), and the
+/// buckets as `[le, count]` pairs.
+#[derive(Serialize)]
+pub(crate) struct HistJson {
+    count: u64,
+    sum_us: u64,
+    max_us: u64,
+    mean_us: f64,
+    p50_us: u64,
+    p99_us: u64,
+    buckets: Vec<(u64, u64)>,
+}
+
+impl From<HistogramSnapshot> for HistJson {
+    fn from(snap: HistogramSnapshot) -> HistJson {
+        HistJson {
+            count: snap.count,
+            sum_us: snap.sum_us,
+            max_us: snap.max_us,
+            mean_us: snap.mean_us,
+            p50_us: snap.quantile_us(0.5),
+            p99_us: snap.quantile_us(0.99),
+            buckets: snap.buckets,
+        }
+    }
 }
 
 /// One latency histogram per pipeline stage, fed from the [`StageTiming`]s
@@ -172,11 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn hist_value_keeps_the_metrics_json_shape() {
+    fn hist_json_keeps_the_metrics_json_shape() {
         let h = Histogram::default();
         h.record_us(3);
         h.record_us(5);
-        let v = hist_value(&h.snapshot());
+        let v = serde_json::to_value(&HistJson::from(h.snapshot()));
         assert_eq!(v["count"].as_u64(), Some(2));
         assert_eq!(v["sum_us"].as_u64(), Some(8));
         assert_eq!(v["mean_us"].as_f64(), Some(4.0));

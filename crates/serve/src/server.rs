@@ -18,14 +18,14 @@
 use crate::http::{
     lock_clean, query_has, query_param, HttpServer, Reply, Request, Response, Routes, RETRY_AFTER_S,
 };
-use crate::job::AnalysisJob;
-use crate::metrics::{hist_value, Histogram, StageHistograms, WorkerMetrics, WorkerSnapshot};
+use crate::job::{AnalysisJob, CanonicalSpec};
+use crate::metrics::{HistJson, Histogram, StageHistograms, WorkerMetrics, WorkerSnapshot};
 use crate::peer::HttpPeer;
 use crate::queue::JobQueue;
 use crate::stage_cache::{StageCache, StageCacheStats, StageLookup};
 use proof_core::{
     merged_chrome_trace, run_metric_stages_ctx, PipelineStage, PreparedStages, ProfileReport,
-    ProofError, RunCtx,
+    ProofError, RunCtx, MAX_GRID_CELLS,
 };
 use proof_models::ModelId;
 use proof_obs::export::prometheus_text;
@@ -168,7 +168,7 @@ struct JobRecord {
 #[derive(Serialize)]
 struct JobView {
     id: u64,
-    spec: Value,
+    spec: CanonicalSpec,
     key: String,
     trace: u64,
     remote_parent: Option<u64>,
@@ -187,7 +187,7 @@ impl JobRecord {
     fn view(&self, id: u64) -> JobView {
         JobView {
             id,
-            spec: self.spec.to_value(),
+            spec: self.spec.canonical_spec(),
             key: self.key.clone(),
             trace: self.trace,
             remote_parent: self.remote_parent,
@@ -1124,8 +1124,8 @@ fn sweep_grid(body: &Value) -> Result<Vec<Value>, String> {
     let models = scalar_or_list("model", "models")?;
     let batches = scalar_or_list("batch", "batches")?;
     let dtypes = scalar_or_list("dtype", "dtypes")?;
-    if models.len() * batches.len() * dtypes.len() > 4096 {
-        return Err("sweep grid larger than 4096 points".to_string());
+    if models.len() * batches.len() * dtypes.len() > MAX_GRID_CELLS {
+        return Err(format!("sweep grid larger than {MAX_GRID_CELLS} points"));
     }
     let mut base = Map::new();
     for (k, v) in obj {
@@ -1240,7 +1240,7 @@ struct MetricsJson {
     cache: StoreStats,
     stage_cache: StageCacheStats,
     latency: Latency,
-    stages: BTreeMap<String, Value>,
+    stages: BTreeMap<String, HistJson>,
 }
 
 #[derive(Serialize)]
@@ -1251,9 +1251,9 @@ struct QueueGauge {
 
 #[derive(Serialize)]
 struct Latency {
-    queue_wait_us: Value,
-    execute_us: Value,
-    total_us: Value,
+    queue_wait_us: HistJson,
+    execute_us: HistJson,
+    total_us: HistJson,
 }
 
 fn metrics_json(shared: &Shared) -> MetricsJson {
@@ -1267,15 +1267,15 @@ fn metrics_json(shared: &Shared) -> MetricsJson {
         cache: shared.cache.stats(),
         stage_cache: shared.stage_cache.stats(),
         latency: Latency {
-            queue_wait_us: hist_value(&shared.hist_queue_wait.snapshot()),
-            execute_us: hist_value(&shared.hist_execute.snapshot()),
-            total_us: hist_value(&shared.hist_total.snapshot()),
+            queue_wait_us: HistJson::from(shared.hist_queue_wait.snapshot()),
+            execute_us: HistJson::from(shared.hist_execute.snapshot()),
+            total_us: HistJson::from(shared.hist_total.snapshot()),
         },
         stages: shared
             .stage_hists
             .snapshot()
             .into_iter()
-            .map(|(name, snap)| (format!("{name}_us"), hist_value(&snap)))
+            .map(|(name, snap)| (format!("{name}_us"), HistJson::from(snap)))
             .collect(),
     }
 }
