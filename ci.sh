@@ -415,10 +415,17 @@ for _ in $(seq 200); do
         | python3 -c 'import json,sys; print(json.load(sys.stdin)["completed"])')"
     if [ "$code" = 202 ] && [ "$completed" -gt 0 ]; then
         saw_partial=1
-        # the whole read surface answers mid-run, alive included
+        # the whole read surface answers mid-run, alive included, and the
+        # node scrapes (healthz cache tiers, federated metrics) reach both
+        # nodes while the run thread holds the registry
         curl -sf "http://${coord_addr}/healthz" | python3 -c \
-            'import json,sys; h=json.load(sys.stdin); assert "alive" in h and h["running"] is True, h'
+            'import json,sys; h=json.load(sys.stdin); assert "alive" in h and h["running"] is True and h["cache"]["nodes_reporting"] == 2, h'
         curl -sf "http://${coord_addr}/nodes" >/dev/null
+        prom="$(curl -sf "http://${coord_addr}/metrics?format=prometheus")"
+        for node in "$addr_a" "$addr_b"; do
+            grep -q "node=\"${node}\"" <<<"$prom" \
+                || { echo "mid-run federated scrape lacks node ${node}"; exit 1; }
+        done
         break
     fi
     sleep 0.1

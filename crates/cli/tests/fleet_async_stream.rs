@@ -16,7 +16,7 @@
 //! against `--in-process`.
 
 use proof_core::GridSpec;
-use proof_fleet::{run_grid_local, CoordinatorClient, RunResult};
+use proof_fleet::{run_grid_local, CoordinatorClient, RunResult, RunState};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -101,23 +101,23 @@ fn coordinator_streams_an_async_run_across_subprocess_daemons() {
     );
 
     let mut cursor = 0u64;
-    let mut mid_run_completed: Vec<u64> = Vec::new();
+    let mut mid_run_completed: Vec<usize> = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(120);
     let merged = loop {
         assert!(Instant::now() < deadline, "streaming run never finished");
         let s = c.run_status(run_id, cursor).expect("status poll");
-        let seq = s["seq"].as_u64().unwrap();
+        let seq = s.seq;
         assert!(seq >= cursor, "seq cursor regressed: {seq} < {cursor}");
-        for e in s["events"].as_array().unwrap() {
-            let eseq = e["seq"].as_u64().unwrap();
+        for e in &s.events {
+            let eseq = e.seq;
             assert!(
                 eseq > cursor,
                 "event {eseq} replayed at or before cursor {cursor}"
             );
         }
         cursor = seq;
-        if s["state"] == "running" {
-            mid_run_completed.push(s["completed"].as_u64().unwrap());
+        if s.state == RunState::Running {
+            mid_run_completed.push(s.completed);
         }
         match c.run_result(run_id).expect("result poll") {
             RunResult::Done(m) => break m,
@@ -138,8 +138,8 @@ fn coordinator_streams_an_async_run_across_subprocess_daemons() {
 
     // terminal status document agrees with the artifact
     let s = c.run_status(run_id, 0).expect("final status");
-    assert_eq!(s["state"], "done");
-    assert_eq!(s["completed"].as_u64(), Some(6));
+    assert_eq!(s.state, RunState::Done);
+    assert_eq!(s.completed, 6);
 
     // byte identity against the in-process reference
     let spec = GridSpec::from_value(&serde_json::from_str(spec_json).unwrap()).unwrap();

@@ -13,19 +13,20 @@
 //! failed/timed-out is a third: the *shard* needs a different node, not
 //! this node declared dead on one bad job alone.
 
+use crate::runs::RunStatus;
+use crate::server::Accepted;
 use proof_obs::{FieldValue, Level};
 use proof_serve::client::{Call, ConnPool, Sent};
-use proof_serve::Response;
-use serde::Serialize;
-use serde_json::Value;
+use proof_serve::{CacheTiers, PeerList, PeersAdded, Response, TraceSpans};
+use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// What `GET /healthz` reports: liveness plus the load signals the
-/// weighted scheduler scores on. `workers` and `queue_capacity` are
-/// floored at 1 by [`WorkerClient::probe`] (a zero would erase the node
-/// from the weighted score or zero its in-flight cap).
+/// The load signals the weighted scheduler scores on, from `GET /healthz`.
+/// `workers` and `queue_capacity` are floored at 1 by
+/// [`WorkerClient::probe`] (a zero would erase the node from the weighted
+/// score or zero its in-flight cap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerHealth {
     pub queue_depth: u64,
@@ -47,6 +48,12 @@ pub enum WorkerError {
     JobFailed(String),
     /// Any other unexpected HTTP reply or malformed body.
     Protocol(String),
+}
+
+impl From<serde_json::Error> for WorkerError {
+    fn from(e: serde_json::Error) -> WorkerError {
+        WorkerError::Protocol(format!("bad JSON: {e}"))
+    }
 }
 
 impl std::fmt::Display for WorkerError {
@@ -89,12 +96,39 @@ pub enum JobPoll {
 static WARNED_WORKERS: AtomicBool = AtomicBool::new(false);
 static WARNED_QUEUE_CAP: AtomicBool = AtomicBool::new(false);
 
-/// Read a capacity signal (`workers`, `queue_capacity`) from a healthz
-/// body, flooring it at 1: a missing or zero value would make weighted
-/// dispatch score the node as zero-capacity and silently starve it. The
-/// first malformed sighting per process emits a `Warn` naming the field.
-fn capacity_signal(v: &Value, addr: SocketAddr, key: &str, warned: &AtomicBool) -> u64 {
-    match v.get(key).and_then(Value::as_u64) {
+/// The `GET /healthz` fields the coordinator reads; proof-serve's `Healthz`
+/// writes them. The load signals are optional so that a node leaving one
+/// out is floored rather than refused.
+#[derive(Debug, Clone, Deserialize)]
+pub struct NodeHealth {
+    pub queue_depth: Option<u64>,
+    pub queue_capacity: Option<u64>,
+    pub workers: Option<u64>,
+    pub in_flight: Option<u64>,
+    /// The node's per-tier cache counters.
+    pub cache: Option<CacheTiers>,
+}
+
+/// The `201` reply to `POST /jobs` (proof-serve's `Submitted`): the job id.
+#[derive(Deserialize)]
+struct Queued {
+    id: u64,
+}
+
+/// The `GET /jobs/<id>` fields the dispatcher reads (proof-serve's
+/// `JobView`).
+#[derive(Deserialize)]
+struct JobState {
+    status: String,
+    error: Option<String>,
+}
+
+/// A capacity signal (`workers`, `queue_capacity`) floored at 1: a missing
+/// or zero value would make weighted dispatch score the node as
+/// zero-capacity and silently starve it. The first malformed sighting per
+/// process emits a `Warn` naming the field.
+fn capacity_signal(got: Option<u64>, addr: SocketAddr, key: &str, warned: &AtomicBool) -> u64 {
+    match got {
         Some(n) if n >= 1 => n,
         got => {
             if !warned.swap(true, Ordering::Relaxed) {
@@ -137,10 +171,6 @@ impl<T> Pending<T> {
     }
 }
 
-fn parse(body: &str) -> Result<Value, WorkerError> {
-    serde_json::from_str(body).map_err(|e| WorkerError::Protocol(format!("bad JSON: {e}")))
-}
-
 fn busy(r: &Response) -> WorkerError {
     WorkerError::Busy {
         retry_after_s: r.retry_after_s,
@@ -153,11 +183,7 @@ fn submission(r: Response) -> Result<Submission, WorkerError> {
             job_id,
             report: r.body,
         }),
-        (201, _) => parse(&r.body)?
-            .get("id")
-            .and_then(Value::as_u64)
-            .map(Submission::Queued)
-            .ok_or_else(|| WorkerError::Protocol("submission reply without id".into())),
+        (201, _) => Ok(Submission::Queued(r.decode::<Queued>()?.id)),
         (429 | 503, _) => Err(busy(&r)),
         (s, _) => Err(WorkerError::Protocol(format!(
             "submission returned {s}: {}",
@@ -179,18 +205,13 @@ fn job_poll(r: Response) -> Result<JobPoll, WorkerError> {
             r.status, r.body
         )));
     }
-    let v = parse(&r.body)?;
-    let status = v.get("status").and_then(Value::as_str).unwrap_or("");
-    let error = || {
-        v.get("error")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown error")
-            .to_string()
-    };
-    match status {
+    let job: JobState = r.decode()?;
+    match job.status.as_str() {
         "queued" | "running" => Ok(JobPoll::Pending),
         "done" => Ok(JobPoll::Done),
-        "failed" | "timed_out" => Ok(JobPoll::Failed(error())),
+        "failed" | "timed_out" => Ok(JobPoll::Failed(
+            job.error.unwrap_or_else(|| "unknown error".to_string()),
+        )),
         other => Err(WorkerError::Protocol(format!("unknown job status {other}"))),
     }
 }
@@ -208,11 +229,6 @@ pub struct WorkerClient {
     pub timeout: Duration,
     /// The node's kept-alive connections, shared by every clone.
     pool: ConnPool,
-}
-
-#[derive(Serialize)]
-struct PeerList {
-    peers: Vec<String>,
 }
 
 impl WorkerClient {
@@ -235,9 +251,9 @@ impl WorkerClient {
         self.call("GET", path).send().map_err(unreachable)
     }
 
-    /// `GET /healthz` — one bounded attempt: a probe that needs a retry is
-    /// already the answer.
-    pub fn probe(&self) -> Result<WorkerHealth, WorkerError> {
+    /// `GET /healthz` — the one reader of a node's health document. One
+    /// bounded attempt: a probe that needs a retry is already the answer.
+    pub fn health(&self) -> Result<NodeHealth, WorkerError> {
         let r = self.get("/healthz")?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
@@ -245,21 +261,23 @@ impl WorkerClient {
                 r.status
             )));
         }
-        let v = parse(&r.body)?;
-        let field = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        Ok(WorkerHealth {
-            queue_depth: field("queue_depth"),
-            queue_capacity: capacity_signal(&v, self.addr, "queue_capacity", &WARNED_QUEUE_CAP),
-            workers: capacity_signal(&v, self.addr, "workers", &WARNED_WORKERS),
-            in_flight: field("in_flight"),
-        })
+        Ok(r.decode()?)
     }
 
-    /// `POST /jobs`; returns the job id.
-    pub fn submit<T: Serialize + ?Sized>(&self, job: &T) -> Result<u64, WorkerError> {
-        match self.begin_submit(job, None, None)?.read()? {
-            Submission::Queued(id) | Submission::Done { job_id: id, .. } => Ok(id),
-        }
+    /// The node's load signals, capacity floored at 1.
+    pub fn probe(&self) -> Result<WorkerHealth, WorkerError> {
+        let h = self.health()?;
+        Ok(WorkerHealth {
+            queue_depth: h.queue_depth.unwrap_or(0),
+            queue_capacity: capacity_signal(
+                h.queue_capacity,
+                self.addr,
+                "queue_capacity",
+                &WARNED_QUEUE_CAP,
+            ),
+            workers: capacity_signal(h.workers, self.addr, "workers", &WARNED_WORKERS),
+            in_flight: h.in_flight.unwrap_or(0),
+        })
     }
 
     /// Write `POST /jobs` carrying the coordinator's distributed trace
@@ -297,11 +315,6 @@ impl WorkerClient {
         })
     }
 
-    /// `GET /jobs/<id>` — current lifecycle state.
-    pub fn poll(&self, id: u64) -> Result<JobPoll, WorkerError> {
-        self.begin_poll(id, None)?.read()
-    }
-
     /// Write `GET /jobs/<id>`; with `wait`, the worker holds the reply
     /// until the job is final or `wait` passes.
     pub fn begin_poll(
@@ -320,11 +333,11 @@ impl WorkerClient {
     /// `POST /cache/peers` — advertise the other nodes' cache endpoints so
     /// this worker's tiered store can serve rescheduled shards from a warm
     /// peer instead of re-simulating.
-    pub fn advertise_peers(&self, peers: &[SocketAddr]) -> Result<u64, WorkerError> {
+    pub fn advertise_peers(&self, peers: &[SocketAddr]) -> Result<PeersAdded, WorkerError> {
         let body = PeerList {
             peers: peers.iter().map(|a| a.to_string()).collect(),
         };
-        let body = serde_json::to_string(&body).expect("writing JSON to a String cannot fail");
+        let body = serde::ser::to_json(&body, false);
         let r = self
             .call("POST", "/cache/peers")
             .body(&body)
@@ -336,37 +349,28 @@ impl WorkerClient {
                 r.status, r.body
             )));
         }
-        parse(&r.body)?
-            .get("peers")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| WorkerError::Protocol("advertisement reply without peers".into()))
+        Ok(r.decode()?)
     }
 
-    /// `GET /metrics` — the worker's lifetime remote-tier hit count, for
-    /// the coordinator's `fleet_cache_remote_hits` aggregation.
+    /// The worker's lifetime remote-tier hit count (`/healthz`
+    /// `cache.remote_hits`, the counter `/metrics` reports as
+    /// `cache_remote_hits_total`), for the coordinator's
+    /// `fleet_cache_remote_hits` aggregation.
     pub fn cache_remote_hits(&self) -> Result<u64, WorkerError> {
-        let r = self.get("/metrics")?;
-        if r.status != 200 {
-            return Err(WorkerError::Protocol(format!(
-                "metrics returned {}",
-                r.status
-            )));
-        }
-        parse(&r.body)?
-            .get("cache")
-            .and_then(|c| c.get("remote_hits"))
-            .and_then(Value::as_u64)
-            .ok_or_else(|| WorkerError::Protocol("metrics without cache.remote_hits".into()))
+        self.health()?
+            .cache
+            .map(|c| c.remote_hits)
+            .ok_or_else(|| WorkerError::Protocol("healthz without cache tiers".into()))
     }
 
-    /// `GET /trace/<trace>?format=spans` — the worker's raw span records
-    /// for one trace, for the coordinator's cross-node merge. `Ok(None)`
-    /// when the worker holds no spans for that trace (it executed no shard
-    /// of the run, or its ring already evicted them).
-    pub fn fetch_trace_spans(&self, trace: u64) -> Result<Option<Value>, WorkerError> {
+    /// `GET /trace/<trace>?format=spans` — the worker's span listing for
+    /// one trace, for the coordinator's cross-node merge. `Ok(None)` when
+    /// the worker holds no spans for that trace (it executed no shard of
+    /// the run, or its ring already evicted them).
+    pub fn fetch_trace_spans(&self, trace: u64) -> Result<Option<TraceSpans>, WorkerError> {
         let r = self.get(&format!("/trace/{trace}?format=spans"))?;
         match r.status {
-            200 => Ok(Some(parse(&r.body)?)),
+            200 => Ok(Some(r.decode()?)),
             404 => Ok(None),
             s => Err(WorkerError::Protocol(format!("trace fetch returned {s}"))),
         }
@@ -447,16 +451,13 @@ impl CoordinatorClient {
                 r.status, r.body
             )));
         }
-        parse(&r.body)?
-            .get("run_id")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| WorkerError::Protocol("submit reply without run_id".into()))
+        Ok(r.decode::<Accepted>()?.run_id)
     }
 
     /// `GET /grid/<id>/status?since=<seq>` — live counts plus every
     /// progress event past the cursor; the returned document's `seq` is
     /// the exact cursor for the next poll.
-    pub fn run_status(&self, run_id: u64, since: u64) -> Result<Value, WorkerError> {
+    pub fn run_status(&self, run_id: u64, since: u64) -> Result<RunStatus, WorkerError> {
         let r = self.get(&format!("/grid/{run_id}/status?since={since}"))?;
         if r.status != 200 {
             return Err(WorkerError::Protocol(format!(
@@ -464,7 +465,7 @@ impl CoordinatorClient {
                 r.status, r.body
             )));
         }
-        parse(&r.body)
+        Ok(r.decode()?)
     }
 
     /// `GET /grid/<id>/result` — the run's terminal artifact, if any.
@@ -503,13 +504,16 @@ mod tests {
     fn submit_poll_report_round_trip() {
         let server = local_server();
         let c = WorkerClient::new(server.addr(), Duration::from_secs(5));
-        let job: Value =
+        let job: serde_json::Value =
             serde_json::from_str(r#"{"model":"mobilenetv2-0.5","hardware":"a100","batch":1}"#)
                 .unwrap();
-        let id = c.submit(&job).unwrap();
+        let id = match c.begin_submit(&job, None, None).unwrap().read().unwrap() {
+            Submission::Queued(id) => id,
+            Submission::Done { .. } => panic!("a submission without a wait settled inline"),
+        };
         let mut polls = 0;
         loop {
-            match c.poll(id).unwrap() {
+            match c.begin_poll(id, None).unwrap().read().unwrap() {
                 JobPoll::Done => break,
                 JobPoll::Pending => {
                     polls += 1;
@@ -572,9 +576,8 @@ mod tests {
         let mut cursor = 0;
         let merged = loop {
             let s = c.run_status(id, cursor).unwrap();
-            let seq = s["seq"].as_u64().unwrap();
-            assert!(seq >= cursor, "status cursor regressed");
-            cursor = seq;
+            assert!(s.seq >= cursor, "status cursor regressed");
+            cursor = s.seq;
             match c.run_result(id).unwrap() {
                 RunResult::Done(m) => break m,
                 RunResult::Running => std::thread::sleep(Duration::from_millis(10)),

@@ -28,13 +28,18 @@ use proof_obs::export::{federate_prometheus, prometheus_text};
 use proof_obs::{
     FieldValue, FlightRecorder, MetricsRegistry, RingCollector, Tracer, DEFAULT_FLIGHT_CAPACITY,
 };
-use proof_serve::AnalysisJob;
+use proof_serve::{AnalysisJob, TraceSpans};
 use serde::Serialize;
-use serde_json::Value;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Transport bound for the coordinator's lock-free node scrapes
+/// (federated metrics, healthz cache aggregation). Short on purpose: an
+/// unreachable node should cost one bounded connect attempt, not stall
+/// the scrape.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Why a fleet run could not produce its artifact.
 #[derive(Debug, Clone)]
@@ -163,8 +168,10 @@ pub struct FleetRun {
 struct FleetInner {
     config: FleetConfig,
     registry: Mutex<NodeRegistry>,
-    /// Node addresses, fixed at start (registry order).
-    addrs: Vec<SocketAddr>,
+    /// One scrape client per node, in registry order, bounded by
+    /// [`SCRAPE_TIMEOUT`]: reads that must answer while a run thread
+    /// holds the registry go through these.
+    scrapers: Vec<WorkerClient>,
     tracer: Arc<Tracer>,
     ring: Arc<RingCollector>,
     metrics: Arc<MetricsRegistry>,
@@ -207,6 +214,10 @@ impl Fleet {
             .iter()
             .map(|&addr| WorkerClient::new(addr, config.request_timeout))
             .collect();
+        let scrapers = addrs
+            .iter()
+            .map(|&addr| WorkerClient::new(addr, SCRAPE_TIMEOUT))
+            .collect();
         let registry = NodeRegistry::new(clients, config.node_fail_threshold);
         let (tracer, ring) = proof_obs::shared_ring_tracer();
         let metrics = Arc::new(MetricsRegistry::new());
@@ -223,7 +234,7 @@ impl Fleet {
             inner: Arc::new(FleetInner {
                 config,
                 registry: Mutex::new(registry),
-                addrs,
+                scrapers,
                 tracer,
                 ring,
                 metrics,
@@ -237,7 +248,12 @@ impl Fleet {
 
     /// Addresses of every registered node (embedded daemons included).
     pub fn node_addrs(&self) -> Vec<SocketAddr> {
-        self.inner.addrs.clone()
+        self.inner.scrapers.iter().map(|c| c.addr).collect()
+    }
+
+    /// The lock-free scrape client of every node, in registry order.
+    pub(crate) fn scrapers(&self) -> &[WorkerClient] {
+        &self.inner.scrapers
     }
 
     /// Accept a grid run: validate and plan the spec, mint a run id on the
@@ -308,32 +324,12 @@ impl Fleet {
         metrics_json_from(&self.inner.metrics, &self.inner.view.nodes())
     }
 
-    /// Fleet metrics in Prometheus exposition format (`proof_fleet_`
-    /// prefix).
-    pub fn metrics_prometheus(&self) -> String {
-        prometheus_text(&self.inner.metrics.snapshot(), "proof_fleet_")
-    }
-
     /// The coordinator's own exposition plus every reachable node's
-    /// scraped exposition federated under a `node="<addr>"` label — one
-    /// scrape endpoint for the whole fleet. Unreachable nodes are skipped
-    /// (the coordinator's own `proof_fleet_` series still report them).
+    /// federated under a `node="<addr>"` label — one scrape endpoint for
+    /// the whole fleet, the same text as `GET /metrics?format=prometheus`.
+    /// Answers mid-run.
     pub fn metrics_prometheus_federated(&self) -> String {
-        let mut out = self.metrics_prometheus();
-        let registry = self.inner.lock_registry();
-        let scraped: Vec<(String, String)> = (0..registry.len())
-            .filter_map(|i| {
-                let client = registry.client(i);
-                client
-                    .scrape_prometheus()
-                    .ok()
-                    .map(|body| (client.addr.to_string(), body))
-            })
-            .collect();
-        if !scraped.is_empty() {
-            out.push_str(&federate_prometheus(&scraped));
-        }
-        out
+        federated_prometheus_from(&self.inner.metrics, &self.inner.scrapers)
     }
 
     /// The merged cross-node trace document of the most recent grid run.
@@ -452,7 +448,7 @@ fn execute_run(
     // this run's trace (best-effort — a node that restarted or evicted
     // the trace just contributes no track) and merge it with the
     // dispatch record into one deterministic document
-    let node_docs: Vec<(usize, String, Value)> = (0..registry.len())
+    let node_docs: Vec<(usize, String, TraceSpans)> = (0..registry.len())
         .filter_map(|i| {
             let client = registry.client(i);
             match client.fetch_trace_spans(trace) {
@@ -575,6 +571,31 @@ struct MetricsJson {
     nodes: Vec<NodeSnapshot>,
 }
 
+/// The coordinator's own `proof_fleet_` exposition followed by every
+/// reachable node's exposition federated under a `node="<addr>"` label —
+/// one scrape endpoint for the whole fleet. Unreachable nodes are skipped
+/// (the coordinator's own series still report them). Lock-free: the
+/// scrapes go straight to the nodes, so it answers while a run thread
+/// holds the registry. Shared by [`Fleet::metrics_prometheus_federated`]
+/// and the HTTP surface.
+pub(crate) fn federated_prometheus_from(
+    metrics: &MetricsRegistry,
+    nodes: &[WorkerClient],
+) -> String {
+    let mut out = prometheus_text(&metrics.snapshot(), "proof_fleet_");
+    let scraped: Vec<(String, String)> = nodes
+        .iter()
+        .filter_map(|n| {
+            let body = n.scrape_prometheus().ok()?;
+            Some((n.addr.to_string(), body))
+        })
+        .collect();
+    if !scraped.is_empty() {
+        out.push_str(&federate_prometheus(&scraped));
+    }
+    out
+}
+
 /// The single-node, in-process reference: execute every cell in canonical
 /// order through the library pipeline and merge. No HTTP, no scheduling —
 /// just the determinism baseline a fleet run must reproduce byte-for-byte.
@@ -593,6 +614,7 @@ pub fn run_grid_local(spec: &GridSpec) -> Result<String, ProofError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn spec(json: &str) -> GridSpec {
         GridSpec::from_value(&serde_json::from_str(json).unwrap()).unwrap()

@@ -60,8 +60,8 @@ pub mod server;
 pub mod trace;
 
 pub use client::{
-    CoordinatorClient, JobPoll, Pending, RunResult, Submission, WorkerClient, WorkerError,
-    WorkerHealth,
+    CoordinatorClient, JobPoll, NodeHealth, Pending, RunResult, Submission, WorkerClient,
+    WorkerError, WorkerHealth,
 };
 pub use coordinator::{run_grid_local, Fleet, FleetConfig, FleetError, FleetRun};
 pub use dispatcher::{
@@ -71,6 +71,6 @@ pub use merger::merge_run;
 pub use planner::{plan_shards, Shard, ShardPlan};
 pub use progress::{ProgressCounts, ProgressEvent, ProgressKind, ProgressSink};
 pub use registry::{NodeRegistry, NodeSnapshot, NodeState};
-pub use runs::{FleetView, RunHandle, RunLedger};
+pub use runs::{FleetView, RunHandle, RunLedger, RunState, RunStatus};
 pub use server::{FleetServer, FleetServerConfig};
 pub use trace::merge_fleet_trace;

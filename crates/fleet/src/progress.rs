@@ -13,11 +13,11 @@
 //! the dispatch that preceded it.
 
 use crate::dispatcher::ShardReport;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// What happened to one shard at one point in the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase")]
 pub enum ProgressKind {
     /// Submitted to a node; the shard is now in flight there.
@@ -32,7 +32,7 @@ pub enum ProgressKind {
 /// One seq-numbered entry in the run's progress stream. `Completed`
 /// events carry the full [`ShardReport`] fields, so a client that only
 /// reads the stream still ends up with every completion record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProgressEvent {
     /// Position in the run's stream: 1-based, strictly increasing.
     pub seq: u64,

@@ -18,7 +18,7 @@
 use crate::coordinator::{FleetError, FleetRun};
 use crate::progress::{ProgressEvent, ProgressSink};
 use crate::registry::{NodeSnapshot, NodeState};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -69,7 +69,7 @@ impl FleetView {
     }
 }
 
-enum RunState {
+enum Lifecycle {
     Running,
     Finished(Result<FleetRun, FleetError>),
 }
@@ -78,7 +78,7 @@ enum RunState {
 pub struct RunHandle {
     id: u64,
     progress: Arc<ProgressSink>,
-    state: Mutex<RunState>,
+    state: Mutex<Lifecycle>,
     done: Condvar,
 }
 
@@ -87,7 +87,7 @@ impl RunHandle {
         RunHandle {
             id,
             progress: Arc::new(ProgressSink::new(total_shards)),
-            state: Mutex::new(RunState::Running),
+            state: Mutex::new(Lifecycle::Running),
             done: Condvar::new(),
         }
     }
@@ -105,20 +105,20 @@ impl RunHandle {
     /// Called exactly once, by the run thread.
     pub fn finish(&self, result: Result<FleetRun, FleetError>) {
         let mut state = lock_or_recover(&self.state);
-        *state = RunState::Finished(result);
+        *state = Lifecycle::Finished(result);
         self.done.notify_all();
     }
 
     pub fn is_finished(&self) -> bool {
-        !matches!(*lock_or_recover(&self.state), RunState::Running)
+        !matches!(*lock_or_recover(&self.state), Lifecycle::Running)
     }
 
     /// The terminal result, if the run has finished (clones — the ledger
     /// keeps the original so late `/grid/<id>/result` reads still answer).
     pub fn result(&self) -> Option<Result<FleetRun, FleetError>> {
         match &*lock_or_recover(&self.state) {
-            RunState::Running => None,
-            RunState::Finished(r) => Some(r.clone()),
+            Lifecycle::Running => None,
+            Lifecycle::Finished(r) => Some(r.clone()),
         }
     }
 
@@ -127,7 +127,7 @@ impl RunHandle {
     pub fn wait(&self) -> Result<FleetRun, FleetError> {
         let mut state = lock_or_recover(&self.state);
         loop {
-            if let RunState::Finished(r) = &*state {
+            if let Lifecycle::Finished(r) = &*state {
                 return r.clone();
             }
             state = self.done.wait(state).unwrap_or_else(|e| e.into_inner());
@@ -141,9 +141,9 @@ impl RunHandle {
     pub fn status_body(&self, since: u64) -> String {
         let (counts, events) = self.progress.since(since);
         let (state, error) = match &*lock_or_recover(&self.state) {
-            RunState::Running => ("running", None),
-            RunState::Finished(Ok(_)) => ("done", None),
-            RunState::Finished(Err(e)) => ("failed", Some(e.to_string())),
+            Lifecycle::Running => (RunState::Running, None),
+            Lifecycle::Finished(Ok(_)) => (RunState::Done, None),
+            Lifecycle::Finished(Err(e)) => (RunState::Failed, Some(e.to_string())),
         };
         serde::ser::to_json(
             &RunStatus {
@@ -164,21 +164,32 @@ impl RunHandle {
     }
 }
 
-/// The `GET /grid/<id>/status` document; `error` only on a failed run.
-#[derive(Serialize)]
-struct RunStatus {
-    run_id: u64,
-    state: &'static str,
+/// Where a run is in its lifecycle, as `GET /grid/<id>/status` reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
+pub enum RunState {
+    Running,
+    Done,
+    Failed,
+}
+
+/// The `GET /grid/<id>/status` document: live counts plus the progress
+/// events past the poll's cursor; `error` only on a failed run.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct RunStatus {
+    pub run_id: u64,
+    pub state: RunState,
     #[serde(skip_serializing_if = "Option::is_none")]
-    error: Option<String>,
-    total: usize,
-    completed: usize,
-    pending: usize,
-    in_flight: usize,
-    dispatched: u64,
-    rescheduled: u64,
-    seq: u64,
-    events: Vec<ProgressEvent>,
+    pub error: Option<String>,
+    pub total: usize,
+    pub completed: usize,
+    pub pending: usize,
+    pub in_flight: usize,
+    pub dispatched: u64,
+    pub rescheduled: u64,
+    /// The cursor for the next poll.
+    pub seq: u64,
+    pub events: Vec<ProgressEvent>,
 }
 
 /// Every run the coordinator has accepted, plus the threads driving the

@@ -34,27 +34,23 @@
 //!   ring of scheduling and run-lifecycle events for post-mortems.
 //!
 //! Served by the `proof_serve::http` scaffold, like every node: same
-//! parser and caps, same socket deadlines and handler cap, same
-//! single-request connections, same query-param handling.
+//! parser and caps, same socket deadlines and handler cap, same opt-in
+//! keep-alive, same query-param handling. Node replies are read through
+//! [`WorkerClient`], the coordinator's one typed reader of a node.
 
-use crate::coordinator::{metrics_json_from, Fleet, FleetError, FleetRun};
+use crate::client::WorkerClient;
+use crate::coordinator::{
+    federated_prometheus_from, metrics_json_from, Fleet, FleetError, FleetRun,
+};
 use crate::runs::{FleetView, RunHandle, RunLedger};
 use proof_core::GridSpec;
-use proof_obs::export::{federate_prometheus, prometheus_text};
 use proof_obs::{FlightRecorder, MetricsRegistry};
-use proof_serve::client::Call;
 use proof_serve::http::{query_has, query_param, HttpServer, Reply, Request, Response, Routes};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Transport bound for the coordinator's lock-free node scrapes
-/// (federated metrics, healthz cache aggregation). Short on purpose: an
-/// unreachable node should cost one bounded connect attempt, not stall
-/// the scrape.
-const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+use std::time::Instant;
 
 /// Coordinator HTTP configuration.
 #[derive(Debug, Clone)]
@@ -87,8 +83,9 @@ struct SharedFleet {
     flight: Arc<FlightRecorder>,
     view: Arc<FleetView>,
     runs: Arc<RunLedger>,
-    node_addrs: Vec<SocketAddr>,
-    node_count: usize,
+    /// One lock-free scrape client per node (see
+    /// [`Fleet::scrapers`]), so node reads answer mid-run.
+    nodes: Vec<WorkerClient>,
     started: Instant,
 }
 
@@ -107,8 +104,7 @@ impl FleetServer {
             flight: Arc::clone(fleet.flight()),
             view: Arc::clone(fleet.view()),
             runs: Arc::clone(fleet.runs()),
-            node_addrs: fleet.node_addrs(),
-            node_count: fleet.node_addrs().len(),
+            nodes: fleet.scrapers().to_vec(),
             started: Instant::now(),
             fleet: Mutex::new(Some(fleet)),
         });
@@ -145,9 +141,9 @@ impl Routes for SharedFleet {
         let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
         let reply = match (req.method.as_str(), segments.as_slice()) {
             ("GET", ["healthz"]) => Ok(Response::encode(200, &healthz(self))),
-            ("GET", ["metrics"]) if query_has(&req.query, "format", "prometheus") => {
-                Ok(Response::prometheus(federated_prometheus_body(self)))
-            }
+            ("GET", ["metrics"]) if query_has(&req.query, "format", "prometheus") => Ok(
+                Response::prometheus(federated_prometheus_from(&self.metrics, &self.nodes)),
+            ),
             ("GET", ["metrics"]) => Ok(Response::json(
                 200,
                 metrics_json_from(&self.metrics, &self.view.nodes()),
@@ -174,36 +170,6 @@ impl Routes for SharedFleet {
     }
 }
 
-/// A node's `GET` reply body, `None` when it is unreachable or not 200.
-/// Lock-free and bounded, so node scrapes answer mid-run.
-fn scrape(addr: SocketAddr, path: &str) -> Option<String> {
-    Call::new(addr, "GET", path)
-        .timeout(SCRAPE_TIMEOUT)
-        .send()
-        .ok()
-        .filter(|r| r.status == 200)
-        .map(|r| r.body)
-}
-
-/// The coordinator's own `proof_fleet_` exposition followed by every
-/// reachable node's exposition federated under a `node="<addr>"` label.
-/// Lock-free: scrapes go straight to the node addresses, so the endpoint
-/// answers mid-run.
-fn federated_prometheus_body(shared: &SharedFleet) -> String {
-    let mut out = prometheus_text(&shared.metrics.snapshot(), "proof_fleet_");
-    let scraped: Vec<(String, String)> = shared
-        .node_addrs
-        .iter()
-        .filter_map(|&addr| {
-            scrape(addr, "/metrics?format=prometheus").map(|body| (addr.to_string(), body))
-        })
-        .collect();
-    if !scraped.is_empty() {
-        out.push_str(&federate_prometheus(&scraped));
-    }
-    out
-}
-
 /// The fleet-wide cache-tier summary: every reachable node's `/healthz`
 /// tier counters summed; `nodes_reporting` says how many answered.
 #[derive(Serialize, Default)]
@@ -215,22 +181,14 @@ struct FleetCache {
     misses: u64,
 }
 
-fn aggregate_node_cache(shared: &SharedFleet) -> FleetCache {
+fn aggregate_node_cache(nodes: &[WorkerClient]) -> FleetCache {
     let mut c = FleetCache::default();
-    for &addr in &shared.node_addrs {
-        let Some(v) = scrape(addr, "/healthz").and_then(|b| serde_json::from_str::<Value>(&b).ok())
-        else {
-            continue;
-        };
-        let Some(cache) = v.get("cache") else {
-            continue;
-        };
-        let tier = |k: &str| cache.get(k).and_then(Value::as_u64).unwrap_or(0);
+    for tiers in nodes.iter().filter_map(|n| n.health().ok()?.cache) {
         c.nodes_reporting += 1;
-        c.memory_hits += tier("memory_hits");
-        c.disk_hits += tier("disk_hits");
-        c.remote_hits += tier("remote_hits");
-        c.misses += tier("misses");
+        c.memory_hits += tiers.memory_hits;
+        c.disk_hits += tiers.disk_hits;
+        c.remote_hits += tiers.remote_hits;
+        c.misses += tiers.misses;
     }
     c
 }
@@ -256,8 +214,8 @@ fn healthz(shared: &SharedFleet) -> Healthz {
         status: "ok",
         version: env!("CARGO_PKG_VERSION"),
         uptime_s: shared.started.elapsed().as_secs(),
-        nodes: shared.node_count,
-        cache: aggregate_node_cache(shared),
+        nodes: shared.nodes.len(),
+        cache: aggregate_node_cache(&shared.nodes),
         alive: shared.view.alive(),
         running: shared.runs.active() > 0,
         runs_total: shared.runs.total(),
@@ -291,10 +249,12 @@ fn run_reply(result: Result<FleetRun, FleetError>) -> Response {
     result.map_or_else(fleet_error, |run| Response::json(200, run.merged))
 }
 
-#[derive(Serialize)]
-struct Accepted {
-    run_id: u64,
-    shards: usize,
+/// The `202` reply to an async grid submit; [`crate::CoordinatorClient`]
+/// reads it back.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct Accepted {
+    pub(crate) run_id: u64,
+    pub(crate) shards: usize,
 }
 
 /// `POST /grid/submit` (or `?mode=async`) — accept and return immediately.
@@ -348,6 +308,7 @@ mod tests {
     use proof_serve::client::{get, post};
     use std::io::Write as _;
     use std::net::TcpStream;
+    use std::time::Duration;
 
     #[test]
     fn coordinator_surface_round_trip() {

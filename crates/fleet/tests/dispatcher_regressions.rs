@@ -225,6 +225,33 @@ fn dying_then_revived_worker() -> (SocketAddr, Arc<AtomicU64>) {
 }
 
 #[test]
+fn federated_scrape_answers_while_a_run_is_in_flight() {
+    // the sponge accepts both shards and never finishes them, so the run
+    // thread holds the registry for the whole shard timeout; an earlier
+    // build scraped through the registry and blocked until then
+    let s = spec(r#"{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2],"seed":8}"#);
+    let fleet = Fleet::start(FleetConfig {
+        nodes: vec![sponge_worker()],
+        request_timeout: Duration::from_millis(500),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let _run = fleet.submit_grid(&s).unwrap();
+    let (tx, rx) = mpsc::channel();
+    // detached: the run cannot finish, so neither can a shutdown
+    std::thread::spawn(move || {
+        assert!(fleet.runs().active() > 0, "the run must still be in flight");
+        let prom = fleet.metrics_prometheus_federated();
+        let _ = tx.send((prom, fleet.runs().active()));
+    });
+    let (prom, active) = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the federated scrape waited on the run thread");
+    assert!(active > 0, "the run finished before the scrape");
+    assert!(prom.contains("proof_fleet_fleet_runs_total 1"), "{prom}");
+}
+
+#[test]
 fn revived_node_with_a_stale_backoff_dispatches_immediately() {
     // the node under test 429s its first submission with Retry-After: 60,
     // dies, and is probe-revived ~150 ms in; the sponge peer keeps the

@@ -16,7 +16,7 @@
 //! `read_line` before checking any limit, which let a single connection
 //! exhaust memory.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -102,6 +102,12 @@ impl Response {
     pub fn encode<T: Serialize + ?Sized>(status: u16, value: &T) -> Response {
         let body = serde_json::to_string(value).expect("writing JSON to a String cannot fail");
         Response::json(status, body)
+    }
+
+    /// The body read as `T`: the one call that reads a reply, as
+    /// [`Response::encode`] is the one that writes it.
+    pub fn decode<T: Deserialize>(&self) -> serde_json::Result<T> {
+        serde_json::from_str(&self.body)
     }
 
     /// The error reply both daemons send: `{"error": msg}`.

@@ -37,5 +37,8 @@ pub use metrics::{Histogram, HistogramSnapshot, StageHistograms, WorkerMetrics, 
 pub use peer::HttpPeer;
 pub use proof_store::{ArtifactKey, HitTier, Lookup, StoreStats, TieredStore};
 pub use queue::JobQueue;
-pub use server::{JobStatus, ServeConfig, Server, ShutdownReport, MAX_JOB_WAIT};
+pub use server::{
+    CacheTiers, JobStatus, PeerList, PeersAdded, ServeConfig, Server, ShutdownReport, SpanView,
+    TraceSpans, MAX_JOB_WAIT,
+};
 pub use stage_cache::{StageCache, StageCacheStats, StageGuard, StageLookup};

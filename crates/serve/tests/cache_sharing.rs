@@ -118,6 +118,26 @@ fn peer_registration_endpoint() {
     server.shutdown();
 }
 
+/// A refused advertisement attaches none of its addresses: an earlier
+/// build attached each address as it parsed it, so the valid one before
+/// the malformed one stayed attached behind the 400.
+#[test]
+fn refused_peer_advertisement_attaches_nothing() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let (status, _) = post(
+        addr,
+        "/cache/peers",
+        r#"{"peers":["127.0.0.1:9999","not-an-addr"]}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 400);
+    let (status, reply) = post(addr, "/cache/peers", r#"{"peers":[]}"#).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(reply, r#"{"added":0,"peers":0}"#);
+    server.shutdown();
+}
+
 /// A daemon with a warm peer serves identical submissions from the remote
 /// tier: no second simulation, byte-identical artifact, remote-hit counter.
 #[test]
