@@ -32,6 +32,7 @@ use crate::registry::{NodeRegistry, NodeState};
 use crate::runs::FleetView;
 use proof_obs::{Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, Tracer};
 use std::collections::VecDeque;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -120,7 +121,11 @@ pub struct ShardReport {
 /// per-run (the [`FleetCounters`] accumulate across runs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchOutcome {
-    /// `(shard id, report JSON)` for every cell, unordered.
+    /// `(shard id, report JSON)` for every cell, unordered, each report
+    /// as the compact canonical bytes the merge copied. [`Dispatcher::run`]
+    /// moves every report to the run's merge thread instead of keeping it
+    /// here, so this is empty in the outcome it returns; the coordinator
+    /// fills it from the merger once the run has merged.
     pub results: Vec<(usize, String)>,
     /// Per-shard completion records, in completion order (unordered with
     /// respect to shard ids).
@@ -186,10 +191,13 @@ pub struct DispatchCtx {
     /// Shared registry view for lock-free `/nodes` and `/healthz` reads
     /// while this dispatch owns the registry.
     pub view: Arc<FleetView>,
+    /// The run's merge thread: each resolved shard's report is moved here
+    /// as it lands. Dropped when the run ends, which ends the merge.
+    pub reports: Sender<(usize, String)>,
 }
 
-/// The dispatch loop itself. Owns tuning and the run context; borrow the
-/// [`NodeRegistry`] per run.
+/// The dispatch loop itself. Owns tuning and the run context, so it serves
+/// one run; borrow the [`NodeRegistry`] for it.
 pub struct Dispatcher {
     pub config: DispatcherConfig,
     ctx: DispatchCtx,
@@ -217,10 +225,13 @@ impl Dispatcher {
         }
     }
 
-    /// Run the plan to completion. Fails fast when every node is dead with
-    /// work still pending, or when one shard exhausts its attempt budget.
+    /// Run the plan to completion, moving each report to
+    /// [`DispatchCtx::reports`] as its shard resolves. Fails fast when
+    /// every node is dead with work still pending, or when one shard
+    /// exhausts its attempt budget. Either way the dispatcher, and with it
+    /// the report channel, is dropped on return.
     pub fn run(
-        &self,
+        self,
         plan: &ShardPlan,
         registry: &mut NodeRegistry,
     ) -> Result<DispatchOutcome, FleetError> {
@@ -641,7 +652,8 @@ impl Dispatcher {
         };
         self.ctx.progress.note_completed(&record);
         outcome.shards.push(record);
-        outcome.results.push((entry.shard.id, report));
+        // a merge thread that is gone has panicked; its join reports that
+        let _ = self.ctx.reports.send((entry.shard.id, report));
     }
 
     /// Charge the node an in-flight shard failed on and requeue the shard,
