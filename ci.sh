@@ -159,6 +159,21 @@ fleet_spec=(--models mobilenetv2-0.5 --platforms a100 --batches 1,2 --seed 7)
 ./target/release/proof fleet sweep --in-process "${fleet_spec[@]}" \
     --out /tmp/proof_ci_fleet_b.json 2>/dev/null
 cmp /tmp/proof_ci_fleet_a.json /tmp/proof_ci_fleet_b.json
+# a multi-cell grid that is not a batch sweep: two models × two platforms
+# merge with "sweep":null, byte-identical to the single-node reference
+grid_spec=(--models mobilenetv2-0.5,resnet-50 --platforms a100,rtx-4090 --batches 1,2 --seed 7)
+./target/release/proof fleet sweep --nodes "${addr_a},${addr_b}" "${grid_spec[@]}" \
+    --out /tmp/proof_ci_fleet_g.json 2>/dev/null
+./target/release/proof fleet sweep --in-process "${grid_spec[@]}" \
+    --out /tmp/proof_ci_fleet_gr.json 2>/dev/null
+cmp /tmp/proof_ci_fleet_g.json /tmp/proof_ci_fleet_gr.json
+python3 - <<'EOF'
+import json
+doc = json.load(open("/tmp/proof_ci_fleet_g.json"))
+assert len(doc["cells"]) == 8 and doc["sweep"] is None, (len(doc["cells"]), doc["sweep"])
+print(f"  multi-cell grid OK: {len(doc['cells'])} cells, sweep null")
+EOF
+rm -f /tmp/proof_ci_fleet_g.json /tmp/proof_ci_fleet_gr.json
 kill "$pid_a" "$pid_b" 2>/dev/null || true
 trap - EXIT
 rm -f "$log_a" "$log_b"

@@ -181,7 +181,7 @@ fn submission(r: Response) -> Result<Submission, WorkerError> {
     match (r.status, r.job) {
         (200, Some(job_id)) => Ok(Submission::Done {
             job_id,
-            report: r.body,
+            report: r.into_body(),
         }),
         (201, _) => Ok(Submission::Queued(r.decode::<Queued>()?.id)),
         (429 | 503, _) => Err(busy(&r)),
@@ -386,16 +386,16 @@ impl WorkerClient {
                 r.status
             )));
         }
-        Ok(r.body)
+        Ok(r.into_body())
     }
 
     /// `GET /jobs/<id>/report` — the finished artifact, byte-exact.
     pub fn report(&self, id: u64) -> Result<String, WorkerError> {
         let r = self.get(&format!("/jobs/{id}/report"))?;
         match r.status {
-            200 => Ok(r.body),
+            200 => Ok(r.into_body()),
             429 | 503 => Err(busy(&r)),
-            500 | 504 => Err(WorkerError::JobFailed(r.body)),
+            500 | 504 => Err(WorkerError::JobFailed(r.into_body())),
             s => Err(WorkerError::Protocol(format!("report returned {s}"))),
         }
     }
@@ -472,9 +472,9 @@ impl CoordinatorClient {
     pub fn run_result(&self, run_id: u64) -> Result<RunResult, WorkerError> {
         let r = self.get(&format!("/grid/{run_id}/result"))?;
         match r.status {
-            200 => Ok(RunResult::Done(r.body)),
+            200 => Ok(RunResult::Done(r.into_body())),
             202 => Ok(RunResult::Running),
-            400 | 500 => Ok(RunResult::Failed(r.body)),
+            400 | 500 => Ok(RunResult::Failed(r.into_body())),
             s => Err(WorkerError::Protocol(format!("run result returned {s}"))),
         }
     }

@@ -214,7 +214,7 @@ impl Sent {
             content_type: head.content_type.unwrap_or_default(),
             retry_after_s: head.retry_after_s,
             job: head.job,
-            body,
+            body: body.into(),
         })
     }
 }
@@ -222,13 +222,13 @@ impl Sent {
 /// `GET path`, returning `(status, body)`.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     let r = Call::new(addr, "GET", path).send()?;
-    Ok((r.status, r.body))
+    Ok((r.status, r.into_body()))
 }
 
 /// `POST path` with a JSON body, returning `(status, body)`.
 pub fn post(addr: SocketAddr, path: &str, body: &str) -> std::io::Result<(u16, String)> {
     let r = Call::new(addr, "POST", path).body(body).send()?;
-    Ok((r.status, r.body))
+    Ok((r.status, r.into_body()))
 }
 
 #[cfg(test)]

@@ -73,7 +73,8 @@ pub struct Response {
     /// `X-Proof-Job`: the job a submission settled inline, whose artifact
     /// is the body.
     pub job: Option<u64>,
-    pub body: String,
+    /// Shared, so a stored artifact is sent from its store without a copy.
+    pub body: Arc<String>,
 }
 
 /// A route handler's outcome: `Err` carries an early refusal, so handlers
@@ -87,14 +88,14 @@ struct ErrorBody {
 
 impl Response {
     /// A JSON reply whose body is already JSON text (stored artifacts,
-    /// rendered traces, merged grids).
-    pub fn json(status: u16, body: String) -> Response {
+    /// rendered traces, merged grids), owned or shared with a store.
+    pub fn json(status: u16, body: impl Into<Arc<String>>) -> Response {
         Response {
             status,
             content_type: JSON.to_string(),
             retry_after_s: None,
             job: None,
-            body,
+            body: body.into(),
         }
     }
 
@@ -108,6 +109,12 @@ impl Response {
     /// [`Response::encode`] is the one that writes it.
     pub fn decode<T: Deserialize>(&self) -> serde_json::Result<T> {
         serde_json::from_str(&self.body)
+    }
+
+    /// The body as an owned `String`: a reply read off the wire owns its
+    /// body alone, so this copies only a body still shared with a store.
+    pub fn into_body(self) -> String {
+        Arc::try_unwrap(self.body).unwrap_or_else(|shared| shared.as_str().to_owned())
     }
 
     /// The error reply both daemons send: `{"error": msg}`.

@@ -35,7 +35,7 @@ impl PeerClient for HttpPeer {
             .send()
             .map_err(|e| TierError::Unavailable(format!("{}: {e}", self.addr)))?;
         match reply.status {
-            200 => Ok(Some(reply.body)),
+            200 => Ok(Some(reply.into_body())),
             404 => Ok(None),
             429 | 503 => Err(TierError::Busy),
             s => Err(TierError::Unavailable(format!(

@@ -913,7 +913,7 @@ fn post_job(shared: &Shared, req: &Request) -> Reply {
             .filter(|r| r.status == JobStatus::Done)
             .and_then(|r| r.artifact.clone());
         if let Some(artifact) = done {
-            return Ok(Response::json(200, artifact.as_str().to_string()).job(id));
+            return Ok(Response::json(200, artifact).job(id));
         }
     }
     let key = spec.cache_key();
@@ -947,9 +947,7 @@ fn get_report(shared: &Shared, id: &str) -> Reply {
         .get(&id)
         .ok_or_else(|| Response::error(404, "no such job"))?;
     Err(match (rec.status, &rec.artifact) {
-        (JobStatus::Done, Some(artifact)) => {
-            return Ok(Response::json(200, artifact.as_str().to_string()))
-        }
+        (JobStatus::Done, Some(artifact)) => return Ok(Response::json(200, Arc::clone(artifact))),
         (JobStatus::Failed, _) => {
             Response::error(500, rec.error.as_deref().unwrap_or("job failed"))
         }
@@ -982,7 +980,7 @@ fn get_trace(shared: &Shared, tid: &str, query: &str) -> Reply {
         .find(|r| r.trace == tid)
         .ok_or_else(|| Response::error(404, "no such trace"))?;
     match &rec.trace_json {
-        Some(json) => Ok(Response::json(200, json.as_str().to_string())),
+        Some(json) => Ok(Response::json(200, Arc::clone(json))),
         None => Err(Response::error(409, "job not finished yet")),
     }
 }
@@ -1057,7 +1055,7 @@ fn span_listing(tid: u64, mut spans: Vec<SpanRecord>) -> TraceSpans {
 fn get_cache(shared: &Shared, key: &str) -> Reply {
     let key = ArtifactKey::new(key).map_err(invalid)?;
     match shared.cache.get_local(&key) {
-        Some(artifact) => Ok(Response::json(200, artifact.as_str().to_string())),
+        Some(artifact) => Ok(Response::json(200, artifact)),
         None => Err(Response::error(404, "no such cache entry")),
     }
 }

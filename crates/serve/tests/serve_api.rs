@@ -271,5 +271,5 @@ fn api_error_paths() {
 
 fn request_delete(addr: SocketAddr) -> std::io::Result<(u16, String)> {
     let r = proof_serve::client::Call::new(addr, "DELETE", "/jobs/1").send()?;
-    Ok((r.status, r.body))
+    Ok((r.status, r.into_body()))
 }
