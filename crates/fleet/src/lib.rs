@@ -10,9 +10,10 @@
 //! ([`NodeRegistry::pick_weighted`]): each candidate is scored by estimated
 //! completion time from its advertised worker count and an EWMA of
 //! observed shard latency, so heterogeneous fleets keep fast nodes fed —
-//! and the per-cell reports are reassembled ([`merger`]) into one combined
-//! artifact that is **byte-identical** to a single-node run of the same
-//! spec and seed, wherever each shard ran.
+//! and the per-cell reports are reassembled ([`merger`]), on a per-run
+//! merge thread as the shards land, into one combined artifact that is
+//! **byte-identical** to a single-node run of the same spec and seed,
+//! wherever each shard ran.
 //!
 //! Fault model: a node that times out, keeps answering 429/5xx past the
 //! shard deadline, or dies mid-job has its shards requeued onto surviving
