@@ -76,6 +76,43 @@ kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
 rm -f "$serve_log"
 
+echo "==> proof serve trace smoke (same seeded job on two fresh daemons, identical traces)"
+# each daemon renders /trace/<id> on request from the spans its job kept;
+# the span listing holds only this daemon's jobs, so it carries no "addr"
+serve_trace() {
+    out="$1"
+    serve_log="$(mktemp)"
+    ./target/release/proof serve --addr 127.0.0.1:0 --workers 1 >"$serve_log" &
+    serve_pid=$!
+    trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+    for _ in $(seq 50); do
+        grep -q "listening on" "$serve_log" && break
+        sleep 0.1
+    done
+    serve_addr="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$serve_log" | head -n1)"
+    submitted="$(curl -sf -X POST "http://${serve_addr}/jobs" \
+        -d '{"model":"mobilenetv2-0.5","hardware":"a100","batch":1,"seed":9}')"
+    job_id="$(python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])' <<<"$submitted")"
+    trace_id="$(python3 -c 'import json,sys; print(json.load(sys.stdin)["trace"])' <<<"$submitted")"
+    for _ in $(seq 20); do
+        job_status="$(curl -sf "http://${serve_addr}/jobs/${job_id}?wait_ms=1000")"
+        grep -q '"status":"done"' <<<"$job_status" && break
+    done
+    grep -q '"status":"done"' <<<"$job_status" || { echo "trace smoke job not done: ${job_status}"; exit 1; }
+    curl -sf "http://${serve_addr}/trace/${trace_id}" >"$out"
+    listing="$(curl -sf "http://${serve_addr}/trace/${trace_id}?format=spans")"
+    grep -q '"name":"job"' <<<"$listing"
+    if grep -q '"addr"' <<<"$listing"; then echo "span listing carries addr: ${listing}"; exit 1; fi
+    kill "$serve_pid" 2>/dev/null || true
+    trap - EXIT
+    rm -f "$serve_log"
+}
+serve_trace /tmp/proof_ci_serve_t1.json
+serve_trace /tmp/proof_ci_serve_t2.json
+grep -q '"cat":"kernel"' /tmp/proof_ci_serve_t1.json
+cmp /tmp/proof_ci_serve_t1.json /tmp/proof_ci_serve_t2.json
+rm -f /tmp/proof_ci_serve_t1.json /tmp/proof_ci_serve_t2.json
+
 echo "==> proof serve robustness smoke (fault injection, 429 backpressure, counters)"
 # tiny queue + deterministic fault plan: jobs seeded 31337 panic at the
 # compile stage, jobs seeded 41414 stall 1500 ms at the metrics stage

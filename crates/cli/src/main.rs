@@ -201,17 +201,17 @@ fn run_profile(
     let Some(path) = flags.get("trace-out") else {
         return proof_core::run_pipeline_ctx(g, platform, flavor, cfg, mode, &ctx);
     };
-    let (tracer, ring) = proof_obs::shared_ring_tracer();
-    let trace_id = proof_obs::new_trace_id();
-    let mut root = tracer.span_in(trace_id, "profile");
+    let (tracer, _) = proof_obs::shared_ring_tracer();
+    let capture = proof_obs::Capture::start();
+    let mut root = tracer.span_in(proof_obs::new_trace_id(), "profile");
     root.field("model", g.name.clone());
     root.field("batch", g.batch_size());
     let outcome = proof_core::prepare_stages_ctx(g, platform, flavor, cfg, &ctx)
         .and_then(|prep| proof_core::run_metric_stages_ctx(&prep, mode, &ctx).map(|r| (r, prep)));
     root.finish();
+    let spans = capture.finish().spans;
     let (report, prep) = outcome?;
-    let trace_json =
-        proof_core::merged_chrome_trace(&ring.trace_spans(trace_id), Some(&prep.compiled.compiled));
+    let trace_json = proof_core::merged_chrome_trace(&spans, Some(&prep.compiled.compiled));
     std::fs::write(path, trace_json).expect("write trace");
     println!("wrote {path}");
     Ok(report)

@@ -40,6 +40,7 @@ use proof_obs::SpanRecord;
 use proof_runtime::{
     compile, BackendError, BackendFlavor, CompiledModel, LayerProfile, SessionConfig, Utilization,
 };
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Unified error
@@ -582,7 +583,9 @@ pub fn stage_assemble(
 /// reusable across [`MetricMode`]s, batch-sweep points, and serve jobs.
 #[derive(Debug, Clone)]
 pub struct PreparedStages {
-    pub compiled: CompiledArtifact,
+    /// Shared, so a finished serve job can keep the plan its trace's
+    /// kernel timeline renders from without the rest of the prefix.
+    pub compiled: Arc<CompiledArtifact>,
     pub profile: BuiltinProfileArtifact,
     pub mapping: MappingArtifact,
     /// Timings of the three prefix stages.
@@ -623,7 +626,7 @@ pub fn prepare_stages_ctx(
         stage_map(g, &profile, flavor, cfg)
     });
     Ok(PreparedStages {
-        compiled,
+        compiled: Arc::new(compiled),
         profile,
         mapping,
         trace,

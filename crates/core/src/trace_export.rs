@@ -45,9 +45,12 @@ mod tests {
     use proof_models::ModelId;
     use proof_runtime::{BackendFlavor, SessionConfig};
 
-    fn traced_run() -> (u64, PreparedStages, PipelineTrace) {
-        let trace_id = proof_obs::new_trace_id();
-        let root = proof_obs::span_in(trace_id, "profile");
+    /// One profile under the shared ring tracer's logical clock, with its
+    /// spans captured: `(spans, prepared prefix, report trace)`.
+    fn traced_run() -> (Vec<SpanRecord>, PreparedStages, PipelineTrace) {
+        proof_obs::shared_ring_tracer();
+        let capture = proof_obs::Capture::start();
+        let root = proof_obs::span_in(proof_obs::new_trace_id(), "profile");
         let g = ModelId::MobileNetV2x05.build(1);
         let prep = prepare_stages(
             &g,
@@ -58,14 +61,12 @@ mod tests {
         .unwrap();
         let report = run_metric_stages(&prep, MetricMode::Predicted).unwrap();
         root.finish();
-        (trace_id, prep, report.trace)
+        (capture.finish().spans, prep, report.trace)
     }
 
     #[test]
     fn merged_trace_holds_pipeline_and_kernel_rows_on_one_clock() {
-        let (_, ring) = proof_obs::shared_ring_tracer();
-        let (trace_id, prep, _) = traced_run();
-        let spans = ring.trace_spans(trace_id);
+        let (spans, prep, _) = traced_run();
         let doc = merged_chrome_trace(&spans, Some(&prep.compiled.compiled));
         let v: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
         let events = v["traceEvents"].as_array().unwrap();
@@ -94,19 +95,16 @@ mod tests {
 
     #[test]
     fn merged_trace_is_byte_identical_across_runs() {
-        let (_, ring) = proof_obs::shared_ring_tracer();
-        let (t1, prep1, _) = traced_run();
-        let (t2, prep2, _) = traced_run();
-        let a = merged_chrome_trace(&ring.trace_spans(t1), Some(&prep1.compiled.compiled));
-        let b = merged_chrome_trace(&ring.trace_spans(t2), Some(&prep2.compiled.compiled));
+        let (spans1, prep1, _) = traced_run();
+        let (spans2, prep2, _) = traced_run();
+        let a = merged_chrome_trace(&spans1, Some(&prep1.compiled.compiled));
+        let b = merged_chrome_trace(&spans2, Some(&prep2.compiled.compiled));
         assert_eq!(a, b);
     }
 
     #[test]
     fn pipeline_trace_reconstructs_from_spans() {
-        let (_, ring) = proof_obs::shared_ring_tracer();
-        let (trace_id, _, trace) = traced_run();
-        let spans = ring.trace_spans(trace_id);
+        let (spans, _, trace) = traced_run();
         let derived = PipelineTrace::from_spans(spans.iter());
         assert_eq!(derived, trace);
         // stage spans hang off the root span of the trace
@@ -120,10 +118,10 @@ mod tests {
 
     #[test]
     fn spans_only_trace_without_model_is_valid() {
-        let (_, ring) = proof_obs::shared_ring_tracer();
-        let trace_id = proof_obs::new_trace_id();
-        proof_obs::span_in(trace_id, "profile").finish();
-        let doc = merged_chrome_trace(&ring.trace_spans(trace_id), None);
+        proof_obs::shared_ring_tracer();
+        let capture = proof_obs::Capture::start();
+        proof_obs::span_in(proof_obs::new_trace_id(), "profile").finish();
+        let doc = merged_chrome_trace(&capture.finish().spans, None);
         let v: serde_json::Value = serde_json::from_str(&doc).unwrap();
         assert_eq!(v["traceEvents"].as_array().unwrap().len(), 1);
     }

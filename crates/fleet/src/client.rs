@@ -366,7 +366,7 @@ impl WorkerClient {
     /// `GET /trace/<trace>?format=spans` — the worker's span listing for
     /// one trace, for the coordinator's cross-node merge. `Ok(None)` when
     /// the worker holds no spans for that trace (it executed no shard of
-    /// the run, or its ring already evicted them).
+    /// the run).
     pub fn fetch_trace_spans(&self, trace: u64) -> Result<Option<TraceSpans>, WorkerError> {
         let r = self.get(&format!("/trace/{trace}?format=spans"))?;
         match r.status {

@@ -25,9 +25,7 @@ use crate::runs::{FleetView, RunHandle, RunLedger};
 use crate::trace::merge_fleet_trace;
 use proof_core::{GridSpec, ProofError};
 use proof_obs::export::{federate_prometheus, prometheus_text};
-use proof_obs::{
-    FieldValue, FlightRecorder, MetricsRegistry, RingCollector, Tracer, DEFAULT_FLIGHT_CAPACITY,
-};
+use proof_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer, DEFAULT_FLIGHT_CAPACITY};
 use proof_serve::{AnalysisJob, TraceSpans};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -173,7 +171,6 @@ struct FleetInner {
     /// holds the registry go through these.
     scrapers: Vec<WorkerClient>,
     tracer: Arc<Tracer>,
-    ring: Arc<RingCollector>,
     metrics: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
     view: Arc<FleetView>,
@@ -219,7 +216,7 @@ impl Fleet {
             .map(|&addr| WorkerClient::new(addr, SCRAPE_TIMEOUT))
             .collect();
         let registry = NodeRegistry::new(clients, config.node_fail_threshold);
-        let (tracer, ring) = proof_obs::shared_ring_tracer();
+        let (tracer, _) = proof_obs::shared_ring_tracer();
         let metrics = Arc::new(MetricsRegistry::new());
         // pre-register so the exposition carries the zero value even
         // before (or without) any peer-cache traffic, weighted dispatch,
@@ -236,7 +233,6 @@ impl Fleet {
                 registry: Mutex::new(registry),
                 scrapers,
                 tracer,
-                ring,
                 metrics,
                 flight: Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
                 view,
@@ -353,11 +349,6 @@ impl Fleet {
     /// The shared metrics registry (counters survive across runs).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.inner.metrics
-    }
-
-    /// The ring collector behind the fleet tracer (span inspection).
-    pub fn ring(&self) -> &Arc<RingCollector> {
-        &self.inner.ring
     }
 
     /// The always-readable registry/trace view shared with run threads.
@@ -516,11 +507,11 @@ fn fleet_trace(
     trace: u64,
     shards: &[ShardReport],
 ) -> String {
-    let node_docs: Vec<(usize, String, TraceSpans)> = (0..registry.len())
+    let node_docs: Vec<(usize, TraceSpans)> = (0..registry.len())
         .filter_map(|i| {
             let client = registry.client(i);
             match client.fetch_trace_spans(trace) {
-                Ok(Some(doc)) => Some((i, client.addr.to_string(), doc)),
+                Ok(Some(doc)) => Some((i, doc)),
                 Ok(None) => None,
                 Err(e) => {
                     inner.tracer.event(

@@ -17,10 +17,10 @@
 //!    starts at 0, and every span id is renumbered into one collision-free
 //!    global sequence — raw ids come from per-process allocators and would
 //!    differ run to run.
-//! 3. **Run-varying fields are dropped or resolved.** `addr` (an ephemeral
-//!    port) and `remote_parent` (a coordinator-process span id) never reach
-//!    the output: the job id is resolved to its canonical `shard` index and
-//!    the job span is re-parented onto the synthesized `fleet_shard`.
+//! 3. **Run-varying fields are dropped or resolved.** `remote_parent` (a
+//!    coordinator-process span id) never reaches the output: the job id is
+//!    resolved to its canonical `shard` index and the job span is
+//!    re-parented onto the synthesized `fleet_shard`.
 //!
 //! Tracks: the coordinator is pid 1; node `i` is pid `2 + i`, so every node
 //! renders as its own process row in Perfetto.
@@ -67,14 +67,12 @@ fn field(span: &SpanView, key: &str) -> Option<FieldValue> {
 /// - `shards`: the run's completion records (any order; sorted internally
 ///   by canonical shard id).
 /// - `nodes_total`: registry size, recorded on the `fleet_run` slice.
-/// - `node_docs`: `(node index, node address, span listing)` per node that
-///   answered the post-run trace fetch. The address filters span ownership:
-///   embedded daemons share one process-wide ring, so a listing can contain
-///   spans executed by a *different* daemon of the same process.
+/// - `node_docs`: `(node index, span listing)` per node that answered the
+///   post-run trace fetch. A listing holds only that daemon's own jobs.
 pub fn merge_fleet_trace(
     shards: &[ShardReport],
     nodes_total: usize,
-    node_docs: &[(usize, String, TraceSpans)],
+    node_docs: &[(usize, TraceSpans)],
 ) -> String {
     let mut ordered: Vec<ShardReport> = shards.to_vec();
     ordered.sort_by_key(|r| r.shard);
@@ -134,25 +132,23 @@ pub fn merge_fleet_trace(
     };
 
     // --- node tracks, in node-index order ---
-    let mut docs: Vec<&(usize, String, TraceSpans)> = node_docs.iter().collect();
-    docs.sort_by_key(|(i, _, _)| *i);
-    for (node, addr, doc) in docs {
+    let mut docs: Vec<&(usize, TraceSpans)> = node_docs.iter().collect();
+    docs.sort_by_key(|(i, _)| *i);
+    for (node, doc) in docs {
         let mut spans: Vec<&SpanView> = doc.spans.iter().collect();
         spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then(a.id.cmp(&b.id)));
         let shard_of = |s: &SpanView| match field(s, "job") {
             Some(FieldValue::U64(job)) => anchor(*node, job),
             _ => None,
         };
-        // ownership pass: keep job spans this daemon executed for this run,
-        // plus every span whose parent chain leads to one (spans are sorted
-        // by logical start, so parents precede their children)
+        // ownership pass: keep the job spans of this run's shards, plus
+        // every span whose parent chain leads to one (spans are sorted by
+        // logical start, so parents precede their children)
         let mut kept: Vec<&SpanView> = Vec::new();
         let mut kept_ids: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for s in spans {
-            let owned_job = s.name == "job"
-                && matches!(field(s, "addr"), Some(FieldValue::Str(a)) if a == *addr)
-                && shard_of(s).is_some();
-            if owned_job || kept_ids.contains(&s.parent) {
+            let shard_job = s.name == "job" && shard_of(s).is_some();
+            if shard_job || kept_ids.contains(&s.parent) {
                 kept_ids.insert(s.id);
                 kept.push(s);
             }
@@ -189,7 +185,7 @@ pub fn merge_fleet_trace(
             args.extend(
                 s.fields
                     .iter()
-                    .filter(|(k, _)| !matches!(k.as_str(), "job" | "addr" | "remote_parent"))
+                    .filter(|(k, _)| !matches!(k.as_str(), "job" | "remote_parent"))
                     .map(|(k, v)| (k.clone(), field_from_value(v))),
             );
             events.push(TraceEvent {
@@ -220,11 +216,11 @@ mod tests {
         }
     }
 
-    fn node_doc(addr: &str, job_id: u64, base_id: u64, start: f64) -> TraceSpans {
-        serde_json::from_value(&node_json(addr, job_id, base_id, start)).unwrap()
+    fn node_doc(job_id: u64, base_id: u64, start: f64) -> TraceSpans {
+        serde_json::from_value(&node_json(job_id, base_id, start)).unwrap()
     }
 
-    fn node_json(addr: &str, job_id: u64, base_id: u64, start: f64) -> Value {
+    fn node_json(job_id: u64, base_id: u64, start: f64) -> Value {
         json!({
             "trace": 7,
             "spans": [
@@ -235,7 +231,7 @@ mod tests {
                     "start_us": start,
                     "end_us": (start + 10.0),
                     "wall_us": 123.4,
-                    "fields": {"job": job_id, "addr": addr, "remote_parent": 99, "status": "done"}
+                    "fields": {"job": job_id, "remote_parent": 99, "status": "done"}
                 },
                 {
                     "id": (base_id + 1),
@@ -257,34 +253,12 @@ mod tests {
         let a = merge_fleet_trace(
             &[report(1, 1, 4), report(0, 0, 9)],
             2,
-            &[
-                (
-                    0,
-                    "127.0.0.1:1000".into(),
-                    node_doc("127.0.0.1:1000", 9, 50, 0.0),
-                ),
-                (
-                    1,
-                    "127.0.0.1:2000".into(),
-                    node_doc("127.0.0.1:2000", 4, 80, 0.0),
-                ),
-            ],
+            &[(0, node_doc(9, 50, 0.0)), (1, node_doc(4, 80, 0.0))],
         );
         let b = merge_fleet_trace(
             &[report(0, 0, 9), report(1, 1, 4)],
             2,
-            &[
-                (
-                    1,
-                    "127.0.0.1:9000".into(),
-                    node_doc("127.0.0.1:9000", 4, 700, 5.0),
-                ),
-                (
-                    0,
-                    "127.0.0.1:8000".into(),
-                    node_doc("127.0.0.1:8000", 9, 300, 2.0),
-                ),
-            ],
+            &[(1, node_doc(4, 700, 5.0)), (0, node_doc(9, 300, 2.0))],
         );
         assert_eq!(
             a, b,
@@ -319,7 +293,6 @@ mod tests {
                 .find(|s| s["args"]["span"] == *parent)
                 .expect("job parented onto a fleet_shard");
             assert_eq!(anchor["args"]["shard"], job["args"]["shard"]);
-            assert!(job["args"]["addr"].is_null());
             assert!(job["args"]["remote_parent"].is_null());
             assert!(job["args"]["job"].is_null());
             assert_eq!(job["args"]["status"], "done");
@@ -339,18 +312,7 @@ mod tests {
         let merged = merge_fleet_trace(
             &[report(1, 1, 4), report(0, 0, 9)],
             2,
-            &[
-                (
-                    0,
-                    "127.0.0.1:1000".into(),
-                    node_doc("127.0.0.1:1000", 9, 50, 0.0),
-                ),
-                (
-                    1,
-                    "127.0.0.1:2000".into(),
-                    node_doc("127.0.0.1:2000", 4, 80, 3.0),
-                ),
-            ],
+            &[(0, node_doc(9, 50, 0.0)), (1, node_doc(4, 80, 3.0))],
         );
         assert_eq!(
             merged,
@@ -368,28 +330,22 @@ mod tests {
     }
 
     #[test]
-    fn shared_process_listings_are_filtered_by_address() {
-        // two embedded daemons share one ring: each listing contains both
-        // daemons' spans (with colliding job ids); the addr field decides
-        let mut both = node_doc("127.0.0.1:1", 1, 10, 0.0);
-        both.spans.extend(node_doc("127.0.0.1:2", 1, 20, 0.0).spans);
-        let merged = merge_fleet_trace(
-            &[report(0, 0, 1), report(1, 1, 1)],
-            2,
-            &[
-                (0, "127.0.0.1:1".into(), both.clone()),
-                (1, "127.0.0.1:2".into(), both),
-            ],
-        );
+    fn listed_jobs_outside_the_run_are_left_out() {
+        // node 0 also ran job 5 under this trace (an attempt the run gave
+        // up on): only the job its shard report names, and that job's
+        // children, reach the node track
+        let mut listing = node_doc(9, 50, 0.0);
+        listing.spans.extend(node_doc(5, 60, 20.0).spans);
+        let merged = merge_fleet_trace(&[report(0, 0, 9)], 1, &[(0, listing)]);
         let doc: Value = serde_json::from_str(&merged).unwrap();
-        let events = doc["traceEvents"].as_array().unwrap();
-        // no duplication: each node track carries exactly its own 2 spans
-        assert_eq!(
-            events.iter().filter(|e| e["pid"] == 2).count(),
-            2,
-            "{merged}"
-        );
-        assert_eq!(events.iter().filter(|e| e["pid"] == 3).count(), 2);
+        let node: Vec<&Value> = doc["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["pid"] == 2)
+            .collect();
+        assert_eq!(node.len(), 2, "{merged}");
+        assert!(node.iter().all(|e| e["ts"].as_f64() < Some(20.0)));
     }
 
     #[test]

@@ -36,7 +36,8 @@ struct RingInner {
 
 /// Lock-protected in-memory ring buffer: the default enabled collector.
 /// Spans and events each keep the most recent `capacity` records; overflow
-/// drops the oldest and counts into `dropped`.
+/// drops the oldest. Evicted spans count into `dropped`; events are a log
+/// tail and leave no count.
 pub struct RingCollector {
     capacity: usize,
     inner: Mutex<RingInner>,
@@ -60,24 +61,12 @@ impl RingCollector {
         self.inner.lock().unwrap().spans.iter().cloned().collect()
     }
 
-    /// Buffered spans belonging to `trace`, oldest first.
-    pub fn trace_spans(&self, trace: u64) -> Vec<SpanRecord> {
-        self.inner
-            .lock()
-            .unwrap()
-            .spans
-            .iter()
-            .filter(|s| s.trace == trace)
-            .cloned()
-            .collect()
-    }
-
     /// All buffered events, oldest first.
     pub fn events(&self) -> Vec<EventRecord> {
         self.inner.lock().unwrap().events.iter().cloned().collect()
     }
 
-    /// Records evicted by the capacity bound since construction.
+    /// Spans evicted by the capacity bound since construction.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -103,7 +92,6 @@ impl Collector for RingCollector {
         let mut inner = self.inner.lock().unwrap();
         if inner.events.len() >= self.capacity {
             inner.events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         inner.events.push_back(event);
     }
@@ -135,18 +123,27 @@ mod tests {
         let spans = ring.spans();
         assert_eq!(spans.iter().map(|s| s.id).collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(ring.dropped(), 1);
+        ring.clear();
+        assert!(ring.spans().is_empty());
     }
 
     #[test]
-    fn trace_spans_filters_by_trace_id() {
-        let ring = RingCollector::new(8);
-        ring.record_span(span(1, 10));
-        ring.record_span(span(2, 11));
-        ring.record_span(span(3, 10));
-        let t10 = ring.trace_spans(10);
-        assert_eq!(t10.iter().map(|s| s.id).collect::<Vec<_>>(), vec![1, 3]);
-        ring.clear();
-        assert!(ring.spans().is_empty());
+    fn evicted_events_are_not_counted_as_dropped_spans() {
+        let ring = RingCollector::new(2);
+        for n in 0..3 {
+            ring.record_event(EventRecord {
+                trace: 7,
+                span: 0,
+                level: crate::Level::Info,
+                target: "test",
+                ts_us: 0.0,
+                message: format!("event {n}"),
+                fields: Vec::new(),
+            });
+        }
+        let kept: Vec<String> = ring.events().into_iter().map(|e| e.message).collect();
+        assert_eq!(kept, ["event 1", "event 2"]);
+        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]

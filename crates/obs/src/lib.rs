@@ -8,6 +8,9 @@
 //!   [`Tracer`] and recorded via the pluggable [`Collector`] trait. The
 //!   default global tracer is disabled (no-op collector); installing the
 //!   shared ring tracer turns collection on everywhere at once.
+//! - **span capture** — a per-thread [`Capture`] that keeps one unit of
+//!   work's spans (a serve job, a traced CLI profile) for its owner, bounded
+//!   by [`CAPTURE_CAPACITY`] with counted overflow, instead of the ring.
 //! - **metrics** — a [`MetricsRegistry`] of named [`Counter`]s, [`Gauge`]s,
 //!   and log2 latency [`Histogram`]s with a snapshot API.
 //! - **exporters** — Chrome-trace JSON ([`export::chrome_trace_json`]) and
@@ -29,6 +32,7 @@
 //! repo's seeded-simulation discipline. Real wall durations are kept
 //! alongside in [`SpanRecord::wall_us`] for latency accounting.
 
+pub mod capture;
 pub mod clock;
 pub mod collector;
 pub mod export;
@@ -38,6 +42,7 @@ pub mod metrics;
 pub mod span;
 pub mod tracer;
 
+pub use capture::{Capture, Captured, CAPTURE_CAPACITY};
 pub use collector::{Collector, NoopCollector, RingCollector};
 pub use export::TraceEvent;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
@@ -133,15 +138,9 @@ mod tests {
         s.field("k", 1u64);
         drop(s);
         event(Level::Info, "obs_test", "hello", Vec::new());
-        assert_eq!(ring_spans_named(&r1, trace, "facade"), 1);
+        let facade = |s: &SpanRecord| s.trace == trace && s.name == "facade";
+        assert_eq!(r1.spans().iter().filter(|s| facade(s)).count(), 1);
         assert!(r1.events().iter().any(|e| e.message == "hello"));
         assert!(event_enabled(Level::Debug));
-    }
-
-    fn ring_spans_named(ring: &RingCollector, trace: u64, name: &str) -> usize {
-        ring.trace_spans(trace)
-            .iter()
-            .filter(|s| s.name == name)
-            .count()
     }
 }

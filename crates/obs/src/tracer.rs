@@ -169,7 +169,8 @@ pub fn event_interest(tracer: &Tracer, level: Level) -> bool {
 
 /// An open span. Dropping (or calling [`SpanGuard::finish`]) closes it:
 /// the end timestamp and real wall duration are stamped and the record goes
-/// to the collector (if enabled). The record is built even when collection
+/// to this thread's [`crate::Capture`] if one is active, else to the
+/// collector (if enabled). The record is built even when collection
 /// is disabled so `finish()` can always return real wall timings.
 pub struct SpanGuard {
     tracer: Arc<Tracer>,
@@ -208,7 +209,7 @@ impl SpanGuard {
                 stack.remove(pos);
             }
         });
-        if self.tracer.collector.enabled() {
+        if !crate::capture::keep(&record) && self.tracer.collector.enabled() {
             self.tracer.collector.record_span(record.clone());
         }
         Some(record)
@@ -254,7 +255,7 @@ mod tests {
         assert_eq!(root_rec.parent, 0);
         // logical clock: start strictly before end, per trace
         assert!(root_rec.start_us < root_rec.end_us);
-        assert_eq!(ring.trace_spans(trace).len(), 3);
+        assert_eq!(ring.spans().iter().filter(|s| s.trace == trace).count(), 3);
     }
 
     #[test]

@@ -24,14 +24,14 @@ use crate::peer::HttpPeer;
 use crate::queue::JobQueue;
 use crate::stage_cache::{StageCache, StageCacheStats, StageLookup};
 use proof_core::{
-    merged_chrome_trace, run_metric_stages_ctx, PipelineStage, PreparedStages, ProfileReport,
-    ProofError, RunCtx, MAX_GRID_CELLS,
+    merged_chrome_trace, run_metric_stages_ctx, CompiledArtifact, PipelineStage, PreparedStages,
+    ProfileReport, ProofError, RunCtx, MAX_GRID_CELLS,
 };
 use proof_models::ModelId;
 use proof_obs::export::prometheus_text;
 use proof_obs::{
-    Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, RingCollector, SpanRecord, Tracer,
-    DEFAULT_FLIGHT_CAPACITY,
+    Capture, Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, RingCollector,
+    SpanRecord, Tracer, DEFAULT_FLIGHT_CAPACITY,
 };
 use proof_store::{ArtifactKey, HitTier, Lookup, StoreConfig, StoreStats, TieredStore};
 use serde::{Deserialize, Serialize};
@@ -126,6 +126,10 @@ impl JobStatus {
             JobStatus::TimedOut => "timed_out",
         }
     }
+
+    fn is_final(self) -> bool {
+        !matches!(self, JobStatus::Queued | JobStatus::Running)
+    }
 }
 
 struct JobRecord {
@@ -134,7 +138,7 @@ struct JobRecord {
     status: JobStatus,
     group: Option<u64>,
     /// Observability trace id: every span the job's execution opens carries
-    /// it, and `GET /trace/<id>` renders the collected result. Locally
+    /// it, and `GET /trace/<id>` renders the job's spans. Locally
     /// allocated unless the submitter supplied trace context (job-spec
     /// `trace_parent` or `X-Proof-Trace` header), in which case the job
     /// adopts the caller's trace id.
@@ -150,9 +154,15 @@ struct JobRecord {
     cache_tier: Option<&'static str>,
     error: Option<String>,
     artifact: Option<Arc<String>>,
-    /// Merged Chrome-trace JSON, rendered eagerly when the job finishes (the
-    /// ring buffer may evict the spans long before a client asks).
-    trace_json: Option<Arc<String>>,
+    /// The spans the job's execution closed on its worker (at most
+    /// [`proof_obs::CAPTURE_CAPACITY`]), stored when the job turns final.
+    /// They belong to the record, so ring eviction cannot lose them;
+    /// `GET /trace/<id>` renders them on request.
+    spans: Arc<[SpanRecord]>,
+    /// The compiled plan a built job ran on, shared with its stage-cache
+    /// entry: the rendered trace carries its kernel timeline. `None` for
+    /// cache hits and failed runs.
+    compiled: Option<Arc<CompiledArtifact>>,
     submitted: Instant,
     queue_wait_us: Option<u64>,
     execute_us: Option<u64>,
@@ -243,10 +253,14 @@ struct Shared {
     cache: TieredStore,
     stage_cache: StageCache,
     worker_metrics: WorkerMetrics,
-    /// The process-shared ring tracer: job spans land here, and the
-    /// pipeline stages (which trace through the global facade) join them.
+    /// The process-shared ring tracer. A job's spans (its root and the
+    /// pipeline stages, which trace through the global facade on the same
+    /// thread) go to the job's capture instead; the ring keeps events.
     tracer: Arc<Tracer>,
     ring: Arc<RingCollector>,
+    /// Job spans that did not fit their job's capture; the Prometheus
+    /// `trace_spans_dropped_total` adds them to the ring's own drops.
+    capture_dropped: AtomicU64,
     /// Named instruments behind `GET /metrics` (both formats).
     metrics: MetricsRegistry,
     http_requests: Arc<Counter>,
@@ -271,11 +285,6 @@ struct Shared {
     /// and cache-tier outcomes, served at `GET /debug/events` and dumped to
     /// stderr when a worker catches a panic.
     flight: Arc<FlightRecorder>,
-    /// The bound address, recorded on every job span: the ring tracer is
-    /// process-wide, so when several daemons share one process (embedded
-    /// fleet nodes) this field is what attributes a span subtree to the
-    /// daemon that actually executed it.
-    local_addr: SocketAddr,
     /// Process start, for the `/healthz` uptime report.
     started: Instant,
     /// Cleared by shutdown before the drain: submissions that arrive
@@ -294,9 +303,7 @@ impl Shared {
         let deadline = Instant::now() + wait;
         let mut reg = self.reg();
         loop {
-            let pending = reg
-                .get(&id)
-                .is_some_and(|r| matches!(r.status, JobStatus::Queued | JobStatus::Running));
+            let pending = reg.get(&id).is_some_and(|r| !r.status.is_final());
             let left = deadline.saturating_duration_since(Instant::now());
             if !pending || left.is_zero() || !self.running.load(Ordering::SeqCst) {
                 return reg;
@@ -330,7 +337,6 @@ pub struct Server {
 impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         let (tracer, ring) = proof_obs::shared_ring_tracer();
         let metrics = MetricsRegistry::new();
         let peer_timeout = Duration::from_millis(config.peer_timeout_ms.max(1));
@@ -355,6 +361,7 @@ impl Server {
             worker_metrics: WorkerMetrics::new(config.workers.max(1)),
             tracer,
             ring,
+            capture_dropped: AtomicU64::new(0),
             http_requests: metrics.counter("http_requests_total"),
             hist_queue_wait: metrics.histogram("job_queue_wait_us"),
             hist_execute: metrics.histogram("job_execute_us"),
@@ -370,7 +377,6 @@ impl Server {
             retry_base_ms: config.retry_base_ms,
             peer_timeout,
             flight: Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
-            local_addr,
             started: Instant::now(),
             running: AtomicBool::new(true),
         });
@@ -503,21 +509,20 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     let _busy = shared.worker_metrics.busy_span();
     let exec_start = Instant::now();
     // Root span of the job's trace; the pipeline stages (tracing through
-    // the global facade) nest under it because they run on this thread.
+    // the global facade) nest under it because they run on this thread,
+    // and the capture keeps every one of them for the job's record.
+    let capture = Capture::start();
     let mut span = shared.tracer.span_in(trace_id, "job");
     span.field("job", id);
-    // The ring tracer is process-wide: when several daemons share a process
-    // the bound address is what ties this span subtree to this daemon.
-    span.field("addr", shared.local_addr.to_string());
     // The dispatching span on the remote coordinator, if this job adopted a
     // caller's trace: a cross-node merge resolves it against the caller's
     // spans (process-local span ids cannot be compared directly).
     if let Some(parent) = remote_parent {
         span.field("remote_parent", parent);
     }
-    // The prepared prefix used for this execution (if any), so the trace
+    // The compiled plan used for this execution (if any), so the trace
     // export can merge the kernel timeline of the compiled model.
-    let mut prep_used: Option<Arc<PreparedStages>> = None;
+    let mut compiled: Option<Arc<CompiledArtifact>> = None;
     let mut attempts = 0u32;
     let akey = ArtifactKey::new(&key).expect("cache_key emits valid artifact keys");
     // Single-flight: concurrent identical jobs wait here and then hit.
@@ -572,7 +577,7 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
                 };
                 match run {
                     Ok((report, prep)) => {
-                        prep_used = Some(prep);
+                        compiled = Some(Arc::clone(&prep.compiled));
                         // try_to_json instead of to_json: a non-finite value
                         // fails the job instead of aborting the worker thread.
                         match report.try_to_json() {
@@ -602,6 +607,10 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     };
     span.field("status", status);
     span.finish();
+    let captured = capture.finish();
+    shared
+        .capture_dropped
+        .fetch_add(captured.dropped, Ordering::Relaxed);
     let (level, message) = match &outcome {
         Ok(_) => (Level::Info, format!("job {id} {status}")),
         Err(JobFailure::TimedOut(e)) => (Level::Warn, format!("job {id} timed out: {e}")),
@@ -631,26 +640,13 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
             ("execute_us", FieldValue::U64(execute_us)),
         ],
     );
-    // Render the merged trace now: the ring buffer may evict these spans
-    // long before a client asks for them. `addr` (ephemeral port) and
-    // `remote_parent` (a foreign process-local span id) vary run to run, so
-    // they stay out of the byte-reproducible chrome export; the raw
-    // `?format=spans` listing keeps both for cross-node merging.
-    let mut trace_spans = shared.ring.trace_spans(trace_id);
-    for s in &mut trace_spans {
-        s.fields
-            .retain(|(k, _)| *k != "addr" && *k != "remote_parent");
-    }
-    let trace_json = merged_chrome_trace(
-        &trace_spans,
-        prep_used.as_deref().map(|p| &p.compiled.compiled),
-    );
 
     let mut reg = shared.reg();
     let Some(rec) = reg.get_mut(&id) else { return };
     rec.execute_us = Some(execute_us);
     rec.attempts = attempts;
-    rec.trace_json = Some(Arc::new(trace_json));
+    rec.spans = captured.spans.into();
+    rec.compiled = compiled;
     match outcome {
         Ok((artifact, tier)) => {
             rec.status = JobStatus::Done;
@@ -736,7 +732,8 @@ fn submit(
         cache_tier: None,
         error: None,
         artifact: None,
-        trace_json: None,
+        spans: Arc::new([]),
+        compiled: None,
         submitted: Instant::now(),
         queue_wait_us: None,
         execute_us: None,
@@ -959,30 +956,47 @@ fn get_report(shared: &Shared, id: &str) -> Reply {
 }
 
 /// `GET /trace/<trace-id>` — the merged Chrome-trace JSON of a finished
-/// job's execution (pipeline-stage spans + kernel timeline on one clock).
-/// The id is the `trace` field of the job-submission reply and job status.
+/// job's execution (pipeline-stage spans + kernel timeline on one clock),
+/// rendered on request from the spans stored on the job's record. The id
+/// is the `trace` field of the job-submission reply and job status. When
+/// several jobs share the trace (an adopted one), the lowest job id is
+/// served, with 409 until that job is final.
 ///
-/// `?format=spans` returns the raw span records of the trace from the ring
-/// collector instead: `{"trace":id,"spans":[...]}`, sorted by logical start
-/// time. This is the cross-node merge surface — a fleet coordinator that
-/// propagated its trace id into dispatched jobs pulls every node's share of
-/// the trace here and re-assembles one document, which a pre-rendered
-/// per-job chrome trace could not support (an adopted trace spans many
-/// jobs).
+/// `?format=spans` returns the raw span records of every job of the trace
+/// on this daemon instead: `{"trace":id,"spans":[...]}`, sorted by logical
+/// start time. This is the cross-node merge surface — a fleet coordinator
+/// that propagated its trace id into dispatched jobs pulls every node's
+/// share of the trace here and re-assembles one document.
 fn get_trace(shared: &Shared, tid: &str, query: &str) -> Reply {
     let tid = parse_id(tid, "trace")?;
     if query_has(query, "format", "spans") {
         return trace_spans(shared, tid);
     }
-    let reg = shared.reg();
-    let rec = reg
-        .values()
-        .find(|r| r.trace == tid)
-        .ok_or_else(|| Response::error(404, "no such trace"))?;
-    match &rec.trace_json {
-        Some(json) => Ok(Response::json(200, Arc::clone(json))),
-        None => Err(Response::error(409, "job not finished yet")),
-    }
+    let (spans, compiled) = {
+        let reg = shared.reg();
+        let (_, rec) = reg
+            .iter()
+            .filter(|(_, r)| r.trace == tid)
+            .min_by_key(|(&id, _)| id)
+            .ok_or_else(|| Response::error(404, "no such trace"))?;
+        if !rec.status.is_final() {
+            return Err(Response::error(409, "job not finished yet"));
+        }
+        (Arc::clone(&rec.spans), rec.compiled.clone())
+    };
+    // `remote_parent` (a foreign process-local span id) varies run to run,
+    // so it stays out of the byte-reproducible document; the `?format=spans`
+    // listing keeps it for cross-node merging
+    let spans: Vec<SpanRecord> = spans
+        .iter()
+        .cloned()
+        .map(|mut s| {
+            s.fields.retain(|(k, _)| *k != "remote_parent");
+            s
+        })
+        .collect();
+    let model = compiled.as_deref().map(|c| &c.compiled);
+    Ok(Response::json(200, merged_chrome_trace(&spans, model)))
 }
 
 fn field_value_json(v: &FieldValue) -> Value {
@@ -1016,9 +1030,15 @@ pub struct SpanView {
     pub fields: BTreeMap<String, Value>,
 }
 
-/// The `?format=spans` body: every span of `tid` still held by the ring.
+/// The `?format=spans` body: the stored spans of this daemon's jobs of
+/// trace `tid`.
 fn trace_spans(shared: &Shared, tid: u64) -> Reply {
-    let spans = shared.ring.trace_spans(tid);
+    let spans: Vec<SpanRecord> = shared
+        .reg()
+        .values()
+        .filter(|r| r.trace == tid)
+        .flat_map(|r| r.spans.iter().cloned())
+        .collect();
     if spans.is_empty() {
         return Err(Response::error(404, "no such trace"));
     }
@@ -1323,7 +1343,7 @@ fn prometheus_body(shared: &Shared) -> String {
         ("stage_cache_misses_total".to_string(), stage_cache.misses),
         (
             "trace_spans_dropped_total".to_string(),
-            shared.ring.dropped(),
+            shared.ring.dropped() + shared.capture_dropped.load(Ordering::Relaxed),
         ),
     ]);
     snap.gauges.extend([

@@ -112,6 +112,48 @@ fn traces_are_byte_identical_across_fresh_servers() {
 }
 
 #[test]
+fn a_shared_trace_renders_its_lowest_job() {
+    // Two jobs adopt one trace: `/trace/<id>` renders the lowest job id's
+    // spans, whichever record the registry map visits first. Fresh daemons
+    // give fresh map orders, so a first-found pick shows up in some round.
+    for round in 0..4u64 {
+        let server = boot(1);
+        let addr = server.addr();
+        let trace = 515_150 + round;
+        let header = format!("{trace}:9");
+        let headers = [("X-Proof-Trace", header.as_str())];
+        let mut ids = Vec::new();
+        for seed in [11, 12] {
+            let spec = SPEC.replace("\"seed\":7", &format!("\"seed\":{seed}"));
+            let reply = proof_serve::client::Call::new(addr, "POST", "/jobs")
+                .body(&spec)
+                .headers(&headers)
+                .send()
+                .unwrap();
+            assert_eq!(reply.status, 201, "{}", reply.body);
+            let v: serde_json::Value = serde_json::from_str(&reply.body).unwrap();
+            assert_eq!(v["trace"].as_u64(), Some(trace));
+            ids.push(v["id"].as_u64().unwrap());
+        }
+        for &id in &ids {
+            wait_done(addr, id);
+        }
+        let (status, body) = get(addr, &format!("/trace/{trace}")).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let doc: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let jobs: Vec<u64> = doc["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["name"] == "job")
+            .map(|e| e["args"]["job"].as_u64().unwrap())
+            .collect();
+        assert_eq!(jobs, [ids[0]], "round {round}: {body}");
+        server.shutdown();
+    }
+}
+
+#[test]
 fn jobs_adopt_the_submitters_trace_context() {
     let server = boot(1);
     let addr = server.addr();

@@ -257,12 +257,13 @@ fn measured_mode_charges_replay_overhead_proportional_to_kernels() {
 #[test]
 fn pipeline_spans_reach_the_facade_tracer_and_merge_into_one_trace() {
     // Tracing through the workspace facade: the pipeline stages record
-    // spans into the shared ring, and the merged Chrome trace holds both
-    // the stage spans and the compiled model's kernel timeline.
-    let (_, ring) = proof::obs::shared_ring_tracer();
-    let trace = proof::obs::new_trace_id();
+    // spans through the shared ring tracer, a capture keeps them, and the
+    // merged Chrome trace holds both the stage spans and the compiled
+    // model's kernel timeline.
+    proof::obs::shared_ring_tracer();
+    let capture = proof::obs::Capture::start();
     let prep = {
-        let _root = proof::obs::span_in(trace, "profile");
+        let _root = proof::obs::span_in(proof::obs::new_trace_id(), "profile");
         proof::core::prepare_stages(
             &ModelId::MobileNetV2x05.build(1),
             &PlatformId::A100.spec(),
@@ -271,7 +272,7 @@ fn pipeline_spans_reach_the_facade_tracer_and_merge_into_one_trace() {
         )
         .expect("prepare")
     };
-    let spans = ring.trace_spans(trace);
+    let spans = capture.finish().spans;
     // root + the three prefix stages, all carrying this trace id
     assert!(spans.len() >= 4, "got {} spans", spans.len());
     for stage in ["profile", "compile", "builtin_profile", "map"] {
