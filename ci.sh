@@ -36,6 +36,10 @@ echo "==> proof profile --trace-out smoke test (valid + byte-reproducible)"
 ./target/release/proof profile --model mobilenetv2-0.5 --platform a100 --batch 1 --seed 42 \
     --trace-out /tmp/proof_ci_trace_b.json >/dev/null
 cmp /tmp/proof_ci_trace_a.json /tmp/proof_ci_trace_b.json
+# events never read the trace clock: logging every event must not move a byte
+PROOF_LOG=debug ./target/release/proof profile --model mobilenetv2-0.5 --platform a100 --batch 1 \
+    --seed 42 --trace-out /tmp/proof_ci_trace_c.json >/dev/null 2>/dev/null
+cmp /tmp/proof_ci_trace_a.json /tmp/proof_ci_trace_c.json
 python3 - <<'EOF'
 import json
 doc = json.load(open("/tmp/proof_ci_trace_a.json"))
@@ -45,7 +49,7 @@ cats = {e["cat"] for e in events}
 assert {"pipeline", "kernel", "backend_layer"} <= cats, cats
 print(f"  trace OK: {len(events)} events, cats {sorted(cats)}")
 EOF
-rm -f /tmp/proof_ci_trace_a.json /tmp/proof_ci_trace_b.json
+rm -f /tmp/proof_ci_trace_a.json /tmp/proof_ci_trace_b.json /tmp/proof_ci_trace_c.json
 
 echo "==> proof serve smoke test (healthz, prometheus metrics, keep-alive, job wait)"
 serve_log="$(mktemp)"

@@ -74,8 +74,8 @@ mod tests {
         assert!(results_dir().is_dir());
     }
 
-    /// Guardrail for the `obs_overhead` bench's premise: collecting spans
-    /// must not change what the pipeline computes, and the tracing path
+    /// Guardrail: capturing spans must not change what the pipeline
+    /// computes, and the tracing path
     /// must stay far below report granularity (reports quote milliseconds;
     /// a run opens ~6 spans).
     #[test]
@@ -101,29 +101,31 @@ mod tests {
             .unwrap()
             .to_json()
         };
-        let time_once = || {
+        let time_once = |captured: bool| {
             let t = Instant::now();
+            let capture = captured.then(proof_obs::Capture::start);
             let json = profile_once();
+            if let Some(capture) = capture {
+                assert!(!capture.finish().spans.is_empty());
+            }
             (t.elapsed(), json)
         };
 
-        // default tracer: disabled no-op collector
-        let (_, noop_json) = time_once();
-        let noop_best = (0..5).map(|_| time_once().0).min().unwrap();
+        // no capture active: every span goes nowhere
+        let (_, plain_json) = time_once(false);
+        let plain_best = (0..5).map(|_| time_once(false).0).min().unwrap();
 
-        // same pipeline with every span recorded into the shared ring
-        let (_, ring) = proof_obs::shared_ring_tracer();
-        let (_, ring_json) = time_once();
-        let ring_best = (0..5).map(|_| time_once().0).min().unwrap();
-        ring.clear();
+        // same pipeline with every span kept by a capture
+        let (_, captured_json) = time_once(true);
+        let captured_best = (0..5).map(|_| time_once(true).0).min().unwrap();
 
         // identical output bytes: observation never perturbs the result
-        assert_eq!(noop_json, ring_json);
+        assert_eq!(plain_json, captured_json);
         // generous margin — this catches pathological regressions (a lock
         // or allocation on every kernel), not scheduler noise
         assert!(
-            ring_best <= noop_best * 10 + std::time::Duration::from_millis(5),
-            "ring-collector run {ring_best:?} vastly slower than no-op {noop_best:?}"
+            captured_best <= plain_best * 10 + std::time::Duration::from_millis(5),
+            "captured run {captured_best:?} vastly slower than uncaptured {plain_best:?}"
         );
     }
 }

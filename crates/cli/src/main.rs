@@ -177,10 +177,10 @@ fn cmd_inspect(flags: HashMap<String, String>) {
 }
 
 /// Run the profiling pipeline, honoring `--trace-out FILE`: with it, the
-/// run executes under a root span on the shared ring tracer and the merged
-/// Chrome trace (pipeline-stage spans + kernel timeline) is written to
-/// FILE. The logical trace clock makes the file byte-reproducible for a
-/// given seeded invocation.
+/// run executes under a captured root span and the merged Chrome trace
+/// (pipeline-stage spans + kernel timeline) is written to FILE. The
+/// logical trace clock makes the file byte-reproducible for a given seeded
+/// invocation.
 fn run_profile(
     flags: &HashMap<String, String>,
     g: &Graph,
@@ -201,9 +201,8 @@ fn run_profile(
     let Some(path) = flags.get("trace-out") else {
         return proof_core::run_pipeline_ctx(g, platform, flavor, cfg, mode, &ctx);
     };
-    let (tracer, _) = proof_obs::shared_ring_tracer();
     let capture = proof_obs::Capture::start();
-    let mut root = tracer.span_in(proof_obs::new_trace_id(), "profile");
+    let mut root = proof_obs::span_in(proof_obs::new_trace_id(), "profile");
     root.field("model", g.name.clone());
     root.field("batch", g.batch_size());
     let outcome = proof_core::prepare_stages_ctx(g, platform, flavor, cfg, &ctx)

@@ -21,7 +21,7 @@
 //! a [`PipelineTrace`] with wall-clock per-stage timings (`proof profile
 //! --trace`, serve's `/metrics` stage histograms); it is now derived from
 //! the span records ([`PipelineTrace::from_spans`] reconstructs an equal
-//! trace from a collector) rather than being a separate timing source. The
+//! trace from captured spans) rather than being a separate timing source. The
 //! trace is observability metadata: it is excluded from the report's JSON
 //! form and equality so reports stay bit-for-bit reproducible for a given
 //! (spec, seed).
@@ -292,7 +292,7 @@ impl PipelineTrace {
 
 /// Run one stage body inside a span named after the stage and record its
 /// wall duration in `trace`. The span is the single timing source: the
-/// trace entry is taken from the finished record, so a collector sees
+/// trace entry is taken from the finished record, so a capture sees
 /// exactly the durations the report carries.
 fn timed<T>(trace: &mut PipelineTrace, stage: PipelineStage, f: impl FnOnce() -> T) -> T {
     let span = proof_obs::span(stage.name());

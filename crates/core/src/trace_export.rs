@@ -45,10 +45,9 @@ mod tests {
     use proof_models::ModelId;
     use proof_runtime::{BackendFlavor, SessionConfig};
 
-    /// One profile under the shared ring tracer's logical clock, with its
-    /// spans captured: `(spans, prepared prefix, report trace)`.
+    /// One profile with its spans captured: `(spans, prepared prefix,
+    /// report trace)`.
     fn traced_run() -> (Vec<SpanRecord>, PreparedStages, PipelineTrace) {
-        proof_obs::shared_ring_tracer();
         let capture = proof_obs::Capture::start();
         let root = proof_obs::span_in(proof_obs::new_trace_id(), "profile");
         let g = ModelId::MobileNetV2x05.build(1);
@@ -118,7 +117,6 @@ mod tests {
 
     #[test]
     fn spans_only_trace_without_model_is_valid() {
-        proof_obs::shared_ring_tracer();
         let capture = proof_obs::Capture::start();
         proof_obs::span_in(proof_obs::new_trace_id(), "profile").finish();
         let doc = merged_chrome_trace(&capture.finish().spans, None);

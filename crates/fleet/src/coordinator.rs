@@ -2,7 +2,7 @@
 //!
 //! A [`Fleet`] owns the worker registry (remote daemons by address and/or
 //! embedded in-process `proof-serve` daemons for self-contained operation),
-//! the `proof-obs` tracer/metrics the whole run reports through, and the
+//! the `proof-obs` metrics the whole run reports through, and the
 //! dispatcher. Runs are job-style: [`Fleet::submit_grid`] validates the
 //! spec, mints a [`RunHandle`] on the run ledger, and hands the dispatch
 //! to a dedicated run thread that publishes progress through the handle's
@@ -25,7 +25,7 @@ use crate::runs::{FleetView, RunHandle, RunLedger};
 use crate::trace::merge_fleet_trace;
 use proof_core::{GridSpec, ProofError};
 use proof_obs::export::{federate_prometheus, prometheus_text};
-use proof_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer, DEFAULT_FLIGHT_CAPACITY};
+use proof_obs::{FieldValue, FlightRecorder, MetricsRegistry, DEFAULT_FLIGHT_CAPACITY};
 use proof_serve::{AnalysisJob, TraceSpans};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -170,7 +170,6 @@ struct FleetInner {
     /// [`SCRAPE_TIMEOUT`]: reads that must answer while a run thread
     /// holds the registry go through these.
     scrapers: Vec<WorkerClient>,
-    tracer: Arc<Tracer>,
     metrics: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
     view: Arc<FleetView>,
@@ -216,7 +215,6 @@ impl Fleet {
             .map(|&addr| WorkerClient::new(addr, SCRAPE_TIMEOUT))
             .collect();
         let registry = NodeRegistry::new(clients, config.node_fail_threshold);
-        let (tracer, _) = proof_obs::shared_ring_tracer();
         let metrics = Arc::new(MetricsRegistry::new());
         // pre-register so the exposition carries the zero value even
         // before (or without) any peer-cache traffic, weighted dispatch,
@@ -232,7 +230,6 @@ impl Fleet {
                 config,
                 registry: Mutex::new(registry),
                 scrapers,
-                tracer,
                 metrics,
                 flight: Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
                 view,
@@ -309,8 +306,7 @@ impl Fleet {
     }
 
     /// Run one grid to the merged artifact, synchronously: submit + wait.
-    /// The run is traced as a `fleet_run` span tree on the shared ring
-    /// tracer; counters land on [`Fleet::metrics`].
+    /// Counters land on [`Fleet::metrics`].
     pub fn run_grid(&self, spec: &GridSpec) -> Result<FleetRun, FleetError> {
         self.submit_grid(spec)?.wait()
     }
@@ -382,11 +378,11 @@ fn execute_run(
 ) -> Result<FleetRun, FleetError> {
     let mut registry = inner.lock_registry();
     let trace = proof_obs::new_trace_id();
-    let mut root = inner.tracer.span_in(trace, "fleet_run");
+    // the run's root span exists only for its id: workers' job spans name
+    // it as their remote parent, and the merge synthesizes the
+    // coordinator track instead of reading coordinator spans
+    let root = proof_obs::span_in(trace, "fleet_run");
     let root_id = root.id();
-    root.field("cells", plan.cells as u64);
-    root.field("nodes", registry.len() as u64);
-    root.field("seed", spec.seed);
     inner.flight.record(
         "run",
         format!("run {} started: {} shards", handle.id(), plan.shards.len()),
@@ -419,7 +415,6 @@ fn execute_run(
             dispatcher_config,
             DispatchCtx {
                 counters: FleetCounters::register(&inner.metrics),
-                tracer: Arc::clone(&inner.tracer),
                 trace,
                 parent_span: root_id,
                 metrics: Arc::clone(&inner.metrics),
@@ -444,7 +439,7 @@ fn execute_run(
         // the nodes' span listings are fetched while the merge thread
         // writes the document
         let dispatched = outcome.map(|outcome| {
-            let trace_json = fleet_trace(inner, &registry, trace, &outcome.shards);
+            let trace_json = fleet_trace(&registry, trace, &outcome.shards);
             (outcome, trace_json)
         });
         let merged = merge
@@ -501,12 +496,7 @@ fn execute_run(
 /// (best-effort — a node that restarted or evicted the trace just
 /// contributes no track) merged with the dispatch record into one
 /// deterministic document.
-fn fleet_trace(
-    inner: &FleetInner,
-    registry: &NodeRegistry,
-    trace: u64,
-    shards: &[ShardReport],
-) -> String {
+fn fleet_trace(registry: &NodeRegistry, trace: u64, shards: &[ShardReport]) -> String {
     let node_docs: Vec<(usize, TraceSpans)> = (0..registry.len())
         .filter_map(|i| {
             let client = registry.client(i);
@@ -514,7 +504,7 @@ fn fleet_trace(
                 Ok(Some(doc)) => Some((i, doc)),
                 Ok(None) => None,
                 Err(e) => {
-                    inner.tracer.event(
+                    proof_obs::event(
                         proof_obs::Level::Warn,
                         "proof_fleet",
                         format!("trace fetch from {} failed: {e}", client.addr),
@@ -547,7 +537,7 @@ fn advertise_peer_caches(inner: &FleetInner, registry: &NodeRegistry) {
             .collect();
         match registry.client(i).advertise_peers(&peers) {
             Ok(_) => inner.metrics.counter("fleet_peer_advertisements").inc(),
-            Err(e) => inner.tracer.event(
+            Err(e) => proof_obs::event(
                 proof_obs::Level::Warn,
                 "proof_fleet",
                 format!("peer-cache advertisement to {} failed: {e}", addrs[i]),

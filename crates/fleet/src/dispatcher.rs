@@ -30,7 +30,7 @@ use crate::planner::{Shard, ShardPlan};
 use crate::progress::ProgressSink;
 use crate::registry::{NodeRegistry, NodeState};
 use crate::runs::FleetView;
-use proof_obs::{Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, Tracer};
+use proof_obs::{Counter, FieldValue, FlightRecorder, Level, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -174,7 +174,6 @@ struct StatusSent {
 /// [`FleetView`] the HTTP surface reads mid-run.
 pub struct DispatchCtx {
     pub counters: FleetCounters,
-    pub tracer: Arc<Tracer>,
     /// The run's trace id.
     pub trace: u64,
     /// The `fleet_run` root span id, propagated to workers as the
@@ -338,7 +337,7 @@ impl Dispatcher {
         if !healthy {
             self.ctx.counters.probe_failures.inc();
             outcome.probe_failures += 1;
-            self.ctx.tracer.event(
+            proof_obs::event(
                 Level::Warn,
                 "proof_fleet",
                 format!("probe of {} failed", client.addr),
@@ -352,7 +351,7 @@ impl Dispatcher {
                 .map(|j| registry.client(j).addr)
                 .collect();
             if let Err(e) = client.advertise_peers(&peers) {
-                self.ctx.tracer.event(
+                proof_obs::event(
                     Level::Warn,
                     "proof_fleet",
                     format!(
@@ -457,16 +456,18 @@ impl Dispatcher {
         self.ctx.counters.dispatched.inc();
         outcome.dispatched += 1;
         entry.attempts += 1;
-        let addr = registry.client(node).addr;
-        self.ctx.tracer.event(
-            Level::Debug,
-            "proof_fleet",
-            format!("shard {} -> {addr} (job {job_id})", entry.shard.id),
-            vec![
-                ("shard", FieldValue::U64(entry.shard.id as u64)),
-                ("attempt", FieldValue::U64(u64::from(entry.attempts))),
-            ],
-        );
+        if proof_obs::event_enabled(Level::Debug) {
+            let addr = registry.client(node).addr;
+            proof_obs::event(
+                Level::Debug,
+                "proof_fleet",
+                format!("shard {} -> {addr} (job {job_id})", entry.shard.id),
+                vec![
+                    ("shard", FieldValue::U64(entry.shard.id as u64)),
+                    ("attempt", FieldValue::U64(u64::from(entry.attempts))),
+                ],
+            );
+        }
         self.ctx.flight.record(
             "dispatch",
             format!("shard {} -> node {node} (job {job_id})", entry.shard.id),
@@ -517,7 +518,7 @@ impl Dispatcher {
         let state_before = registry.node(node).state;
         registry.note_failure(node, written);
         self.note_health_transition(registry, node, state_before);
-        self.ctx.tracer.event(
+        proof_obs::event(
             Level::Warn,
             "proof_fleet",
             format!("submit to {} failed: {e}", registry.client(node).addr),
@@ -638,12 +639,6 @@ impl Dispatcher {
             .metrics
             .gauge(&format!("node{}_ewma_us", entry.node))
             .set(ewma);
-        let mut span = self.ctx.tracer.span_in(self.ctx.trace, "fleet_shard");
-        span.field("shard", entry.shard.id as u64);
-        span.field("node", entry.node as u64);
-        span.field("attempts", u64::from(entry.attempts));
-        span.field("status", "done");
-        span.finish();
         let record = ShardReport {
             shard: entry.shard.id,
             node: entry.node,
@@ -698,9 +693,7 @@ impl Dispatcher {
         self.ctx
             .flight
             .record("reschedule", message.clone(), fields());
-        self.ctx
-            .tracer
-            .event(Level::Warn, "proof_fleet", message, fields());
+        proof_obs::event(Level::Warn, "proof_fleet", message, fields());
         if entry.attempts >= self.config.max_shard_attempts {
             self.ctx.counters.shard_failures.inc();
             return Err(FleetError::ShardFailed {

@@ -6,9 +6,9 @@
 //! The merged document is **byte-deterministic** for a given spec, seed,
 //! and topology, which takes three deliberate moves:
 //!
-//! 1. **The coordinator track is synthesized, not sampled.** The live
-//!    `fleet_shard` spans are opened in completion-observation order, which
-//!    races across nodes; instead the coordinator track is rebuilt from the
+//! 1. **The coordinator track is synthesized, not sampled.** Shards
+//!    complete in an order that races across nodes, so the coordinator
+//!    records no spans of its own; its track is built from the
 //!    [`ShardReport`]s on a unit-step logical timeline — `fleet_run` covers
 //!    the whole run, shard `k` (in canonical shard order) occupies its own
 //!    slot inside it.

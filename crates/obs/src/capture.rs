@@ -1,11 +1,11 @@
 //! Per-thread span capture: the spans of one unit of work, kept whole for
-//! its owner instead of the process-wide ring.
+//! its owner. A capture is the only place a finished span can land.
 //!
 //! A serve worker starts a [`Capture`] around each job, and the CLI around
 //! a traced profile. While it is active, every span that closes on that
-//! thread goes to the capture instead of the tracer's collector, up to
-//! [`CAPTURE_CAPACITY`] spans; later ones are counted as dropped. Ring
-//! eviction and other traces' traffic cannot touch a captured span.
+//! thread goes to the capture, up to [`CAPTURE_CAPACITY`] spans; later ones
+//! are counted as dropped. Spans that close with no capture active are
+//! discarded, so other traces' traffic cannot touch a captured span.
 
 use crate::span::SpanRecord;
 use std::cell::RefCell;
@@ -29,9 +29,9 @@ thread_local! {
     static ACTIVE: RefCell<Option<Captured>> = const { RefCell::new(None) };
 }
 
-/// An active capture on the current thread. Captures do not nest; ending
-/// one (by [`Capture::finish`] or drop) sends later spans back to the
-/// collector.
+/// An active capture on the current thread. Captures do not nest; after
+/// one ends (by [`Capture::finish`] or drop) the thread's spans are
+/// discarded again.
 pub struct Capture {
     /// The capture lives in a thread-local: keep the guard on its thread.
     _thread: PhantomData<*const ()>,
@@ -60,74 +60,51 @@ impl Drop for Capture {
     }
 }
 
-/// Give a closing span to this thread's capture. False when none is
-/// active, and the span goes to the collector instead.
-pub(crate) fn keep(span: &SpanRecord) -> bool {
+/// Give a closing span to this thread's capture, if one is active.
+pub(crate) fn keep(span: &SpanRecord) {
     ACTIVE.with(|a| match a.borrow_mut().as_mut() {
-        None => false,
-        Some(c) if c.spans.len() < CAPTURE_CAPACITY => {
-            c.spans.push(span.clone());
-            true
-        }
-        Some(c) => {
-            c.dropped += 1;
-            true
-        }
+        None => {}
+        Some(c) if c.spans.len() < CAPTURE_CAPACITY => c.spans.push(span.clone()),
+        Some(c) => c.dropped += 1,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::TraceClock;
-    use crate::collector::{Collector, RingCollector};
-    use crate::tracer::{new_trace_id, Tracer};
-    use std::sync::Arc;
-
-    fn ring_tracer() -> (Arc<Tracer>, Arc<RingCollector>) {
-        let ring = Arc::new(RingCollector::new(8));
-        let tracer = Arc::new(Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            TraceClock::logical(),
-        ));
-        (tracer, ring)
-    }
+    use crate::{new_trace_id, span, span_in};
 
     #[test]
     fn captured_spans_skip_the_collector_until_the_capture_ends() {
-        let (tracer, ring) = ring_tracer();
         let trace = new_trace_id();
+        span_in(trace, "before").finish();
         let capture = Capture::start();
-        let root = tracer.span_in(trace, "job");
-        tracer.span("stage").finish();
+        let root = span_in(trace, "job");
+        span("stage").finish();
         root.finish();
         let caught = capture.finish();
         let names: Vec<&str> = caught.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["stage", "job"]);
         assert_eq!(caught.dropped, 0);
-        assert!(ring.spans().is_empty());
-        // a dropped guard ends its capture too
+        // a dropped guard ends its capture too, so the next one starts
+        // empty (and does not trip the no-nesting check)
         drop(Capture::start());
-        tracer.span_in(trace, "after").finish();
-        assert_eq!(ring.spans().len(), 1);
+        span_in(trace, "after").finish();
+        assert!(Capture::start().finish().spans.is_empty());
     }
 
     #[test]
     fn a_full_capture_keeps_the_first_spans_and_counts_the_rest() {
-        let (tracer, ring) = ring_tracer();
         let trace = new_trace_id();
         let capture = Capture::start();
-        let first = tracer.span_in(trace, "first").id();
+        let first = span_in(trace, "first").id();
         for _ in 1..CAPTURE_CAPACITY + 5 {
-            tracer.span_in(trace, "more").finish();
+            span_in(trace, "more").finish();
         }
         let caught = capture.finish();
         assert_eq!(caught.spans.len(), CAPTURE_CAPACITY);
         assert_eq!(caught.dropped, 5);
         assert_eq!(caught.spans[0].id, first);
         assert!(caught.spans.windows(2).all(|w| w[0].id < w[1].id));
-        // the overflow is counted here, not handed to the ring
-        assert!(ring.spans().is_empty());
-        assert_eq!(ring.dropped(), 0);
     }
 }

@@ -1,77 +1,38 @@
-//! The trace clock: wall time for live services, a logical per-trace
-//! counter when exports must be byte-for-bit reproducible.
+//! The trace clock: a logical per-trace counter, so exported traces are
+//! byte-for-bit reproducible.
+//!
+//! Every read returns the trace's next tick (0, 1, 2, …): two runs that open
+//! and close the same spans in the same order for a trace get identical
+//! timestamps, whatever else the process does meanwhile. Real durations are
+//! carried separately in [`crate::SpanRecord::wall_us`].
 
 use std::collections::HashMap;
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{LazyLock, Mutex};
 
-/// Timestamp source for span/event `ts` values.
-///
-/// `Wall` reports microseconds since the tracer's epoch. `Logical` reports a
-/// per-trace monotonic counter (0, 1, 2, …) advanced on every read: two runs
-/// that make the same sequence of clock reads for a trace get identical
-/// timestamps, which is what keeps exported traces byte-identical under the
-/// repo's seed discipline. Real durations are carried separately in
-/// [`crate::SpanRecord::wall_us`].
-pub enum TraceClock {
-    Wall { epoch: Instant },
-    Logical { counters: Mutex<HashMap<u64, u64>> },
-}
+static COUNTERS: LazyLock<Mutex<HashMap<u64, u64>>> = LazyLock::new(Mutex::default);
 
-impl TraceClock {
-    pub fn wall() -> TraceClock {
-        TraceClock::Wall {
-            epoch: Instant::now(),
-        }
-    }
-
-    pub fn logical() -> TraceClock {
-        TraceClock::Logical {
-            counters: Mutex::new(HashMap::new()),
-        }
-    }
-
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, TraceClock::Logical { .. })
-    }
-
-    /// Read the clock for `trace`. Logical reads post-increment the trace's
-    /// counter, so consecutive reads are strictly increasing.
-    pub fn now_us(&self, trace: u64) -> f64 {
-        match self {
-            TraceClock::Wall { epoch } => epoch.elapsed().as_secs_f64() * 1e6,
-            TraceClock::Logical { counters } => {
-                let mut map = counters.lock().unwrap();
-                let tick = map.entry(trace).or_insert(0);
-                let now = *tick;
-                *tick += 1;
-                now as f64
-            }
-        }
-    }
+/// Read the clock for `trace`: post-increments the trace's counter, so
+/// consecutive reads are strictly increasing.
+pub(crate) fn now_us(trace: u64) -> f64 {
+    let mut map = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let tick = map.entry(trace).or_insert(0);
+    let now = *tick;
+    *tick += 1;
+    now as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::new_trace_id;
 
     #[test]
     fn logical_clock_counts_per_trace() {
-        let c = TraceClock::logical();
-        assert_eq!(c.now_us(1), 0.0);
-        assert_eq!(c.now_us(1), 1.0);
+        let (a, b) = (new_trace_id(), new_trace_id());
+        assert_eq!(now_us(a), 0.0);
+        assert_eq!(now_us(a), 1.0);
         // a different trace has its own counter
-        assert_eq!(c.now_us(2), 0.0);
-        assert_eq!(c.now_us(1), 2.0);
-        assert!(c.is_deterministic());
-    }
-
-    #[test]
-    fn wall_clock_is_monotonic() {
-        let c = TraceClock::wall();
-        let a = c.now_us(0);
-        let b = c.now_us(0);
-        assert!(b >= a);
-        assert!(!c.is_deterministic());
+        assert_eq!(now_us(b), 0.0);
+        assert_eq!(now_us(a), 2.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Span, event, and field records — the data the collectors store.
+//! Span and field records, and event levels.
 
 /// A typed key/value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,10 +83,9 @@ impl std::fmt::Display for Level {
     }
 }
 
-/// One finished span. `start_us`/`end_us` come from the tracer clock (wall
-/// or logical, see [`crate::clock::TraceClock`]); `wall_us` is always the
-/// real elapsed wall-clock, so latency accounting stays meaningful even
-/// under the deterministic logical clock.
+/// One finished span. `start_us`/`end_us` are ticks of the logical
+/// per-trace clock; `wall_us` is the real elapsed wall-clock, so latency
+/// accounting stays meaningful beside the deterministic ticks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Process-unique span id (never 0).
@@ -108,19 +107,6 @@ impl SpanRecord {
     pub fn dur_us(&self) -> f64 {
         (self.end_us - self.start_us).max(0.0)
     }
-}
-
-/// One leveled event (a point-in-time log line with structure).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    pub trace: u64,
-    /// Enclosing span id, 0 if emitted outside any span.
-    pub span: u64,
-    pub level: Level,
-    pub target: &'static str,
-    pub ts_us: f64,
-    pub message: String,
-    pub fields: Vec<(&'static str, FieldValue)>,
 }
 
 #[cfg(test)]

@@ -1,13 +1,10 @@
-//! The tracer: opens spans, threads parent/trace context through a
-//! thread-local stack, stamps records with the trace clock, and hands
-//! finished records to the collector.
+//! Spans and events: opens spans, threads parent/trace context through a
+//! thread-local stack, stamps records with the trace clock, and hands each
+//! finished record to this thread's [`crate::Capture`], if one is active.
 
-use crate::clock::TraceClock;
-use crate::collector::{Collector, NoopCollector};
-use crate::span::{EventRecord, FieldValue, Level, SpanRecord};
+use crate::span::{FieldValue, Level, SpanRecord};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -24,108 +21,68 @@ thread_local! {
     static CONTEXT: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A collector + clock pair. Spans opened through the same tracer share its
-/// clock, which is what puts pipeline spans and kernel timelines on one
-/// comparable time base.
-pub struct Tracer {
-    collector: Arc<dyn Collector>,
-    clock: TraceClock,
+/// Open a span inheriting trace and parent from the innermost open span on
+/// this thread (trace 0, no parent, if there is none).
+pub fn span(name: &'static str) -> SpanGuard {
+    let (trace, parent) = CONTEXT.with(|c| c.borrow().last().copied().unwrap_or((0, 0)));
+    open(trace, parent, name)
 }
 
-impl Tracer {
-    pub fn new(collector: Arc<dyn Collector>, clock: TraceClock) -> Tracer {
-        Tracer { collector, clock }
-    }
+/// Open a root-or-child span under an explicit trace id: the parent is the
+/// innermost open span of the *same* trace, if any.
+pub fn span_in(trace: u64, name: &'static str) -> SpanGuard {
+    let parent = CONTEXT.with(|c| {
+        c.borrow()
+            .iter()
+            .rev()
+            .find(|(t, _)| *t == trace)
+            .map(|(_, id)| *id)
+            .unwrap_or(0)
+    });
+    open(trace, parent, name)
+}
 
-    /// The default tracer: no-op collector, wall clock.
-    pub fn disabled() -> Tracer {
-        Tracer::new(Arc::new(NoopCollector), TraceClock::wall())
-    }
-
-    pub fn collector_enabled(&self) -> bool {
-        self.collector.enabled()
-    }
-
-    pub fn is_deterministic(&self) -> bool {
-        self.clock.is_deterministic()
-    }
-
-    /// Open a span inheriting trace and parent from the innermost open span
-    /// on this thread (trace 0, no parent, if there is none).
-    pub fn span(self: &Arc<Tracer>, name: &'static str) -> SpanGuard {
-        let (trace, parent) = CONTEXT.with(|c| c.borrow().last().copied().unwrap_or((0, 0)));
-        self.open(trace, parent, name)
-    }
-
-    /// Open a root-or-child span under an explicit trace id: the parent is
-    /// the innermost open span of the *same* trace, if any.
-    pub fn span_in(self: &Arc<Tracer>, trace: u64, name: &'static str) -> SpanGuard {
-        let parent = CONTEXT.with(|c| {
-            c.borrow()
-                .iter()
-                .rev()
-                .find(|(t, _)| *t == trace)
-                .map(|(_, id)| *id)
-                .unwrap_or(0)
-        });
-        self.open(trace, parent, name)
-    }
-
-    fn open(self: &Arc<Tracer>, trace: u64, parent: u64, name: &'static str) -> SpanGuard {
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        CONTEXT.with(|c| c.borrow_mut().push((trace, id)));
-        SpanGuard {
-            tracer: Arc::clone(self),
-            wall: Instant::now(),
-            record: Some(SpanRecord {
-                id,
-                trace,
-                parent,
-                name,
-                start_us: self.clock.now_us(trace),
-                end_us: 0.0,
-                wall_us: 0.0,
-                fields: Vec::new(),
-            }),
-        }
-    }
-
-    /// Emit a leveled event. It reaches stderr when `PROOF_LOG` admits the
-    /// level, and the collector when one is enabled; otherwise it is
-    /// dropped without a clock read.
-    pub fn event(
-        &self,
-        level: Level,
-        target: &'static str,
-        message: impl Into<String>,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) {
-        let to_stderr = stderr_allows(level);
-        let to_collector = self.collector.enabled();
-        if !to_stderr && !to_collector {
-            return;
-        }
-        let (trace, span) = CONTEXT.with(|c| c.borrow().last().copied().unwrap_or((0, 0)));
-        let record = EventRecord {
+fn open(trace: u64, parent: u64, name: &'static str) -> SpanGuard {
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    CONTEXT.with(|c| c.borrow_mut().push((trace, id)));
+    SpanGuard {
+        wall: Instant::now(),
+        record: Some(SpanRecord {
+            id,
             trace,
-            span,
-            level,
-            target,
-            ts_us: self.clock.now_us(trace),
-            message: message.into(),
-            fields,
-        };
-        if to_stderr {
-            let mut line = format!("[proof {level} {target}] {}", record.message);
-            for (key, value) in &record.fields {
-                line.push_str(&format!(" {key}={value:?}"));
-            }
-            eprintln!("{line}");
-        }
-        if to_collector {
-            self.collector.record_event(record);
-        }
+            parent,
+            name,
+            start_us: crate::clock::now_us(trace),
+            end_us: 0.0,
+            wall_us: 0.0,
+            fields: Vec::new(),
+        }),
     }
+}
+
+/// Emit a leveled event: a line on stderr when `PROOF_LOG` admits the
+/// level, otherwise nothing. Events never read the trace clock, so logging
+/// cannot move a trace's timestamps.
+pub fn event(
+    level: Level,
+    target: &'static str,
+    message: impl Into<String>,
+    fields: Vec<(&'static str, FieldValue)>,
+) {
+    if !event_enabled(level) {
+        return;
+    }
+    let mut line = format!("[proof {level} {target}] {}", message.into());
+    for (key, value) in &fields {
+        line.push_str(&format!(" {key}={value:?}"));
+    }
+    eprintln!("{line}");
+}
+
+/// Would an event at `level` reach stderr? Use to skip building event
+/// messages when nobody listens.
+pub fn event_enabled(level: Level) -> bool {
+    stderr_level().is_some_and(|max| level <= max)
 }
 
 /// The stderr threshold from `PROOF_LOG`, re-read on every call so tests
@@ -157,23 +114,12 @@ fn classify_proof_log(raw: &str) -> (Option<Level>, bool) {
     }
 }
 
-fn stderr_allows(level: Level) -> bool {
-    stderr_level().is_some_and(|max| level <= max)
-}
-
-/// Would an event at `level` go anywhere? Callers use this to skip building
-/// messages on the disabled path.
-pub fn event_interest(tracer: &Tracer, level: Level) -> bool {
-    stderr_allows(level) || tracer.collector_enabled()
-}
-
 /// An open span. Dropping (or calling [`SpanGuard::finish`]) closes it:
 /// the end timestamp and real wall duration are stamped and the record goes
-/// to this thread's [`crate::Capture`] if one is active, else to the
-/// collector (if enabled). The record is built even when collection
-/// is disabled so `finish()` can always return real wall timings.
+/// to this thread's [`crate::Capture`] if one is active, else nowhere.
+/// `finish()` always returns the record, so callers can time with spans
+/// whether or not anything captures them.
 pub struct SpanGuard {
-    tracer: Arc<Tracer>,
     wall: Instant,
     record: Option<SpanRecord>,
 }
@@ -201,7 +147,7 @@ impl SpanGuard {
 
     fn close(&mut self) -> Option<SpanRecord> {
         let mut record = self.record.take()?;
-        record.end_us = self.tracer.clock.now_us(record.trace);
+        record.end_us = crate::clock::now_us(record.trace);
         record.wall_us = self.wall.elapsed().as_secs_f64() * 1e6;
         CONTEXT.with(|c| {
             let mut stack = c.borrow_mut();
@@ -209,9 +155,7 @@ impl SpanGuard {
                 stack.remove(pos);
             }
         });
-        if !crate::capture::keep(&record) && self.tracer.collector.enabled() {
-            self.tracer.collector.record_span(record.clone());
-        }
+        crate::capture::keep(&record);
         Some(record)
     }
 }
@@ -225,48 +169,39 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::RingCollector;
-
-    fn ring_tracer() -> (Arc<Tracer>, Arc<RingCollector>) {
-        let ring = Arc::new(RingCollector::new(64));
-        let tracer = Arc::new(Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            TraceClock::logical(),
-        ));
-        (tracer, ring)
-    }
+    use crate::Capture;
 
     #[test]
     fn spans_nest_and_record_parent_links() {
-        let (tracer, ring) = ring_tracer();
         let trace = new_trace_id();
-        let root = tracer.span_in(trace, "root");
+        let capture = Capture::start();
+        let root = span_in(trace, "root");
         let root_id = root.id();
         // `span` inherits trace and parent from the innermost open span
-        let inherited = tracer.span("inherited");
+        let inherited = span("inherited");
         assert_eq!(inherited.trace(), trace);
         let inherited_rec = inherited.finish();
         assert_eq!(inherited_rec.parent, root_id);
         // `span_in` under the same trace also parents on the open root
-        let inner = tracer.span_in(trace, "child");
+        let inner = span_in(trace, "child");
         let inner_rec = inner.finish();
         assert_eq!(inner_rec.parent, root_id);
         let root_rec = root.finish();
         assert_eq!(root_rec.parent, 0);
         // logical clock: start strictly before end, per trace
         assert!(root_rec.start_us < root_rec.end_us);
-        assert_eq!(ring.spans().iter().filter(|s| s.trace == trace).count(), 3);
+        assert_eq!(capture.finish().spans.len(), 3);
     }
 
     #[test]
     fn span_fields_and_finish_on_disabled_tracer() {
-        let tracer = Arc::new(Tracer::disabled());
-        let mut span = tracer.span("work");
+        // no capture active: the record goes nowhere, but finish() still
+        // hands back its fields and real wall timing
+        let mut span = span("work");
         span.field("answer", 42u64);
         let rec = span.finish();
         assert_eq!(rec.fields, vec![("answer", FieldValue::U64(42))]);
         assert!(rec.wall_us >= 0.0);
-        assert!(!tracer.collector_enabled());
     }
 
     #[test]
@@ -279,26 +214,5 @@ mod tests {
         // empty/whitespace means "unset": no level, no warning
         assert_eq!(classify_proof_log(""), (None, false));
         assert_eq!(classify_proof_log("   "), (None, false));
-    }
-
-    #[test]
-    fn events_capture_enclosing_span_context() {
-        let (tracer, ring) = ring_tracer();
-        let trace = new_trace_id();
-        let span = tracer.span_in(trace, "root");
-        tracer.event(
-            Level::Info,
-            "test",
-            "inside",
-            vec![("n", FieldValue::U64(1))],
-        );
-        let span_id = span.id();
-        drop(span);
-        tracer.event(Level::Info, "test", "outside", Vec::new());
-        let events = ring.events();
-        let inside = events.iter().find(|e| e.message == "inside").unwrap();
-        assert_eq!((inside.trace, inside.span), (trace, span_id));
-        let outside = events.iter().find(|e| e.message == "outside").unwrap();
-        assert_eq!(outside.span, 0);
     }
 }

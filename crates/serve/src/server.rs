@@ -30,8 +30,8 @@ use proof_core::{
 use proof_models::ModelId;
 use proof_obs::export::prometheus_text;
 use proof_obs::{
-    Capture, Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, RingCollector,
-    SpanRecord, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    Capture, Counter, FieldValue, FlightRecorder, Level, MetricsRegistry, SpanRecord,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use proof_store::{ArtifactKey, HitTier, Lookup, StoreConfig, StoreStats, TieredStore};
 use serde::{Deserialize, Serialize};
@@ -156,8 +156,8 @@ struct JobRecord {
     artifact: Option<Arc<String>>,
     /// The spans the job's execution closed on its worker (at most
     /// [`proof_obs::CAPTURE_CAPACITY`]), stored when the job turns final.
-    /// They belong to the record, so ring eviction cannot lose them;
-    /// `GET /trace/<id>` renders them on request.
+    /// They belong to the record, so no other trace's traffic can touch
+    /// them; `GET /trace/<id>` renders them on request.
     spans: Arc<[SpanRecord]>,
     /// The compiled plan a built job ran on, shared with its stage-cache
     /// entry: the rendered trace carries its kernel timeline. `None` for
@@ -253,13 +253,8 @@ struct Shared {
     cache: TieredStore,
     stage_cache: StageCache,
     worker_metrics: WorkerMetrics,
-    /// The process-shared ring tracer. A job's spans (its root and the
-    /// pipeline stages, which trace through the global facade on the same
-    /// thread) go to the job's capture instead; the ring keeps events.
-    tracer: Arc<Tracer>,
-    ring: Arc<RingCollector>,
-    /// Job spans that did not fit their job's capture; the Prometheus
-    /// `trace_spans_dropped_total` adds them to the ring's own drops.
+    /// Job spans that did not fit their job's capture, exported as the
+    /// Prometheus `trace_spans_dropped_total`.
     capture_dropped: AtomicU64,
     /// Named instruments behind `GET /metrics` (both formats).
     metrics: MetricsRegistry,
@@ -337,7 +332,6 @@ pub struct Server {
 impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let (tracer, ring) = proof_obs::shared_ring_tracer();
         let metrics = MetricsRegistry::new();
         let peer_timeout = Duration::from_millis(config.peer_timeout_ms.max(1));
         let cache = TieredStore::new(
@@ -359,8 +353,6 @@ impl Server {
             cache,
             stage_cache: StageCache::new(config.stage_cache_capacity),
             worker_metrics: WorkerMetrics::new(config.workers.max(1)),
-            tracer,
-            ring,
             capture_dropped: AtomicU64::new(0),
             http_requests: metrics.counter("http_requests_total"),
             hist_queue_wait: metrics.histogram("job_queue_wait_us"),
@@ -512,7 +504,7 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     // the global facade) nest under it because they run on this thread,
     // and the capture keeps every one of them for the job's record.
     let capture = Capture::start();
-    let mut span = shared.tracer.span_in(trace_id, "job");
+    let mut span = proof_obs::span_in(trace_id, "job");
     span.field("job", id);
     // The dispatching span on the remote coordinator, if this job adopted a
     // caller's trace: a cross-node merge resolves it against the caller's
@@ -611,21 +603,28 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     shared
         .capture_dropped
         .fetch_add(captured.dropped, Ordering::Relaxed);
-    let (level, message) = match &outcome {
-        Ok(_) => (Level::Info, format!("job {id} {status}")),
-        Err(JobFailure::TimedOut(e)) => (Level::Warn, format!("job {id} timed out: {e}")),
-        Err(JobFailure::Failed(e)) => (Level::Warn, format!("job {id} failed: {e}")),
+    let level = if outcome.is_ok() {
+        Level::Info
+    } else {
+        Level::Warn
     };
-    shared.tracer.event(
-        level,
-        "proof_serve::worker",
-        message,
-        vec![
-            ("job", FieldValue::U64(id)),
-            ("execute_us", FieldValue::U64(execute_us)),
-            ("attempts", FieldValue::U64(u64::from(attempts))),
-        ],
-    );
+    if proof_obs::event_enabled(level) {
+        let message = match &outcome {
+            Ok(_) => format!("job {id} {status}"),
+            Err(JobFailure::TimedOut(e)) => format!("job {id} timed out: {e}"),
+            Err(JobFailure::Failed(e)) => format!("job {id} failed: {e}"),
+        };
+        proof_obs::event(
+            level,
+            "proof_serve::worker",
+            message,
+            vec![
+                ("job", FieldValue::U64(id)),
+                ("execute_us", FieldValue::U64(execute_us)),
+                ("attempts", FieldValue::U64(u64::from(attempts))),
+            ],
+        );
+    }
     let tier = match &outcome {
         Ok((_, tier)) => tier.map(|t| t.as_str()).unwrap_or("built"),
         Err(_) => "none",
@@ -796,12 +795,15 @@ impl Routes for Shared {
         self.http_requests.inc();
     }
 
-    /// One structured access-log event per request (stderr when
-    /// `PROOF_LOG` allows `info`, and into the shared ring collector).
+    /// One structured access-log event per request, on stderr when
+    /// `PROOF_LOG` allows `info`; built only then.
     fn answered(&self, peer: Option<SocketAddr>, req: Option<&Request>, status: u16) {
+        if !proof_obs::event_enabled(Level::Info) {
+            return;
+        }
         let (method, path) = req.map_or(("-", "-"), |r| (r.method.as_str(), r.path.as_str()));
         let peer = peer.map_or_else(|| "unknown".to_string(), |a| a.to_string());
-        self.tracer.event(
+        proof_obs::event(
             Level::Info,
             "proof_serve::http",
             format!("{method} {path} -> {status}"),
@@ -1343,7 +1345,7 @@ fn prometheus_body(shared: &Shared) -> String {
         ("stage_cache_misses_total".to_string(), stage_cache.misses),
         (
             "trace_spans_dropped_total".to_string(),
-            shared.ring.dropped() + shared.capture_dropped.load(Ordering::Relaxed),
+            shared.capture_dropped.load(Ordering::Relaxed),
         ),
     ]);
     snap.gauges.extend([

@@ -269,6 +269,108 @@ fn api_error_paths() {
     server.shutdown();
 }
 
+/// `POST /sweep` expansion as a table: each accepted body's jobs, in
+/// submission order, as `model/dtype/batch mode seed timeout_ms`, and each
+/// refused body's exact 400 error text. Pins the grid order (model, then
+/// dtype, then batch), the keys passed through to every job, and that an
+/// absent axis leaves its key out, so the job's own default or alias
+/// applies.
+#[test]
+fn sweep_expansion_table_is_pinned() {
+    let server = boot(2);
+    let addr = server.addr();
+    let accepted: [(&str, &[&str]); 3] = [
+        (
+            r#"{"models":["mobilenetv2-0.5","shufflenetv2-x0.5"],"dtypes":["fp16","fp32"],"batches":[1,2],"hardware":"a100","seed":7}"#,
+            &[
+                "mobilenetv2-0.5/fp16/1 predicted 7 null",
+                "mobilenetv2-0.5/fp16/2 predicted 7 null",
+                "mobilenetv2-0.5/fp32/1 predicted 7 null",
+                "mobilenetv2-0.5/fp32/2 predicted 7 null",
+                "shufflenetv2-x0.5/fp16/1 predicted 7 null",
+                "shufflenetv2-x0.5/fp16/2 predicted 7 null",
+                "shufflenetv2-x0.5/fp32/1 predicted 7 null",
+                "shufflenetv2-x0.5/fp32/2 predicted 7 null",
+            ],
+        ),
+        (
+            r#"{"model":"mobilenetv2-0.5","hardware":"a100","batches":[2,1],"mode":"measured","seed":11,"timeout_ms":60000}"#,
+            &[
+                "mobilenetv2-0.5/fp16/2 measured 11 60000",
+                "mobilenetv2-0.5/fp16/1 measured 11 60000",
+            ],
+        ),
+        (
+            r#"{"model":"mobilenetv2-0.5","platform":"a100","precision":"fp32","seed":12}"#,
+            &["mobilenetv2-0.5/fp32/1 predicted 12 null"],
+        ),
+    ];
+    for (body, want) in accepted {
+        let (status, reply) = post(addr, "/sweep", body).unwrap();
+        assert_eq!(status, 201, "{body}: {reply}");
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v["submitted"], want.len() as u64, "{body}");
+        // a job's timeout budget shows once it has run
+        for id in v["jobs"].as_array().unwrap() {
+            wait_status(addr, id.as_u64().unwrap(), "done");
+        }
+        let (status, group) = get(addr, &format!("/sweep/{}", v["group"])).unwrap();
+        assert_eq!(status, 200, "{group}");
+        let g: serde_json::Value = serde_json::from_str(&group).unwrap();
+        let members = g["jobs"].as_array().unwrap();
+        let ids: Vec<&serde_json::Value> = members.iter().map(|j| &j["id"]).collect();
+        let submitted: Vec<&serde_json::Value> = v["jobs"].as_array().unwrap().iter().collect();
+        assert_eq!(ids, submitted, "{body}: members in submission order");
+        let got: Vec<String> = members
+            .iter()
+            .map(|j| {
+                let spec = &j["spec"];
+                format!(
+                    "{}/{}/{} {} {} {}",
+                    spec["model"].as_str().unwrap(),
+                    spec["dtype"].as_str().unwrap(),
+                    spec["batch"],
+                    spec["mode"].as_str().unwrap(),
+                    spec["seed"],
+                    j["timeout_ms"]
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "{body}");
+    }
+
+    let oversized = format!(
+        r#"{{"models":["mobilenetv2-0.5","resnet-50"],"hardware":"a100","batches":[{}]}}"#,
+        (1..=2049)
+            .map(|b| b.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let refused = [
+        (
+            r#"["mobilenetv2-0.5"]"#.to_string(),
+            "sweep spec must be a JSON object",
+        ),
+        (
+            r#"{"model":"mobilenetv2-0.5","hardware":"a100","batches":4}"#.to_string(),
+            "field 'batches' must be an array",
+        ),
+        (
+            r#"{"models":[],"hardware":"a100"}"#.to_string(),
+            "field 'models' must not be empty",
+        ),
+        (oversized, "sweep grid larger than 4096 points"),
+    ];
+    for (body, error) in refused {
+        let (status, reply) = post(addr, "/sweep", &body).unwrap();
+        assert_eq!(status, 400, "{reply}");
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v["error"], error);
+    }
+    let drain = server.shutdown();
+    assert_eq!((drain.done, drain.failed, drain.dropped), (11, 0, 0));
+}
+
 fn request_delete(addr: SocketAddr) -> std::io::Result<(u16, String)> {
     let r = proof_serve::client::Call::new(addr, "DELETE", "/jobs/1").send()?;
     Ok((r.status, r.into_body()))

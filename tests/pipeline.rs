@@ -257,10 +257,9 @@ fn measured_mode_charges_replay_overhead_proportional_to_kernels() {
 #[test]
 fn pipeline_spans_reach_the_facade_tracer_and_merge_into_one_trace() {
     // Tracing through the workspace facade: the pipeline stages record
-    // spans through the shared ring tracer, a capture keeps them, and the
-    // merged Chrome trace holds both the stage spans and the compiled
+    // spans through the free-function facade, a capture keeps them, and
+    // the merged Chrome trace holds both the stage spans and the compiled
     // model's kernel timeline.
-    proof::obs::shared_ring_tracer();
     let capture = proof::obs::Capture::start();
     let prep = {
         let _root = proof::obs::span_in(proof::obs::new_trace_id(), "profile");
