@@ -335,16 +335,18 @@ rm -f "$log_a" "$log_b" "$log_c" "$log_f" /tmp/proof_ci_cache_warm.json \
     /tmp/proof_ci_cache_nodes.json
 
 echo "==> proof fleet trace smoke (merged cross-node trace, byte-reproducible)"
-# each run gets its own pair of fresh single-worker daemons (cold caches
-# and sequential execution keep each node's span structure deterministic);
-# the merged fleet trace must carry spans from both node tracks and
-# reproduce byte-for-byte across two runs of the same spec/seed/topology
+# each run gets its own pair of fresh 2-worker daemons, so jobs of the one
+# fleet trace run concurrently on a node and placement may differ from run
+# to run; every job keeps its own capture clock and the merge lays job
+# subtrees out by canonical shard, so the merged fleet trace must
+# reproduce byte-for-byte across three runs of the same spec/seed
+trace_spec=(--models mobilenetv2-0.5,resnet-34,vit-tiny --platforms a100 --batches 1,2 --seed 7)
 run_fleet_trace() {
     out="$1"
     log_a="$(mktemp)"; log_b="$(mktemp)"
-    ./target/release/proof serve --addr 127.0.0.1:0 --workers 1 >"$log_a" 2>&1 &
+    ./target/release/proof serve --addr 127.0.0.1:0 --workers 2 >"$log_a" 2>&1 &
     pid_a=$!
-    ./target/release/proof serve --addr 127.0.0.1:0 --workers 1 >"$log_b" 2>&1 &
+    ./target/release/proof serve --addr 127.0.0.1:0 --workers 2 >"$log_b" 2>&1 &
     pid_b=$!
     trap 'kill "$pid_a" "$pid_b" 2>/dev/null || true' EXIT
     for log in "$log_a" "$log_b"; do
@@ -355,14 +357,15 @@ run_fleet_trace() {
     done
     addr_a="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$log_a" | head -n1)"
     addr_b="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$log_b" | head -n1)"
-    ./target/release/proof fleet sweep --nodes "${addr_a},${addr_b}" "${fleet_spec[@]}" \
+    ./target/release/proof fleet sweep --nodes "${addr_a},${addr_b}" "${trace_spec[@]}" \
         --out /dev/null --trace-out "$out" 2>/dev/null
     kill "$pid_a" "$pid_b" 2>/dev/null || true
     trap - EXIT
     rm -f "$log_a" "$log_b"
 }
-run_fleet_trace /tmp/proof_ci_fleet_t1.json
-run_fleet_trace /tmp/proof_ci_fleet_t2.json
+for run in 1 2 3; do
+    run_fleet_trace "/tmp/proof_ci_fleet_t${run}.json"
+done
 python3 - <<'EOF'
 import json
 doc = json.load(open("/tmp/proof_ci_fleet_t1.json"))
@@ -370,16 +373,22 @@ events = doc["traceEvents"]
 names = {e["name"] for e in events}
 assert "fleet_run" in names and "fleet_shard" in names, sorted(names)
 pids = {e["pid"] for e in events}
-assert {1, 2, 3} <= pids, f"expected coordinator + two node tracks, got pids {sorted(pids)}"
+assert pids == {1, 2}, f"expected coordinator + job tracks, got pids {sorted(pids)}"
+assert not any("node" in e["args"] for e in events), "node placement leaked into the trace"
 run = next(e for e in events if e["name"] == "fleet_run")
-shards = [e for e in events if e["name"] == "fleet_shard"]
-assert shards and all(s["args"]["parent"] == run["args"]["span"] for s in shards)
+shards = {e["args"]["span"]: e for e in events if e["name"] == "fleet_shard"}
+assert len(shards) == 6 and all(s["args"]["parent"] == run["args"]["span"] for s in shards.values())
 jobs = [e for e in events if e["name"] == "job"]
-assert len(jobs) == 2 and {j["pid"] for j in jobs} == {2, 3}, jobs
-print(f"  fleet trace OK: {len(events)} spans across {len(pids)} tracks")
+assert len(jobs) == 6 and all(j["pid"] == 2 for j in jobs), jobs
+for j in jobs:
+    anchor = shards[j["args"]["parent"]]
+    assert anchor["args"]["shard"] == j["args"]["shard"] and anchor["ts"] == j["ts"], j
+print(f"  fleet trace OK: {len(events)} spans, {len(jobs)} jobs laid out by shard")
 EOF
 cmp /tmp/proof_ci_fleet_t1.json /tmp/proof_ci_fleet_t2.json
-rm -f /tmp/proof_ci_fleet_t1.json /tmp/proof_ci_fleet_t2.json
+cmp /tmp/proof_ci_fleet_t1.json /tmp/proof_ci_fleet_t3.json
+cmp /tmp/proof_ci_fleet_t2.json /tmp/proof_ci_fleet_t3.json
+rm -f /tmp/proof_ci_fleet_t1.json /tmp/proof_ci_fleet_t2.json /tmp/proof_ci_fleet_t3.json
 
 echo "==> proof fleet heterogeneous smoke (weighted scheduler favours the fast node)"
 # fast daemon: 2 workers, no faults; slow daemon: 1 worker, every shard

@@ -179,8 +179,8 @@ fn cmd_inspect(flags: HashMap<String, String>) {
 /// Run the profiling pipeline, honoring `--trace-out FILE`: with it, the
 /// run executes under a captured root span and the merged Chrome trace
 /// (pipeline-stage spans + kernel timeline) is written to FILE. The
-/// logical trace clock makes the file byte-reproducible for a given seeded
-/// invocation.
+/// capture's logical clock makes the file byte-reproducible for a given
+/// seeded invocation.
 fn run_profile(
     flags: &HashMap<String, String>,
     g: &Graph,
@@ -620,9 +620,9 @@ fn cmd_fleet_sweep(flags: HashMap<String, String>) -> ExitCode {
             std::fs::write(path, fleet.metrics_json()).expect("write metrics");
             eprintln!("wrote {path}");
         }
-        // the merged cross-node Chrome trace: coordinator track + one
-        // process track per node, Perfetto-loadable, byte-reproducible
-        // for a fixed spec/seed/topology
+        // the merged cross-node Chrome trace: coordinator track + job
+        // subtrees laid out by shard, Perfetto-loadable, byte-reproducible
+        // for a fixed spec/seed
         if let Some(path) = flags.get("trace-out") {
             std::fs::write(path, &run.trace_json).expect("write trace");
             eprintln!("wrote {path}");

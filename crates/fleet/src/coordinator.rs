@@ -153,9 +153,9 @@ pub struct FleetRun {
     /// Node states after the run.
     pub nodes: Vec<NodeSnapshot>,
     /// The merged cross-node Chrome-trace document: the synthesized
-    /// coordinator track plus each node's re-anchored span subtree
-    /// (see [`crate::trace`]). Byte-deterministic for a given spec, seed,
-    /// and topology.
+    /// coordinator track plus each shard's job subtree, laid out by shard
+    /// (see [`crate::trace`]). Byte-deterministic for a given spec and
+    /// seed, whichever node ran each shard.
     pub trace_json: String,
 }
 
@@ -494,7 +494,7 @@ fn execute_run(
 
 /// The run's cross-node trace: each node's raw span listing for `trace`
 /// (best-effort — a node that restarted or evicted the trace just
-/// contributes no track) merged with the dispatch record into one
+/// contributes no job subtrees) merged with the dispatch record into one
 /// deterministic document.
 fn fleet_trace(registry: &NodeRegistry, trace: u64, shards: &[ShardReport]) -> String {
     let node_docs: Vec<(usize, TraceSpans)> = (0..registry.len())

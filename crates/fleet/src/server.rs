@@ -369,7 +369,7 @@ mod tests {
         assert!(prom2.contains("proof_fleet_fleet_completed"), "{prom2}");
 
         // the merged cross-node trace is now served, with the synthesized
-        // coordinator track and the node's own process track
+        // coordinator track and the track of job subtrees
         let (status, trace) = get(addr, "/grid/trace").unwrap();
         assert_eq!(status, 200);
         let t: Value = serde_json::from_str(&trace).unwrap();
@@ -377,7 +377,7 @@ mod tests {
         assert!(events.iter().any(|e| e["name"] == "fleet_run"));
         assert!(
             events.iter().any(|e| e["pid"].as_u64() == Some(2)),
-            "node track present: {trace}"
+            "job track present: {trace}"
         );
 
         // the flight recorder saw the run start and finish

@@ -63,12 +63,13 @@ fn coordinator_scrape_federates_both_live_daemons() {
     b.shutdown();
 }
 
-/// The merged trace covers every node: a synthesized coordinator track
+/// The merged trace covers every shard: a synthesized coordinator track
 /// (`fleet_run` + one correctly parented `fleet_shard` per shard) plus one
-/// process track per daemon, with job spans re-parented onto their shard
-/// and the run-varying fields (`addr`, `job`, `remote_parent`) gone.
+/// track of job subtrees laid out by shard, with job spans re-parented
+/// onto their shard and the run-varying fields (`addr`, `node`, `job`,
+/// `remote_parent`) gone.
 #[test]
-fn merged_trace_has_one_track_per_node_and_clean_parenting() {
+fn merged_trace_lays_jobs_out_by_shard_with_clean_parenting() {
     let (a, b) = (daemon(), daemon());
     let fleet = Fleet::start(FleetConfig::remote(vec![a.addr(), b.addr()])).unwrap();
     let s = spec(r#"{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2],"seed":22}"#);
@@ -94,13 +95,14 @@ fn merged_trace_has_one_track_per_node_and_clean_parenting() {
         assert_eq!(sp["args"]["parent"], run_span["args"]["span"]);
     }
 
-    // both daemons contributed their own process track (pids 2 and 3),
-    // and the coordinator is pid 1
+    // the coordinator is pid 1 and both daemons' jobs share pid 2: which
+    // node ran a shard stays out of the document
     let pids: BTreeSet<u64> = events.iter().map(|e| e["pid"].as_u64().unwrap()).collect();
-    assert_eq!(pids, [1u64, 2, 3].into_iter().collect::<BTreeSet<u64>>());
+    assert_eq!(pids, [1u64, 2].into_iter().collect::<BTreeSet<u64>>());
 
-    // every job span hangs off a fleet_shard, carries the canonical shard
-    // index, and no run-varying field leaks into the document
+    // every job span hangs off its shard's fleet_shard, starting with it,
+    // carries the canonical shard index, and no run-varying field leaks
+    // into the document
     let jobs: Vec<&Value> = events.iter().filter(|e| e["name"] == "job").collect();
     assert_eq!(jobs.len(), 2);
     for job in &jobs {
@@ -109,8 +111,10 @@ fn merged_trace_has_one_track_per_node_and_clean_parenting() {
             .find(|sp| sp["args"]["span"] == job["args"]["parent"])
             .expect("job parented onto its fleet_shard");
         assert_eq!(anchor["args"]["shard"], job["args"]["shard"]);
+        assert_eq!(anchor["ts"], job["ts"]);
     }
     assert!(!run.trace_json.contains("\"addr\""), "{}", run.trace_json);
+    assert!(!run.trace_json.contains("\"node\":"), "{}", run.trace_json);
     assert!(!run.trace_json.contains("\"remote_parent\""));
     assert!(!run.trace_json.contains("\"job\":"));
     // pipeline stage spans rode along under the job spans

@@ -1,11 +1,14 @@
 //! Per-thread span capture: the spans of one unit of work, kept whole for
-//! its owner. A capture is the only place a finished span can land.
+//! its owner, on the unit's own logical clock. A capture is the only place
+//! a finished span can land.
 //!
 //! A serve worker starts a [`Capture`] around each job, and the CLI around
 //! a traced profile. While it is active, every span that closes on that
 //! thread goes to the capture, up to [`CAPTURE_CAPACITY`] spans; later ones
 //! are counted as dropped. Spans that close with no capture active are
 //! discarded, so other traces' traffic cannot touch a captured span.
+//! The capture's clock ticks 0, 1, 2, … once per span open and close on
+//! its thread; a span with no capture active reads no clock (tick 0).
 
 use crate::span::SpanRecord;
 use std::cell::RefCell;
@@ -23,6 +26,8 @@ pub struct Captured {
     pub spans: Vec<SpanRecord>,
     /// Spans that closed after the buffer was full.
     pub dropped: u64,
+    /// The capture's logical clock: the next tick to hand out.
+    clock: u64,
 }
 
 thread_local! {
@@ -60,6 +65,17 @@ impl Drop for Capture {
     }
 }
 
+/// Read this thread's capture clock: its next tick, or 0 with no capture
+/// active.
+pub(crate) fn tick() -> f64 {
+    ACTIVE.with(|a| {
+        a.borrow_mut().as_mut().map_or(0, |c| {
+            c.clock += 1;
+            c.clock - 1
+        })
+    }) as f64
+}
+
 /// Give a closing span to this thread's capture, if one is active.
 pub(crate) fn keep(span: &SpanRecord) {
     ACTIVE.with(|a| match a.borrow_mut().as_mut() {
@@ -91,6 +107,37 @@ mod tests {
         drop(Capture::start());
         span_in(trace, "after").finish();
         assert!(Capture::start().finish().spans.is_empty());
+    }
+
+    #[test]
+    fn each_capture_reads_its_own_clock_for_a_shared_trace() {
+        // two threads take turns opening and closing a span of one trace,
+        // each under its own capture: each clock counts its thread's spans
+        let trace = new_trace_id();
+        let turn = std::sync::Barrier::new(2);
+        let ticks: Vec<Vec<f64>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|me| {
+                    let turn = &turn;
+                    s.spawn(move || {
+                        let capture = Capture::start();
+                        for _ in 0..4 {
+                            for who in 0..2 {
+                                turn.wait();
+                                if who == me {
+                                    span_in(trace, "step").finish();
+                                }
+                            }
+                        }
+                        let caught = capture.finish().spans;
+                        caught.iter().flat_map(|s| [s.start_us, s.end_us]).collect()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let own: Vec<f64> = (0..8).map(f64::from).collect();
+        assert_eq!(ticks, [own.clone(), own]);
     }
 
     #[test]

@@ -25,15 +25,15 @@
 //!   site panic, stall, or fail transiently, so robustness machinery
 //!   (retries, deadlines, panic isolation) is testable bit-for-bit.
 //!
-//! Span timestamps come from one *logical* clock: per-trace timestamps are
-//! a deterministic counter that only span opens and closes advance, so an
-//! exported trace is byte-for-bit reproducible for a given request sequence
-//! — matching the repo's seeded-simulation discipline — whatever `PROOF_LOG`
-//! says. Real wall durations are kept alongside in [`SpanRecord::wall_us`]
-//! for latency accounting.
+//! Span timestamps come from one *logical* clock per capture: a counter,
+//! owned by the [`Capture`], that only span opens and closes on its thread
+//! advance, so an exported trace is byte-for-bit reproducible for a given
+//! unit of work — matching the repo's seeded-simulation discipline —
+//! whatever `PROOF_LOG` says or other jobs of the same trace do. Real wall
+//! durations are kept alongside in [`SpanRecord::wall_us`] for latency
+//! accounting.
 
 pub mod capture;
-mod clock;
 pub mod export;
 pub mod fault;
 pub mod flight;

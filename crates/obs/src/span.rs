@@ -84,8 +84,9 @@ impl std::fmt::Display for Level {
 }
 
 /// One finished span. `start_us`/`end_us` are ticks of the logical
-/// per-trace clock; `wall_us` is the real elapsed wall-clock, so latency
-/// accounting stays meaningful beside the deterministic ticks.
+/// per-capture clock (0 for a span closed outside any capture); `wall_us`
+/// is the real elapsed wall-clock, so latency accounting stays meaningful
+/// beside the deterministic ticks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Process-unique span id (never 0).
@@ -97,13 +98,13 @@ pub struct SpanRecord {
     pub name: &'static str,
     pub start_us: f64,
     pub end_us: f64,
-    /// Real elapsed wall-clock, µs (independent of the trace clock).
+    /// Real elapsed wall-clock, µs (independent of the capture clock).
     pub wall_us: f64,
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
 impl SpanRecord {
-    /// Trace-clock duration, clamped non-negative.
+    /// Logical-clock duration, clamped non-negative.
     pub fn dur_us(&self) -> f64 {
         (self.end_us - self.start_us).max(0.0)
     }

@@ -1,6 +1,7 @@
 //! Spans and events: opens spans, threads parent/trace context through a
-//! thread-local stack, stamps records with the trace clock, and hands each
-//! finished record to this thread's [`crate::Capture`], if one is active.
+//! thread-local stack, stamps records with the clock of this thread's
+//! [`crate::Capture`], and hands each finished record to that capture, if
+//! one is active.
 
 use crate::span::{FieldValue, Level, SpanRecord};
 use std::cell::RefCell;
@@ -52,7 +53,7 @@ fn open(trace: u64, parent: u64, name: &'static str) -> SpanGuard {
             trace,
             parent,
             name,
-            start_us: crate::clock::now_us(trace),
+            start_us: crate::capture::tick(),
             end_us: 0.0,
             wall_us: 0.0,
             fields: Vec::new(),
@@ -61,8 +62,8 @@ fn open(trace: u64, parent: u64, name: &'static str) -> SpanGuard {
 }
 
 /// Emit a leveled event: a line on stderr when `PROOF_LOG` admits the
-/// level, otherwise nothing. Events never read the trace clock, so logging
-/// cannot move a trace's timestamps.
+/// level, otherwise nothing. Events never read the capture clock, so
+/// logging cannot move a trace's timestamps.
 pub fn event(
     level: Level,
     target: &'static str,
@@ -147,7 +148,7 @@ impl SpanGuard {
 
     fn close(&mut self) -> Option<SpanRecord> {
         let mut record = self.record.take()?;
-        record.end_us = crate::clock::now_us(record.trace);
+        record.end_us = crate::capture::tick();
         record.wall_us = self.wall.elapsed().as_secs_f64() * 1e6;
         CONTEXT.with(|c| {
             let mut stack = c.borrow_mut();
@@ -188,7 +189,7 @@ mod tests {
         assert_eq!(inner_rec.parent, root_id);
         let root_rec = root.finish();
         assert_eq!(root_rec.parent, 0);
-        // logical clock: start strictly before end, per trace
+        // the capture's logical clock: start strictly before end
         assert!(root_rec.start_us < root_rec.end_us);
         assert_eq!(capture.finish().spans.len(), 3);
     }
@@ -202,6 +203,8 @@ mod tests {
         let rec = span.finish();
         assert_eq!(rec.fields, vec![("answer", FieldValue::U64(42))]);
         assert!(rec.wall_us >= 0.0);
+        // and, reading no clock, it carries tick 0
+        assert_eq!((rec.start_us, rec.end_us), (0.0, 0.0));
     }
 
     #[test]

@@ -169,8 +169,8 @@ struct JobRecord {
     /// Pipeline attempts actually made (1 + transient retries); 0 until the
     /// job runs, stays 0 on a cache hit.
     attempts: u32,
-    /// The deadline budget this job ran under (its own `timeout_ms` or the
-    /// server default), for post-mortem visibility in status JSON.
+    /// The deadline budget this job runs under (its own `timeout_ms` or the
+    /// server default), fixed at submission and shown in status JSON.
     timeout_ms: Option<u64>,
 }
 
@@ -471,15 +471,12 @@ fn backoff_ms(base: u64, retry: u32, seed: u64) -> u64 {
 }
 
 fn execute_job(shared: &Arc<Shared>, id: u64) {
-    let timeout_ms;
-    let (spec, key, submitted, trace_id, remote_parent) = {
+    let (spec, key, submitted, trace_id, remote_parent, timeout_ms) = {
         let mut reg = shared.reg();
         // A missing record means the registry was mutated out from under
         // the queue (should not happen); skip rather than kill the worker.
         let Some(rec) = reg.get_mut(&id) else { return };
         rec.status = JobStatus::Running;
-        timeout_ms = rec.spec.timeout_ms.or(shared.job_timeout_ms);
-        rec.timeout_ms = timeout_ms;
         let wait_us = rec.submitted.elapsed().as_micros() as u64;
         rec.queue_wait_us = Some(wait_us);
         shared.hist_queue_wait.record_us(wait_us);
@@ -489,6 +486,7 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
             rec.submitted,
             rec.trace,
             rec.remote_parent,
+            rec.timeout_ms,
         )
     };
     // The deadline counts from submission: a job that starved in the queue
@@ -737,7 +735,7 @@ fn submit(
         queue_wait_us: None,
         execute_us: None,
         attempts: 0,
-        timeout_ms: None,
+        timeout_ms: spec.timeout_ms.or(shared.job_timeout_ms),
     };
     shared.reg().insert(id, record);
     if shared.queue.try_push(id).is_err() {
@@ -965,10 +963,12 @@ fn get_report(shared: &Shared, id: &str) -> Reply {
 /// served, with 409 until that job is final.
 ///
 /// `?format=spans` returns the raw span records of every job of the trace
-/// on this daemon instead: `{"trace":id,"spans":[...]}`, sorted by logical
-/// start time. This is the cross-node merge surface — a fleet coordinator
-/// that propagated its trace id into dispatched jobs pulls every node's
-/// share of the trace here and re-assembles one document.
+/// on this daemon instead: `{"trace":id,"spans":[...]}`, each job's spans
+/// together in job-id order, sorted by logical start within a job (every
+/// job runs on its own capture clock). This is the cross-node merge
+/// surface — a fleet coordinator that propagated its trace id into
+/// dispatched jobs pulls every node's share of the trace here and
+/// re-assembles one document.
 fn get_trace(shared: &Shared, tid: &str, query: &str) -> Reply {
     let tid = parse_id(tid, "trace")?;
     if query_has(query, "format", "spans") {
@@ -1033,22 +1033,27 @@ pub struct SpanView {
 }
 
 /// The `?format=spans` body: the stored spans of this daemon's jobs of
-/// trace `tid`.
+/// trace `tid`, one job after another in job-id order.
 fn trace_spans(shared: &Shared, tid: u64) -> Reply {
-    let spans: Vec<SpanRecord> = shared
+    let mut jobs: Vec<(u64, Arc<[SpanRecord]>)> = shared
         .reg()
-        .values()
-        .filter(|r| r.trace == tid)
-        .flat_map(|r| r.spans.iter().cloned())
+        .iter()
+        .filter(|(_, r)| r.trace == tid)
+        .map(|(&id, r)| (id, Arc::clone(&r.spans)))
+        .collect();
+    jobs.sort_unstable_by_key(|(id, _)| *id);
+    let spans: Vec<SpanView> = jobs
+        .iter()
+        .flat_map(|(_, spans)| span_listing(tid, spans.to_vec()).spans)
         .collect();
     if spans.is_empty() {
         return Err(Response::error(404, "no such trace"));
     }
-    Ok(Response::encode(200, &span_listing(tid, spans)))
+    Ok(Response::encode(200, &TraceSpans { trace: tid, spans }))
 }
 
-/// The span listing of trace `tid`, sorted by (logical start, id) so it is
-/// deterministic.
+/// One job's span listing under trace `tid`, sorted by (logical start, id)
+/// so it is deterministic.
 fn span_listing(tid: u64, mut spans: Vec<SpanRecord>) -> TraceSpans {
     spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then(a.id.cmp(&b.id)));
     let spans = spans

@@ -7,7 +7,7 @@
 //! mutex and clears the plan on exit (panic included) via a drop guard.
 
 use proof_serve::client::{get, post, Call};
-use proof_serve::{ServeConfig, Server};
+use proof_serve::{ServeConfig, Server, SpanView, TraceSpans};
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -248,4 +248,127 @@ fn server_default_timeout_applies_when_spec_has_none() {
     let v = wait_terminal(addr, id);
     assert_eq!(v["status"], "timed_out", "{v}");
     assert_eq!(v["timeout_ms"], 100, "{v}");
+}
+
+#[test]
+fn a_queued_job_shows_its_timeout_budget() {
+    // the first job stalls the only worker, so the next two wait queued;
+    // each one's budget is already on its status and in its sweep
+    let _guard = install("compile:stall:800@901");
+    let server = boot(ServeConfig {
+        workers: 1,
+        job_timeout_ms: Some(30_000),
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+
+    let stalled = submit(
+        addr,
+        r#"{"model":"mobilenetv2-0.5","hardware":"a100","batch":1,"seed":901}"#,
+    );
+    let own = submit(
+        addr,
+        r#"{"model":"mobilenetv2-0.5","hardware":"a100","batch":1,"seed":902,"timeout_ms":60000}"#,
+    );
+    let (status, reply) = post(
+        addr,
+        "/sweep",
+        r#"{"model":"mobilenetv2-0.5","hardware":"a100","batches":[1],"seed":903}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 201, "{reply}");
+    let group = serde_json::from_str::<serde_json::Value>(&reply).unwrap()["group"].clone();
+
+    let (_, body) = get(addr, &format!("/jobs/{own}")).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(v["status"], "queued", "{v}");
+    assert_eq!(v["timeout_ms"], 60000, "{v}");
+    let (_, body) = get(addr, &format!("/sweep/{group}")).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let member = &v["jobs"][0];
+    assert_eq!(member["status"], "queued", "{v}");
+    assert_eq!(member["timeout_ms"], 30000, "{v}");
+
+    let sweep_job = member["id"].as_u64().unwrap();
+    for id in [stalled, own, sweep_job] {
+        assert_eq!(wait_terminal(addr, id)["status"], "done");
+    }
+}
+
+/// One span of a job's subtree, with ids replaced by positions in the
+/// job's listing: `(name, parent position, start, end, fields)`.
+type SpanRow = (String, Option<usize>, f64, f64, String);
+
+/// The job subtrees of a `?format=spans` listing, in listing order, with
+/// the job span's run-varying `job` id field dropped.
+fn job_subtrees(listing: &str) -> Vec<Vec<SpanRow>> {
+    let doc: TraceSpans = serde_json::from_str(listing).unwrap();
+    let mut jobs: Vec<Vec<SpanView>> = Vec::new();
+    for mut span in doc.spans {
+        if span.name == "job" {
+            span.fields.remove("job");
+            jobs.push(Vec::new());
+        }
+        jobs.last_mut()
+            .expect("a job span opens its job")
+            .push(span);
+    }
+    jobs.iter()
+        .map(|spans| {
+            let pos = |id: u64| spans.iter().position(|s| s.id == id);
+            spans
+                .iter()
+                .map(|s| {
+                    let fields = serde_json::to_string(&s.fields).unwrap();
+                    (s.name.clone(), pos(s.parent), s.start_us, s.end_us, fields)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_jobs_of_one_trace_render_their_spans_as_if_alone() {
+    // job A stalls in compile while job B runs start to finish beside it,
+    // both under one adopted trace on a 2-worker daemon
+    let _guard = install("compile:stall:400@41");
+    let specs = [
+        r#"{"model":"mobilenetv2-0.5","hardware":"a100","batch":1,"seed":41}"#,
+        r#"{"model":"mobilenetv2-0.5","hardware":"a100","batch":2,"seed":42}"#,
+    ];
+    let run = |trace: u64, specs: &[&str]| {
+        let server = boot(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let addr = server.addr();
+        let header = format!("{trace}:9");
+        let ids: Vec<u64> = specs
+            .iter()
+            .map(|spec| {
+                let reply = Call::new(addr, "POST", "/jobs")
+                    .body(spec)
+                    .headers(&[("X-Proof-Trace", header.as_str())])
+                    .send()
+                    .unwrap();
+                assert_eq!(reply.status, 201, "{}", reply.body);
+                serde_json::from_str::<serde_json::Value>(&reply.body).unwrap()["id"]
+                    .as_u64()
+                    .unwrap()
+            })
+            .collect();
+        for id in ids {
+            assert_eq!(wait_terminal(addr, id)["status"], "done");
+        }
+        let (status, listing) = get(addr, &format!("/trace/{trace}?format=spans")).unwrap();
+        assert_eq!(status, 200, "{listing}");
+        server.shutdown();
+        job_subtrees(&listing)
+    };
+    let together = run(616_161, &specs);
+    let alone: Vec<Vec<SpanRow>> = [(616_162, specs[0]), (616_163, specs[1])]
+        .into_iter()
+        .flat_map(|(trace, spec)| run(trace, &[spec]))
+        .collect();
+    assert_eq!(together, alone);
 }

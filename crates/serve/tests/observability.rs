@@ -97,7 +97,7 @@ fn trace_endpoint_serves_the_merged_chrome_trace() {
 
 #[test]
 fn traces_are_byte_identical_across_fresh_servers() {
-    // Two independent daemons, same seeded job: the logical per-trace clock
+    // Two independent daemons, same seeded job: the per-capture logical clock
     // and exported-id renumbering make the rendered traces byte-equal even
     // though the process-global span/trace id allocators kept counting.
     let server_a = boot(1);
