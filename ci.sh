@@ -219,6 +219,21 @@ kill "$pid_a" "$pid_b" 2>/dev/null || true
 trap - EXIT
 rm -f "$log_a" "$log_b"
 
+echo "==> proof fleet bad-grid smoke (an unknown model is refused at submit, no node is charged)"
+bad_err="$(mktemp)"
+if ./target/release/proof fleet sweep --local 2 --models nope --platforms a100 \
+    >/dev/null 2>"$bad_err"; then
+    echo "a grid with an unknown model was accepted" >&2
+    exit 1
+fi
+grep -q "unknown model" "$bad_err"
+if grep -q "all nodes dead" "$bad_err"; then
+    echo "a bad grid reached the nodes:" >&2
+    cat "$bad_err" >&2
+    exit 1
+fi
+rm -f "$bad_err"
+
 echo "==> proof fleet fault smoke (one panicking daemon, sweep reschedules and still matches)"
 # daemon A panics at the compile stage for every job of this sweep's seed;
 # the coordinator must shift A's shards to the clean daemon B and the

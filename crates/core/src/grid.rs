@@ -22,9 +22,13 @@ use crate::sweep::{BatchSweep, SweepPoint};
 use serde::Serialize;
 use serde_json::{Map, Value};
 
-/// Largest cell count a single grid may expand to (mirrors the serve
-/// daemon's sweep cap).
+/// Largest cell count a single grid may expand to: every grid, whether a
+/// fleet run, a serve sweep or a one-cell job body.
 pub const MAX_GRID_CELLS: usize = 4096;
+
+/// Default seed for grid runs: the runtime's, so a grid cell, a serve job
+/// and a CLI profile that name no seed all simulate alike.
+pub const DEFAULT_GRID_SEED: u64 = proof_runtime::DEFAULT_SEED;
 
 /// A profiling grid: every axis is a list, optional axes (`backends`,
 /// `dtypes`, `mode`) default to the worker-side defaults when empty/None.
@@ -74,141 +78,147 @@ struct GridView {
     seed: u64,
 }
 
-fn str_list(obj: &Map<String, Value>, scalar: &str, list: &str) -> Result<Vec<String>, ProofError> {
-    let values = match (obj.get(list), obj.get(scalar)) {
-        // a lone string under the plural spelling is accepted as a
-        // one-element axis (this also serves aliases like `hardware`,
-        // which have a single spelling for both shapes)
-        (Some(Value::String(_)), _) => vec![obj.get(list).unwrap().clone()],
-        (Some(v), _) => {
-            let arr = v.as_array().ok_or_else(|| {
-                ProofError::InvalidSpec(format!("field '{list}' must be an array"))
-            })?;
-            arr.clone()
-        }
-        (None, Some(v)) => vec![v.clone()],
-        (None, None) => return Ok(Vec::new()),
-    };
-    values
+/// Each string axis's keys in precedence order — an axis's own name before
+/// its alias, the list spelling before the scalar one — each marked `true`
+/// when it is a list spelling, which also takes a lone string.
+const STRING_AXES: [&[(&str, bool)]; 4] = [
+    &[("models", true), ("model", false)],
+    &[("backends", true), ("backend", false)],
+    &[("platforms", true), ("platform", false), ("hardware", true)],
+    &[
+        ("dtypes", true),
+        ("dtype", false),
+        ("precisions", true),
+        ("precision", false),
+    ],
+];
+
+/// The keys that are not string axes.
+const OTHER_KEYS: [&str; 4] = ["batches", "batch", "mode", "seed"];
+
+fn invalid(msg: impl Into<String>) -> ProofError {
+    ProofError::InvalidSpec(msg.into())
+}
+
+/// `key`'s value, with `null` read as absent.
+fn present<'a>(obj: &'a Map<String, Value>, key: &str) -> Option<&'a Value> {
+    obj.get(key).filter(|v| !v.is_null())
+}
+
+fn non_negative(key: &str, v: &Value) -> Result<u64, ProofError> {
+    v.as_u64().ok_or_else(|| {
+        invalid(format!(
+            "field '{key}' must be a non-negative integer, got {v}"
+        ))
+    })
+}
+
+/// One string axis: the value under the first of `keys` that is present,
+/// or an empty axis when none is.
+fn str_axis(obj: &Map<String, Value>, keys: &[(&str, bool)]) -> Result<Vec<String>, ProofError> {
+    let Some((key, list, v)) = keys
         .iter()
-        .map(|v| {
-            v.as_str().map(str::to_string).ok_or_else(|| {
-                ProofError::InvalidSpec(format!("'{scalar}' entries must be strings, got {v}"))
-            })
+        .find_map(|&(key, list)| Some((key, list, present(obj, key)?)))
+    else {
+        return Ok(Vec::new());
+    };
+    let entries = match v {
+        Value::String(s) => return Ok(vec![s.clone()]),
+        Value::Array(entries) if list => entries,
+        _ if list => return Err(invalid(format!("field '{key}' must be an array"))),
+        _ => return Err(invalid(format!("field '{key}' must be a string, got {v}"))),
+    };
+    if entries.is_empty() {
+        return Err(invalid(format!("field '{key}' must not be empty")));
+    }
+    entries
+        .iter()
+        .map(|e| {
+            e.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| invalid(format!("'{key}' entries must be strings, got {e}")))
         })
         .collect()
 }
 
+/// The batch axis; `[1]` when absent.
+fn batch_axis(obj: &Map<String, Value>) -> Result<Vec<u64>, ProofError> {
+    match (present(obj, "batches"), present(obj, "batch")) {
+        (Some(Value::Array(entries)), _) if entries.is_empty() => {
+            Err(invalid("field 'batches' must not be empty"))
+        }
+        (Some(Value::Array(entries)), _) => {
+            entries.iter().map(|b| non_negative("batches", b)).collect()
+        }
+        (Some(_), _) => Err(invalid("field 'batches' must be an array")),
+        (None, Some(b)) => Ok(vec![non_negative("batch", b)?]),
+        (None, None) => Ok(vec![1]),
+    }
+}
+
 impl GridSpec {
-    /// Parse the coordinator's grid-spec JSON. Scalar and plural spellings
-    /// are both accepted per axis (`model`/`models`, ...), plus the serve
-    /// daemon's aliases `hardware` and `precision(s)`.
+    /// Parse a grid spec from JSON: the one reader of the grid axes, for a
+    /// fleet grid, a serve sweep and a one-cell job body alike.
+    ///
+    /// Each axis takes a list or a scalar spelling (`models`/`model`, ...),
+    /// and the platform and dtype axes also take an alias (`hardware`,
+    /// `precisions`/`precision`). When a body gives more than one spelling
+    /// of an axis, the axis's own name wins over its alias and the list
+    /// spelling over the scalar one: `{"platform":"a100","hardware":"x"}`
+    /// names a100. A `null` value reads as an absent key, and an explicitly
+    /// empty list is refused.
     pub fn from_value(v: &Value) -> Result<GridSpec, ProofError> {
+        GridSpec::from_value_except(v, &[])
+    }
+
+    /// [`GridSpec::from_value`] over a body that also carries `passed`
+    /// keys, which its caller reads itself: they are skipped, not refused
+    /// as unknown.
+    pub fn from_value_except(v: &Value, passed: &[&str]) -> Result<GridSpec, ProofError> {
         let obj = v
             .as_object()
-            .ok_or_else(|| ProofError::InvalidSpec("grid spec must be a JSON object".into()))?;
-        for key in obj.keys() {
-            if !matches!(
-                key.as_str(),
-                "model"
-                    | "models"
-                    | "backend"
-                    | "backends"
-                    | "platform"
-                    | "platforms"
-                    | "hardware"
-                    | "dtype"
-                    | "dtypes"
-                    | "precision"
-                    | "precisions"
-                    | "batch"
-                    | "batches"
-                    | "mode"
-                    | "seed"
-            ) {
-                return Err(ProofError::InvalidSpec(format!(
-                    "unknown field '{key}' in grid spec"
-                )));
-            }
-        }
-        let models = str_list(obj, "model", "models")?;
-        let backends = str_list(obj, "backend", "backends")?;
-        let mut platforms = str_list(obj, "platform", "platforms")?;
-        if platforms.is_empty() {
-            platforms = str_list(obj, "hardware", "hardware")?;
-        }
-        let mut dtypes = str_list(obj, "dtype", "dtypes")?;
-        if dtypes.is_empty() {
-            dtypes = str_list(obj, "precision", "precisions")?;
-        }
-        let batches = match (obj.get("batches"), obj.get("batch")) {
-            (Some(v), _) => v
-                .as_array()
-                .ok_or_else(|| ProofError::InvalidSpec("field 'batches' must be an array".into()))?
+            .ok_or_else(|| invalid("grid spec must be a JSON object"))?;
+        let known = |key: &str| {
+            STRING_AXES
                 .iter()
-                .map(|b| {
-                    b.as_u64().ok_or_else(|| {
-                        ProofError::InvalidSpec(format!("batch entries must be integers, got {b}"))
-                    })
-                })
-                .collect::<Result<Vec<u64>, ProofError>>()?,
-            (None, Some(v)) => vec![v.as_u64().ok_or_else(|| {
-                ProofError::InvalidSpec(format!("field 'batch' must be an integer, got {v}"))
-            })?],
-            (None, None) => vec![1],
+                .any(|keys| keys.iter().any(|&(k, _)| k == key))
+                || OTHER_KEYS.contains(&key)
+                || passed.contains(&key)
         };
-        let mode = match obj.get("mode") {
-            None | Some(Value::Null) => None,
-            Some(Value::String(s)) => Some(s.clone()),
-            Some(other) => {
-                return Err(ProofError::InvalidSpec(format!(
-                    "field 'mode' must be a string, got {other}"
-                )))
-            }
-        };
-        let seed = match obj.get("seed") {
-            None | Some(Value::Null) => crate::grid::DEFAULT_GRID_SEED,
-            Some(v) => v.as_u64().ok_or_else(|| {
-                ProofError::InvalidSpec(format!(
-                    "field 'seed' must be a non-negative integer, got {v}"
-                ))
-            })?,
-        };
+        if let Some(key) = obj.keys().find(|key| !known(key)) {
+            return Err(invalid(format!("unknown field '{key}' in spec")));
+        }
+        let [models, backends, platforms, dtypes] = STRING_AXES.map(|keys| str_axis(obj, keys));
         let spec = GridSpec {
-            models,
-            backends,
-            platforms,
-            dtypes,
-            batches,
-            mode,
-            seed,
+            models: models?,
+            backends: backends?,
+            platforms: platforms?,
+            dtypes: dtypes?,
+            batches: batch_axis(obj)?,
+            mode: str_axis(obj, &[("mode", false)])?.pop(),
+            seed: present(obj, "seed")
+                .map_or(Ok(DEFAULT_GRID_SEED), |v| non_negative("seed", v))?,
         };
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Structural validation (axis presence and grid size; slug validity is
-    /// checked by the worker-spec parser when cells become jobs).
+    /// Structural validation: axis presence and grid size. Slugs and batch
+    /// ranges are the job resolver's to check, cell by cell
+    /// (`proof_serve::AnalysisJob::from_cell`).
     pub fn validate(&self) -> Result<(), ProofError> {
         if self.models.is_empty() {
-            return Err(ProofError::InvalidSpec(
-                "grid spec needs at least one model".into(),
-            ));
+            return Err(invalid("spec needs at least one model"));
         }
         if self.platforms.is_empty() {
-            return Err(ProofError::InvalidSpec(
-                "grid spec needs at least one platform".into(),
-            ));
+            return Err(invalid("spec needs at least one platform"));
         }
         if self.batches.is_empty() {
-            return Err(ProofError::InvalidSpec(
-                "grid spec needs at least one batch size".into(),
-            ));
+            return Err(invalid("spec needs at least one batch size"));
         }
         if self.cell_count() > MAX_GRID_CELLS {
-            return Err(ProofError::InvalidSpec(format!(
-                "grid expands to {} cells, larger than {MAX_GRID_CELLS}",
-                self.cell_count()
+            return Err(invalid(format!(
+                "sweep grid larger than {MAX_GRID_CELLS} points"
             )));
         }
         Ok(())
@@ -289,10 +299,6 @@ impl GridSpec {
             && self.dtypes.len() <= 1
     }
 }
-
-/// Default seed for grid runs (same default as the serve daemon's job spec,
-/// duplicated here so proof-core does not depend on proof-serve).
-pub const DEFAULT_GRID_SEED: u64 = 0xC0FFEE;
 
 /// Merge per-cell report JSON into the combined grid artifact: a fold of
 /// `reports` over a [`GridMerger`].
@@ -530,15 +536,60 @@ mod tests {
     #[test]
     fn from_value_rejects_malformed_specs() {
         for bad in [
-            r#"{"platform":"a100"}"#,                                  // no model
-            r#"{"model":"resnet-50"}"#,                                // no platform
-            r#"{"model":"resnet-50","platform":"a100","batches":[]}"#, // empty axis
-            r#"{"model":"resnet-50","platform":"a100","bogus":1}"#,    // unknown field
-            r#"{"models":[1],"platform":"a100"}"#,                     // non-string entry
+            r#"{"platform":"a100"}"#,                                   // no model
+            r#"{"model":"resnet-50"}"#,                                 // no platform
+            r#"{"model":"resnet-50","platform":"a100","batches":[]}"#,  // empty axis
+            r#"{"model":"resnet-50","platform":"a100","bogus":1}"#,     // unknown field
+            r#"{"models":[1],"platform":"a100"}"#,                      // non-string entry
+            r#"{"model":"resnet-50","platform":"a100","backends":[]}"#, // empty axis
+            r#"{"model":["resnet-50"],"platform":"a100"}"#,             // list as scalar
+            r#"{"model":"resnet-50","platform":"a100","batch":-1}"#,    // negative batch
         ] {
             let v: Value = serde_json::from_str(bad).unwrap();
             assert!(GridSpec::from_value(&v).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn one_precedence_and_null_as_absent() {
+        let read = |s: &str| GridSpec::from_value(&serde_json::from_str(s).unwrap());
+        // an axis's own name wins over its alias, a list over its scalar
+        let a = read(r#"{"model":"resnet-50","platform":"a100","hardware":"rtx-4090"}"#).unwrap();
+        assert_eq!(a.platforms, ["a100"]);
+        let b = read(
+            r#"{"models":["vit-tiny"],"model":"resnet-50","hardware":"a100","dtype":"fp32","precisions":["int8"]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            (b.models, b.platforms, b.dtypes),
+            (
+                vec!["vit-tiny".to_string()],
+                vec!["a100".to_string()],
+                vec!["fp32".to_string()]
+            )
+        );
+        // null reads as absent, on every key
+        let plain = read(r#"{"model":"resnet-50","platform":"a100"}"#).unwrap();
+        let nulls = read(
+            r#"{"model":"resnet-50","platform":"a100","hardware":null,"models":null,"backend":null,"dtypes":null,"batch":null,"batches":null,"mode":null,"seed":null}"#,
+        )
+        .unwrap();
+        assert_eq!(nulls, plain);
+        // an empty list is refused under its own name
+        let err = read(r#"{"model":"resnet-50","platform":"a100","dtypes":[]}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid spec: field 'dtypes' must not be empty"
+        );
+        // keys the caller reads itself are skipped, not refused
+        let body: Value =
+            serde_json::from_str(r#"{"model":"resnet-50","platform":"a100","timeout_ms":5}"#)
+                .unwrap();
+        assert!(GridSpec::from_value(&body).is_err());
+        assert_eq!(
+            GridSpec::from_value_except(&body, &["timeout_ms"]).unwrap(),
+            plain
+        );
     }
 
     #[test]

@@ -249,9 +249,10 @@ impl Fleet {
         &self.inner.scrapers
     }
 
-    /// Accept a grid run: validate and plan the spec, mint a run id on the
-    /// ledger, and hand the dispatch to a dedicated run thread. Returns
-    /// immediately with the [`RunHandle`] — poll its progress, or
+    /// Accept a grid run: plan the spec (a grid holding any cell a worker
+    /// would refuse is refused here, before a run is minted), mint a run
+    /// id on the ledger, and hand the dispatch to a dedicated run thread.
+    /// Returns immediately with the [`RunHandle`] — poll its progress, or
     /// [`RunHandle::wait`] for the result. Concurrent submissions are
     /// accepted eagerly and serialize on the registry inside their run
     /// threads, in submission order of lock acquisition.
@@ -611,8 +612,7 @@ pub fn run_grid_local(spec: &GridSpec) -> Result<String, ProofError> {
     spec.validate()?;
     let mut results = Vec::new();
     for (id, cell) in spec.cells().into_iter().enumerate() {
-        let job = AnalysisJob::from_value(&serde_json::to_value(&cell))
-            .map_err(ProofError::InvalidSpec)?;
+        let job = AnalysisJob::from_cell(&cell).map_err(ProofError::InvalidSpec)?;
         let report = job.execute()?;
         results.push((id, report.try_to_json()?));
     }

@@ -12,6 +12,7 @@
 
 use proof_core::{GridCell, GridSpec, ProofError};
 use proof_obs::fault::mix64;
+use proof_serve::AnalysisJob;
 
 /// One unit of dispatch: a canonical cell index plus its cell.
 #[derive(Debug, Clone)]
@@ -31,15 +32,20 @@ pub struct ShardPlan {
 }
 
 /// Expand and order the grid. Fails on an invalid spec (empty axes,
-/// oversized grid) — the same validation a worker would apply per cell.
+/// oversized grid) or on the first cell in canonical order that a worker
+/// would refuse ([`AnalysisJob::from_cell`]), so a bad grid is refused
+/// before any node is asked.
 pub fn plan_shards(spec: &GridSpec) -> Result<ShardPlan, ProofError> {
     spec.validate()?;
     let mut shards: Vec<Shard> = spec
         .cells()
         .into_iter()
         .enumerate()
-        .map(|(id, cell)| Shard { id, cell })
-        .collect();
+        .map(|(id, cell)| {
+            AnalysisJob::from_cell(&cell).map_err(ProofError::InvalidSpec)?;
+            Ok(Shard { id, cell })
+        })
+        .collect::<Result<_, ProofError>>()?;
     let cells = shards.len();
     // seeded dispatch order: sort by a keyed hash of the shard id; ties
     // (impossible for distinct ids under mix64, but cheap to guard) break

@@ -2,6 +2,10 @@
 
 use proof_ir::DType;
 
+/// The simulation seed a run uses when none is given: a session's, a
+/// serve job's and a fleet grid's default.
+pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+
 /// How a backend session is built and run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
@@ -18,7 +22,7 @@ impl SessionConfig {
     pub fn new(precision: DType) -> Self {
         SessionConfig {
             precision,
-            seed: 0xC0FFEE,
+            seed: DEFAULT_SEED,
             iterations: 20,
         }
     }

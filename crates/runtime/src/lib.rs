@@ -33,7 +33,7 @@ pub use backend::{
     compile, BackendError, BackendFlavor, BackendLayer, CompiledModel, LayerHint, LayerProfile,
     LayerStats,
 };
-pub use config::SessionConfig;
+pub use config::{SessionConfig, DEFAULT_SEED};
 pub use exec::Utilization;
 pub use fusion::{FusionPolicy, GroupKind, RtGroup};
 pub use lower::{Kernel, KernelClass, KernelCost};

@@ -1,20 +1,25 @@
 //! Typed analysis-job specification, canonicalization, and cache keys.
 //!
 //! A job arrives as loosely-typed JSON (aliases allowed: `"trt"`,
-//! `"tensorrt"`, `"f16"`, ...). Parsing normalizes it into [`AnalysisJob`];
-//! re-serializing that into sorted-key compact JSON gives a *canonical spec*
-//! that is independent of field order and alias spelling, so hashing it
-//! yields a stable content address for the artifact cache.
+//! `"tensorrt"`, `"f16"`, ...). Its axis keys are read as a one-cell
+//! [`GridSpec`], the one reader of grid axes, and the cell is resolved by
+//! [`AnalysisJob::from_cell`], the one slug resolver, into an
+//! [`AnalysisJob`]; re-serializing that into sorted-key compact JSON gives
+//! a *canonical spec* that is independent of field order and alias
+//! spelling, so hashing it yields a stable content address for the
+//! artifact cache.
 
+use proof_core::{GridCell, GridSpec, ProofError};
 use proof_hw::PlatformId;
 use proof_ir::DType;
 use proof_models::ModelId;
 use proof_runtime::{BackendFlavor, SessionConfig};
 use serde::Serialize;
-use serde_json::{Map, Value};
+use serde_json::Value;
 
-/// The default simulation seed (mirrors `SessionConfig::default`).
-pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+/// The keys of a job or sweep body that are not grid axes, read by
+/// [`AnalysisJob::from_body`] and carried by every job the body names.
+const JOB_ONLY_KEYS: [&str; 2] = ["timeout_ms", "trace_parent"];
 
 /// Fully-resolved job specification. Two specs that differ in any field —
 /// including `seed` — get distinct cache keys. `timeout_ms` and
@@ -93,99 +98,101 @@ fn mode_token(m: proof_core::MetricMode) -> &'static str {
     }
 }
 
-fn str_field<'a>(obj: &'a Map<String, Value>, key: &str) -> Result<Option<&'a str>, String> {
-    match obj.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::String(s)) => Ok(Some(s.as_str())),
-        Some(other) => Err(format!("field '{key}' must be a string, got {other}")),
-    }
-}
-
-fn u64_field(obj: &Map<String, Value>, key: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be a non-negative integer, got {v}")),
+/// A grid-reader refusal as the text a 400 carries, without
+/// [`ProofError`]'s `invalid spec: ` prefix.
+fn spec_text(e: ProofError) -> String {
+    match e {
+        ProofError::InvalidSpec(msg) => msg,
+        other => other.to_string(),
     }
 }
 
 impl AnalysisJob {
-    /// Parse a request body. `model` and `hardware` are required; everything
-    /// else has a sensible default (backend: the platform's native flavor,
-    /// batch 1, fp16, predicted, [`DEFAULT_SEED`]).
+    /// Parse a `POST /jobs` body: `AnalysisJob::from_body` over a body
+    /// that names exactly one cell. `model` and `hardware` (or `platform`)
+    /// are required; everything else has a sensible default (backend: the
+    /// platform's native flavor, batch 1, fp16, predicted,
+    /// [`proof_runtime::DEFAULT_SEED`]).
     pub fn from_value(v: &Value) -> Result<AnalysisJob, String> {
-        let obj = match v {
-            Value::Object(m) => m,
-            _ => return Err("job spec must be a JSON object".to_string()),
-        };
-        for key in obj.keys() {
-            if !matches!(
-                key.as_str(),
-                "model"
-                    | "backend"
-                    | "hardware"
-                    | "platform"
-                    | "batch"
-                    | "dtype"
-                    | "precision"
-                    | "mode"
-                    | "seed"
-                    | "timeout_ms"
-                    | "trace_parent"
-            ) {
-                return Err(format!("unknown field '{key}' in job spec"));
-            }
+        if v.as_object().is_none() {
+            return Err("job spec must be a JSON object".to_string());
         }
-        let model_s =
-            str_field(obj, "model")?.ok_or_else(|| "missing required field 'model'".to_string())?;
-        let model = ModelId::parse(model_s)
-            .ok_or_else(|| format!("unknown model '{model_s}' (see GET /models)"))?;
-        let hw_s = str_field(obj, "hardware")?
-            .or(str_field(obj, "platform")?)
-            .ok_or_else(|| "missing required field 'hardware'".to_string())?;
-        let hardware =
-            PlatformId::parse(hw_s).ok_or_else(|| format!("unknown hardware platform '{hw_s}'"))?;
-        let backend = match str_field(obj, "backend")? {
+        match AnalysisJob::from_body(v)?.as_slice() {
+            [job] => Ok(*job),
+            jobs => Err(format!(
+                "a job spec names one cell, this one names {}; POST /sweep takes a grid",
+                jobs.len()
+            )),
+        }
+    }
+
+    /// Every job a job or sweep body (a JSON object) names, in canonical
+    /// cell order: the axis keys read as a [`GridSpec`], each cell resolved
+    /// by [`AnalysisJob::from_cell`], and the body's job-only keys
+    /// (`timeout_ms`, `trace_parent`) set on every job.
+    pub(crate) fn from_body(v: &Value) -> Result<Vec<AnalysisJob>, String> {
+        let grid = GridSpec::from_value_except(v, &JOB_ONLY_KEYS).map_err(spec_text)?;
+        let present = |key| v.get(key).filter(|v| !v.is_null());
+        let timeout_ms = present("timeout_ms")
+            .map(|t| {
+                t.as_u64().filter(|&ms| ms > 0).ok_or_else(|| {
+                    format!("field 'timeout_ms' must be a positive integer, got {t}")
+                })
+            })
+            .transpose()?;
+        let trace_parent = present("trace_parent")
+            .map(|t| {
+                t.as_str()
+                    .and_then(crate::http::parse_trace_header)
+                    .ok_or_else(|| format!("bad trace_parent {t} (expected 'trace:span')"))
+            })
+            .transpose()?;
+        grid.cells()
+            .iter()
+            .map(|cell| {
+                Ok(AnalysisJob {
+                    timeout_ms,
+                    trace_parent,
+                    ..AnalysisJob::from_cell(cell)?
+                })
+            })
+            .collect()
+    }
+
+    /// Resolve one grid cell: the one place a model, platform, backend,
+    /// dtype or mode slug becomes a value and a batch is range-checked.
+    /// A cell without a backend gets the platform's native flavor, without
+    /// a dtype fp16, without a mode predicted.
+    pub fn from_cell(cell: &GridCell) -> Result<AnalysisJob, String> {
+        let model = ModelId::parse(&cell.model)
+            .ok_or_else(|| format!("unknown model '{}' (see GET /models)", cell.model))?;
+        let hardware = PlatformId::parse(&cell.hardware)
+            .ok_or_else(|| format!("unknown hardware platform '{}'", cell.hardware))?;
+        let backend = match cell.backend.as_deref() {
             Some(s) => BackendFlavor::parse(s).ok_or_else(|| format!("unknown backend '{s}'"))?,
             None => BackendFlavor::for_platform(&hardware.spec()),
         };
-        let dtype_s = str_field(obj, "dtype")?.or(str_field(obj, "precision")?);
-        let dtype = match dtype_s {
+        let dtype = match cell.dtype.as_deref() {
             Some(s) => parse_dtype(s).ok_or_else(|| format!("unknown dtype '{s}'"))?,
             None => DType::F16,
         };
-        let mode = match str_field(obj, "mode")? {
+        let mode = match cell.mode.as_deref() {
             Some(s) => parse_mode(s).ok_or_else(|| format!("unknown mode '{s}'"))?,
             None => proof_core::MetricMode::Predicted,
         };
-        let batch = u64_field(obj, "batch")?.unwrap_or(1);
-        if batch == 0 || batch > 1 << 20 {
-            return Err(format!("batch {batch} out of range [1, 2^20]"));
+        if cell.batch == 0 || cell.batch > 1 << 20 {
+            return Err(format!("batch {} out of range [1, 2^20]", cell.batch));
         }
-        let seed = u64_field(obj, "seed")?.unwrap_or(DEFAULT_SEED);
-        let timeout_ms = u64_field(obj, "timeout_ms")?;
-        if timeout_ms == Some(0) {
-            return Err("timeout_ms must be positive".to_string());
-        }
-        let trace_parent = match str_field(obj, "trace_parent")? {
-            Some(s) => Some(
-                crate::http::parse_trace_header(s)
-                    .ok_or_else(|| format!("bad trace_parent '{s}' (expected 'trace:span')"))?,
-            ),
-            None => None,
-        };
         Ok(AnalysisJob {
             model,
             backend,
             hardware,
-            batch,
+            batch: cell.batch,
             dtype,
             mode,
-            seed,
-            timeout_ms,
-            trace_parent,
+            seed: cell.seed,
+            timeout_ms: None,
+            trace_parent: None,
         })
     }
 
@@ -338,7 +345,7 @@ mod tests {
         let c = parse(r#"{"model":"resnet-50","hardware":"a100"}"#).unwrap();
         assert_ne!(a.cache_key(), b.cache_key());
         assert_ne!(a.cache_key(), c.cache_key());
-        assert_eq!(c.seed, DEFAULT_SEED);
+        assert_eq!(c.seed, proof_runtime::DEFAULT_SEED);
     }
 
     #[test]
@@ -397,6 +404,52 @@ mod tests {
         let j = parse(r#"{"model":"resnet-50","hardware":"a100","seed":18446744073709551615}"#)
             .unwrap();
         assert_eq!(j.seed, u64::MAX);
+    }
+
+    #[test]
+    fn a_job_body_is_a_one_cell_grid() {
+        let plural =
+            parse(r#"{"models":["resnet-50"],"platforms":["a100"],"batches":[8]}"#).unwrap();
+        assert_eq!(
+            plural,
+            parse(r#"{"model":"resnet-50","hardware":"a100","batch":8}"#).unwrap()
+        );
+        let err = parse(r#"{"models":["resnet-50","vit-tiny"],"hardware":"a100"}"#).unwrap_err();
+        assert!(err.contains("names one cell"), "{err}");
+        // refusals carry the grid reader's text without the error prefix
+        let err = parse(r#"{"model":"resnet-50","hardware":"a100","bogus":1}"#).unwrap_err();
+        assert_eq!(err, "unknown field 'bogus' in spec");
+        // the cell resolver is what a job body goes through
+        let cell = GridCell {
+            model: "resnet-50".into(),
+            backend: Some("tensorrt".into()),
+            hardware: "A100".into(),
+            dtype: Some("f16".into()),
+            batch: 8,
+            mode: Some("measured".into()),
+            seed: 7,
+        };
+        let job = parse(r#"{"model":"resnet-50","hardware":"a100","backend":"trt","batch":8,"mode":"measured","seed":7,"timeout_ms":9,"trace_parent":"4:2"}"#).unwrap();
+        assert_eq!(
+            AnalysisJob {
+                timeout_ms: Some(9),
+                trace_parent: Some((4, 2)),
+                ..AnalysisJob::from_cell(&cell).unwrap()
+            },
+            job
+        );
+        for (batch, ok) in [
+            (0, false),
+            (1, true),
+            (1 << 20, true),
+            ((1 << 20) + 1, false),
+        ] {
+            let cell = GridCell {
+                batch,
+                ..cell.clone()
+            };
+            assert_eq!(AnalysisJob::from_cell(&cell).is_ok(), ok, "batch {batch}");
+        }
     }
 
     #[test]

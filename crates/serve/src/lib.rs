@@ -32,7 +32,7 @@ pub mod server;
 pub mod stage_cache;
 
 pub use http::{HttpServer, Response, Routes};
-pub use job::{AnalysisJob, DEFAULT_SEED};
+pub use job::AnalysisJob;
 pub use metrics::{Histogram, HistogramSnapshot, StageHistograms, WorkerMetrics, WorkerSnapshot};
 pub use peer::HttpPeer;
 pub use proof_store::{ArtifactKey, HitTier, Lookup, StoreStats, TieredStore};

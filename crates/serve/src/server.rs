@@ -25,7 +25,7 @@ use crate::queue::JobQueue;
 use crate::stage_cache::{StageCache, StageCacheStats, StageLookup};
 use proof_core::{
     merged_chrome_trace, run_metric_stages_ctx, CompiledArtifact, PipelineStage, PreparedStages,
-    ProfileReport, ProofError, RunCtx, MAX_GRID_CELLS,
+    ProfileReport, ProofError, RunCtx,
 };
 use proof_models::ModelId;
 use proof_obs::export::prometheus_text;
@@ -35,7 +35,7 @@ use proof_obs::{
 };
 use proof_store::{ArtifactKey, HitTier, Lookup, StoreConfig, StoreStats, TieredStore};
 use serde::{Deserialize, Serialize};
-use serde_json::{Map, Value};
+use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1145,58 +1145,6 @@ fn post_cache_peers(shared: &Shared, body: &str) -> Reply {
     Ok(Response::encode(200, &PeersAdded { added, peers }))
 }
 
-/// Expand a sweep request into its model × batch × dtype grid.
-fn sweep_grid(body: &Value) -> Result<Vec<Value>, String> {
-    let obj = body
-        .as_object()
-        .ok_or_else(|| "sweep spec must be a JSON object".to_string())?;
-    let scalar_or_list = |scalar: &str, list: &str| -> Result<Vec<Value>, String> {
-        if let Some(v) = obj.get(list) {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| format!("field '{list}' must be an array"))?;
-            if arr.is_empty() {
-                return Err(format!("field '{list}' must not be empty"));
-            }
-            Ok(arr.clone())
-        } else if let Some(v) = obj.get(scalar) {
-            Ok(vec![v.clone()])
-        } else {
-            Ok(vec![Value::Null])
-        }
-    };
-    let models = scalar_or_list("model", "models")?;
-    let batches = scalar_or_list("batch", "batches")?;
-    let dtypes = scalar_or_list("dtype", "dtypes")?;
-    if models.len() * batches.len() * dtypes.len() > MAX_GRID_CELLS {
-        return Err(format!("sweep grid larger than {MAX_GRID_CELLS} points"));
-    }
-    let mut base = Map::new();
-    for (k, v) in obj {
-        if !matches!(
-            k.as_str(),
-            "model" | "models" | "batch" | "batches" | "dtype" | "dtypes"
-        ) {
-            base.insert(k.clone(), v.clone());
-        }
-    }
-    let mut grid = Vec::new();
-    for model in &models {
-        for dtype in &dtypes {
-            for batch in &batches {
-                let mut point = base.clone();
-                for (key, v) in [("model", model), ("batch", batch), ("dtype", dtype)] {
-                    if !v.is_null() {
-                        point.insert(key.to_string(), v.clone());
-                    }
-                }
-                grid.push(Value::Object(point));
-            }
-        }
-    }
-    Ok(grid)
-}
-
 #[derive(Serialize)]
 struct SweepSubmitted {
     group: u64,
@@ -1204,14 +1152,15 @@ struct SweepSubmitted {
     jobs: Vec<u64>,
 }
 
+/// `POST /sweep`: every job the body's grid names, in canonical cell
+/// order, as one group. The whole grid is resolved before any job is
+/// enqueued.
 fn post_sweep(shared: &Shared, body: &str, trace_ctx: Option<(u64, u64)>) -> Reply {
-    let grid = sweep_grid(&parse_json(body)?).map_err(invalid)?;
-    // validate the whole grid before enqueueing anything
-    let specs = grid
-        .iter()
-        .map(AnalysisJob::from_value)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(invalid)?;
+    let body = parse_json(body)?;
+    if body.as_object().is_none() {
+        return Err(invalid("sweep spec must be a JSON object"));
+    }
+    let specs = AnalysisJob::from_body(&body).map_err(invalid)?;
     if shared.queue.capacity() - shared.queue.depth() < specs.len() {
         shared.rejected_total.inc();
         return Err(
