@@ -695,6 +695,125 @@ mod tests {
         g.validate().unwrap();
     }
 
+    fn node_names(g: &Graph) -> Vec<&str> {
+        g.nodes.iter().map(|n| n.name.as_str()).collect()
+    }
+
+    fn tensor_names(g: &Graph) -> Vec<&str> {
+        g.tensors.iter().map(|t| t.name.as_str()).collect()
+    }
+
+    #[test]
+    fn repeated_node_names_count_up_from_one() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", &[1, 4], DType::F32);
+        let r0 = b.relu("r", x);
+        let r1 = b.relu("r", r0);
+        let r2 = b.relu("r", r1);
+        b.output(r2);
+        let g = b.finish();
+        assert_eq!(node_names(&g), ["r", "r_1", "r_2"]);
+        assert_eq!(tensor_names(&g), ["x", "r:0", "r_1:0", "r_2:0"]);
+    }
+
+    #[test]
+    fn nodes_and_tensors_share_one_namespace() {
+        // An input named like a node's first output suffixes that output.
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x:0", &[1, 4], DType::F32);
+        let y = b.relu("x", x);
+        b.output(y);
+        let g = b.finish();
+        assert_eq!(node_names(&g), ["x"]);
+        assert_eq!(tensor_names(&g), ["x:0", "x:0_1"]);
+
+        // A weight named like a later node suffixes the node, and the
+        // node's outputs derive from the suffixed name.
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", &[2, 4], DType::F32);
+        let w = b.weight("fc", &[4, 3]);
+        let y = b.matmul("fc", x, w);
+        b.output(y);
+        let g = b.finish();
+        assert_eq!(node_names(&g), ["fc_1"]);
+        assert_eq!(tensor_names(&g), ["x", "fc", "fc_1:0"]);
+
+        // A node named like an earlier output is suffixed too.
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", &[1, 4], DType::F32);
+        let a = b.relu("y", x);
+        let c = b.relu("y:0", a);
+        b.output(c);
+        let g = b.finish();
+        assert_eq!(node_names(&g), ["y", "y:0_1"]);
+        assert_eq!(tensor_names(&g), ["x", "y:0", "y:0_1:0"]);
+    }
+
+    #[test]
+    fn suffixes_skip_names_already_taken() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("r_1", &[1, 4], DType::F32);
+        let a = b.relu("r", x);
+        let c = b.relu("r", a);
+        let d = b.relu("r_2", c);
+        b.output(d);
+        let g = b.finish();
+        assert_eq!(node_names(&g), ["r", "r_2", "r_2_1"]);
+        assert_eq!(tensor_names(&g), ["r_1", "r:0", "r_2:0", "r_2_1:0"]);
+    }
+
+    #[test]
+    fn multi_output_names_count_outputs() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", &[1, 4, 2, 2], DType::F32);
+        let (l, r) = b.split2("s", x, 1);
+        let y = b.add("s", l, r);
+        b.output(y);
+        let g = b.finish();
+        assert_eq!(node_names(&g), ["s", "s_1"]);
+        assert_eq!(tensor_names(&g), ["x", "s:0", "s:1", "s_1:0"]);
+    }
+
+    #[test]
+    fn helper_sub_names_derive_from_the_given_name() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", &[2, 3, 8], DType::F32);
+        let y = b.linear("fc", x, 4, true);
+        let y = b.gelu("act", y);
+        b.output(y);
+        let g = b.finish();
+        assert_eq!(
+            node_names(&g),
+            [
+                "fc/MatMul",
+                "fc/Add",
+                "act/Div",
+                "act/Erf",
+                "act/Add",
+                "act/Mul",
+                "act/Mul_1"
+            ]
+        );
+        assert_eq!(
+            tensor_names(&g),
+            [
+                "x",
+                "fc.weight",
+                "fc/MatMul:0",
+                "fc.bias",
+                "fc/Add:0",
+                "act/sqrt2",
+                "act/one",
+                "act/half",
+                "act/Div:0",
+                "act/Erf:0",
+                "act/Add:0",
+                "act/Mul:0",
+                "act/Mul_1:0"
+            ]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "while building node bad")]
     fn push_panics_with_context_on_bad_shapes() {
