@@ -3,12 +3,91 @@
 //! Mid-level helpers (`conv`, `linear`, `layer_norm_decomposed`, `gelu`, ...)
 //! emit exactly the node patterns PyTorch's ONNX exporter emits, so that the
 //! model zoo's node counts are comparable to the paper's Table 3.
+//!
+//! **Names.** Nodes and tensors share one namespace here (stricter than
+//! [`Graph::validate`], which checks the two lists separately). A name that
+//! is already taken gets the first free `_1`, `_2`, ... suffix, and a node's
+//! outputs are named `{node}:{i}` after the node's final, suffixed name.
+//!
+//! **Cost.** Building a graph costs about what cloning the finished one
+//! does: every name is made once at its exact length and moved into the
+//! graph, the uniqueness check keys on a hash of each name and confirms a
+//! hit against the name the graph already stores (no second owned copy),
+//! and shape inference reads the input shapes in place.
 
+use crate::hash::{hash_name, FastBuild};
 use crate::{
-    infer_shapes, AttrValue, Attributes, DType, Graph, Node, OpKind, Shape, TensorId, TensorInfo,
-    TensorKind,
+    infer_shapes, AttrValue, Attributes, DType, Graph, Node, NodeId, OpKind, Shape, ShapeError,
+    TensorId, TensorInfo, TensorKind,
 };
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
+
+/// Where a claimed name is stored.
+#[derive(Debug, Clone, Copy)]
+enum NameRef {
+    Tensor(TensorId),
+    Node(NodeId),
+}
+
+/// The set of names claimed so far, holding no copy of them: it maps each
+/// name's hash to where the name is stored, and a hit is confirmed by
+/// comparing against that stored name. Two different names with one hash
+/// (a true collision) are told apart exactly: the later one is kept, owned,
+/// in `collided`.
+#[derive(Debug)]
+struct NameSet {
+    hash: fn(&str) -> u64,
+    first: HashMap<u64, NameRef, FastBuild>,
+    collided: HashSet<String, FastBuild>,
+}
+
+impl NameSet {
+    fn new() -> Self {
+        NameSet {
+            hash: hash_name,
+            first: HashMap::default(),
+            collided: HashSet::default(),
+        }
+    }
+
+    /// Claim `name` for `at` unless it is taken; `stored` reads a claimed
+    /// name back.
+    fn claim<'a>(&mut self, name: &str, at: NameRef, stored: impl Fn(NameRef) -> &'a str) -> bool {
+        match self.first.entry((self.hash)(name)) {
+            Entry::Vacant(e) => {
+                e.insert(at);
+                true
+            }
+            Entry::Occupied(e) => {
+                if stored(*e.get()) == name || self.collided.contains(name) {
+                    return false;
+                }
+                self.collided.insert(name.to_owned());
+                true
+            }
+        }
+    }
+}
+
+/// `{base}{suffix}`, allocated at its exact length.
+fn join(base: &str, suffix: &str) -> String {
+    let mut s = String::with_capacity(base.len() + suffix.len());
+    s.push_str(base);
+    s.push_str(suffix);
+    s
+}
+
+/// The name of output `i` of node `node`: `{node}:{i}`, at its exact length.
+fn output_name(node: &str, i: usize) -> String {
+    let digits = i.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut s = String::with_capacity(node.len() + 1 + digits);
+    s.push_str(node);
+    s.push(':');
+    write!(s, "{i}").expect("writing to a String cannot fail");
+    s
+}
 
 /// Builds a [`Graph`] node by node, running shape inference eagerly so every
 /// tensor has a concrete shape, and enforcing unique node/tensor names.
@@ -19,7 +98,7 @@ pub struct GraphBuilder {
     nodes: Vec<Node>,
     inputs: Vec<TensorId>,
     outputs: Vec<TensorId>,
-    used_names: HashSet<String>,
+    names: NameSet,
 }
 
 impl GraphBuilder {
@@ -30,49 +109,76 @@ impl GraphBuilder {
             nodes: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            used_names: HashSet::new(),
+            names: NameSet::new(),
         }
     }
 
-    fn unique(&mut self, base: &str) -> String {
-        if self.used_names.insert(base.to_string()) {
-            return base.to_string();
+    /// `name`, or its first free `_N` form, claimed for `at`.
+    fn unique(&mut self, name: String, at: NameRef) -> String {
+        if self.try_claim(&name, at) {
+            return name;
         }
         for i in 1.. {
-            let cand = format!("{base}_{i}");
-            if self.used_names.insert(cand.clone()) {
+            let cand = format!("{name}_{i}");
+            if self.try_claim(&cand, at) {
                 return cand;
             }
         }
         unreachable!()
     }
 
-    fn add_tensor(&mut self, name: &str, shape: Shape, dtype: DType, kind: TensorKind) -> TensorId {
-        let name = self.unique(name);
+    fn try_claim(&mut self, name: &str, at: NameRef) -> bool {
+        let (tensors, nodes) = (&self.tensors, &self.nodes);
+        self.names.claim(name, at, |r| match r {
+            NameRef::Tensor(t) => &tensors[t as usize].name,
+            NameRef::Node(n) => &nodes[n as usize].name,
+        })
+    }
+
+    fn add_tensor(
+        &mut self,
+        name: String,
+        shape: Shape,
+        dtype: DType,
+        kind: TensorKind,
+    ) -> TensorId {
         let id = self.tensors.len() as TensorId;
+        let name = self.unique(name, NameRef::Tensor(id));
         self.tensors.push(TensorInfo::new(name, shape, dtype, kind));
         id
     }
 
     /// Declare a graph input.
     pub fn input(&mut self, name: &str, dims: &[u64], dtype: DType) -> TensorId {
-        let id = self.add_tensor(name, Shape::new(dims), dtype, TensorKind::Input);
+        let id = self.add_tensor(name.to_owned(), Shape::new(dims), dtype, TensorKind::Input);
         self.inputs.push(id);
         id
     }
 
     /// Declare an f32 weight (ONNX initializer).
     pub fn weight(&mut self, name: &str, dims: &[u64]) -> TensorId {
+        self.sub_weight(name, "", dims)
+    }
+
+    /// The f32 weight `{name}{suffix}`.
+    fn sub_weight(&mut self, name: &str, suffix: &str, dims: &[u64]) -> TensorId {
+        let name = join(name, suffix);
         self.add_tensor(name, Shape::new(dims), DType::F32, TensorKind::Weight)
     }
 
     /// Declare a weight with an explicit dtype (e.g. `I64` index tables).
     pub fn weight_typed(&mut self, name: &str, dims: &[u64], dtype: DType) -> TensorId {
-        self.add_tensor(name, Shape::new(dims), dtype, TensorKind::Weight)
+        self.add_tensor(name.to_owned(), Shape::new(dims), dtype, TensorKind::Weight)
     }
 
     /// A scalar f32 initializer (for broadcast constants like `sqrt(2)`).
     pub fn scalar(&mut self, name: &str) -> TensorId {
+        self.sub_scalar(name, "")
+    }
+
+    /// The scalar f32 initializer `{name}{suffix}`.
+    fn sub_scalar(&mut self, name: &str, suffix: &str) -> TensorId {
+        let name = join(name, suffix);
         self.add_tensor(name, Shape::scalar(), DType::F32, TensorKind::Weight)
     }
 
@@ -93,7 +199,20 @@ impl GraphBuilder {
         attrs: Attributes,
         inputs: &[TensorId],
     ) -> TensorId {
-        self.push_multi(name, op, attrs, inputs)[0]
+        self.sub_push(name, "", op, attrs, inputs)
+    }
+
+    /// [`GraphBuilder::push`] of the node `{name}{suffix}`.
+    fn sub_push(
+        &mut self,
+        name: &str,
+        suffix: &str,
+        op: OpKind,
+        attrs: Attributes,
+        inputs: &[TensorId],
+    ) -> TensorId {
+        let node = self.node(name, suffix, op, attrs, inputs);
+        self.nodes[node as usize].outputs[0]
     }
 
     /// Append a (possibly multi-output) node, returning all output ids.
@@ -104,13 +223,8 @@ impl GraphBuilder {
         attrs: Attributes,
         inputs: &[TensorId],
     ) -> Vec<TensorId> {
-        match self.try_push(name, op, attrs, inputs) {
-            Ok(outs) => outs,
-            Err(e) => panic!(
-                "while building node {name} ({op}) in graph {}: {e}",
-                self.name
-            ),
-        }
+        let node = self.node(name, "", op, attrs, inputs);
+        self.nodes[node as usize].outputs.clone()
     }
 
     /// Fallible node append.
@@ -120,33 +234,71 @@ impl GraphBuilder {
         op: OpKind,
         attrs: Attributes,
         inputs: &[TensorId],
-    ) -> Result<Vec<TensorId>, crate::ShapeError> {
-        let in_meta: Vec<(Shape, DType)> = inputs
+    ) -> Result<Vec<TensorId>, ShapeError> {
+        let outs = self.infer(op, &attrs, inputs)?;
+        let node = self.append(name.to_owned(), op, attrs, inputs, outs);
+        Ok(self.nodes[node as usize].outputs.clone())
+    }
+
+    /// Infer and append the node `{name}{suffix}`.
+    ///
+    /// # Panics
+    /// On shape-inference failure, naming the node and the graph.
+    fn node(
+        &mut self,
+        name: &str,
+        suffix: &str,
+        op: OpKind,
+        attrs: Attributes,
+        inputs: &[TensorId],
+    ) -> NodeId {
+        match self.infer(op, &attrs, inputs) {
+            Ok(outs) => self.append(join(name, suffix), op, attrs, inputs, outs),
+            Err(e) => panic!(
+                "while building node {name}{suffix} ({op}) in graph {}: {e}",
+                self.name
+            ),
+        }
+    }
+
+    /// Shape inference over the input tensors' shapes, read in place.
+    fn infer(
+        &self,
+        op: OpKind,
+        attrs: &Attributes,
+        inputs: &[TensorId],
+    ) -> Result<Vec<(Shape, DType)>, ShapeError> {
+        let meta: Vec<(&Shape, DType)> = inputs
             .iter()
             .map(|&id| {
                 let t = &self.tensors[id as usize];
-                (t.shape.clone(), t.dtype)
+                (&t.shape, t.dtype)
             })
             .collect();
-        let outs = infer_shapes(op, &attrs, &in_meta)?;
-        let node_name = self.unique(name);
-        let mut out_ids = Vec::with_capacity(outs.len());
+        infer_shapes(op, attrs, &meta)
+    }
+
+    /// Append a node whose output shapes are inferred: the node takes its
+    /// (unique) name first, then each output `{node}:{i}` after it.
+    fn append(
+        &mut self,
+        name: String,
+        op: OpKind,
+        attrs: Attributes,
+        inputs: &[TensorId],
+        outs: Vec<(Shape, DType)>,
+    ) -> NodeId {
+        let id = self.nodes.len() as NodeId;
+        let name = self.unique(name, NameRef::Node(id));
+        let outputs = Vec::with_capacity(outs.len());
+        self.nodes
+            .push(Node::new(name, op, attrs, inputs.to_vec(), outputs));
         for (i, (shape, dtype)) in outs.into_iter().enumerate() {
-            let tname = if i == 0 {
-                format!("{node_name}:0")
-            } else {
-                format!("{node_name}:{i}")
-            };
-            out_ids.push(self.add_tensor(&tname, shape, dtype, TensorKind::Activation));
+            let tname = output_name(&self.nodes[id as usize].name, i);
+            let t = self.add_tensor(tname, shape, dtype, TensorKind::Activation);
+            self.nodes[id as usize].outputs.push(t);
         }
-        self.nodes.push(Node::new(
-            node_name,
-            op,
-            attrs,
-            inputs.to_vec(),
-            out_ids.clone(),
-        ));
-        Ok(out_ids)
+        id
     }
 
     /// Shape of a tensor built so far.
@@ -221,13 +373,14 @@ impl GraphBuilder {
     ) -> TensorId {
         let cin = self.channels(x);
         assert_eq!(cin % groups, 0, "conv {name}: cin {cin} % groups {groups}");
-        let w = self.weight(
-            &format!("{name}.weight"),
+        let w = self.sub_weight(
+            name,
+            ".weight",
             &[out_channels, cin / groups, kernel.0, kernel.1],
         );
         let mut ins = vec![x, w];
         if bias {
-            ins.push(self.weight(&format!("{name}.bias"), &[out_channels]));
+            ins.push(self.sub_weight(name, ".bias", &[out_channels]));
         }
         let attrs = Attributes::new()
             .with_ints("kernel_shape", &[kernel.0 as i64, kernel.1 as i64])
@@ -248,10 +401,10 @@ impl GraphBuilder {
     /// Inference-mode BatchNorm; creates scale/bias/mean/var weights.
     pub fn bn(&mut self, name: &str, x: TensorId) -> TensorId {
         let c = self.channels(x);
-        let scale = self.weight(&format!("{name}.weight"), &[c]);
-        let bias = self.weight(&format!("{name}.bias"), &[c]);
-        let mean = self.weight(&format!("{name}.running_mean"), &[c]);
-        let var = self.weight(&format!("{name}.running_var"), &[c]);
+        let scale = self.sub_weight(name, ".weight", &[c]);
+        let bias = self.sub_weight(name, ".bias", &[c]);
+        let mean = self.sub_weight(name, ".running_mean", &[c]);
+        let var = self.sub_weight(name, ".running_var", &[c]);
         self.push(
             name,
             OpKind::BatchNormalization,
@@ -282,13 +435,8 @@ impl GraphBuilder {
 
     /// SiLU/Swish as exported by PyTorch: `Sigmoid` + `Mul` (2 nodes).
     pub fn silu(&mut self, name: &str, x: TensorId) -> TensorId {
-        let s = self.sigmoid(&format!("{name}/Sigmoid"), x);
-        self.push(
-            &format!("{name}/Mul"),
-            OpKind::Mul,
-            Attributes::new(),
-            &[x, s],
-        )
+        let s = self.sub_push(name, "/Sigmoid", OpKind::Sigmoid, Attributes::new(), &[x]);
+        self.sub_push(name, "/Mul", OpKind::Mul, Attributes::new(), &[x, s])
     }
 
     pub fn hardswish(&mut self, name: &str, x: TensorId) -> TensorId {
@@ -298,34 +446,14 @@ impl GraphBuilder {
     /// GELU as exported by PyTorch (erf formulation, 5 nodes):
     /// `Div → Erf → Add → Mul → Mul`.
     pub fn gelu(&mut self, name: &str, x: TensorId) -> TensorId {
-        let sqrt2 = self.scalar(&format!("{name}/sqrt2"));
-        let one = self.scalar(&format!("{name}/one"));
-        let half = self.scalar(&format!("{name}/half"));
-        let d = self.push(
-            &format!("{name}/Div"),
-            OpKind::Div,
-            Attributes::new(),
-            &[x, sqrt2],
-        );
-        let e = self.push(&format!("{name}/Erf"), OpKind::Erf, Attributes::new(), &[d]);
-        let a = self.push(
-            &format!("{name}/Add"),
-            OpKind::Add,
-            Attributes::new(),
-            &[e, one],
-        );
-        let m = self.push(
-            &format!("{name}/Mul"),
-            OpKind::Mul,
-            Attributes::new(),
-            &[x, a],
-        );
-        self.push(
-            &format!("{name}/Mul_1"),
-            OpKind::Mul,
-            Attributes::new(),
-            &[m, half],
-        )
+        let sqrt2 = self.sub_scalar(name, "/sqrt2");
+        let one = self.sub_scalar(name, "/one");
+        let half = self.sub_scalar(name, "/half");
+        let d = self.sub_push(name, "/Div", OpKind::Div, Attributes::new(), &[x, sqrt2]);
+        let e = self.sub_push(name, "/Erf", OpKind::Erf, Attributes::new(), &[d]);
+        let a = self.sub_push(name, "/Add", OpKind::Add, Attributes::new(), &[e, one]);
+        let m = self.sub_push(name, "/Mul", OpKind::Mul, Attributes::new(), &[x, a]);
+        self.sub_push(name, "/Mul_1", OpKind::Mul, Attributes::new(), &[m, half])
     }
 
     /// LayerNorm over the last axis, decomposed as PyTorch exports it with
@@ -333,72 +461,27 @@ impl GraphBuilder {
     /// Sqrt → Div → Mul → Add`.
     pub fn layer_norm_decomposed(&mut self, name: &str, x: TensorId) -> TensorId {
         let last = *self.shape(x).dims().last().expect("LN input rank >= 1");
-        let scale = self.weight(&format!("{name}.weight"), &[last]);
-        let bias = self.weight(&format!("{name}.bias"), &[last]);
-        let two = self.scalar(&format!("{name}/two"));
-        let eps = self.scalar(&format!("{name}/eps"));
+        let scale = self.sub_weight(name, ".weight", &[last]);
+        let bias = self.sub_weight(name, ".bias", &[last]);
+        let two = self.sub_scalar(name, "/two");
+        let eps = self.sub_scalar(name, "/eps");
         let axes = Attributes::new().with_ints("axes", &[-1]);
-        let mean = self.push(
-            &format!("{name}/ReduceMean"),
-            OpKind::ReduceMean,
-            axes.clone(),
-            &[x],
-        );
-        let sub = self.push(
-            &format!("{name}/Sub"),
-            OpKind::Sub,
-            Attributes::new(),
-            &[x, mean],
-        );
-        let sq = self.push(
-            &format!("{name}/Pow"),
-            OpKind::Pow,
-            Attributes::new(),
-            &[sub, two],
-        );
-        let var = self.push(
-            &format!("{name}/ReduceMean_1"),
-            OpKind::ReduceMean,
-            axes,
-            &[sq],
-        );
-        let ve = self.push(
-            &format!("{name}/Add"),
-            OpKind::Add,
-            Attributes::new(),
-            &[var, eps],
-        );
-        let std = self.push(
-            &format!("{name}/Sqrt"),
-            OpKind::Sqrt,
-            Attributes::new(),
-            &[ve],
-        );
-        let nrm = self.push(
-            &format!("{name}/Div"),
-            OpKind::Div,
-            Attributes::new(),
-            &[sub, std],
-        );
-        let sc = self.push(
-            &format!("{name}/Mul"),
-            OpKind::Mul,
-            Attributes::new(),
-            &[nrm, scale],
-        );
-        self.push(
-            &format!("{name}/Add_1"),
-            OpKind::Add,
-            Attributes::new(),
-            &[sc, bias],
-        )
+        let mean = self.sub_push(name, "/ReduceMean", OpKind::ReduceMean, axes.clone(), &[x]);
+        let sub = self.sub_push(name, "/Sub", OpKind::Sub, Attributes::new(), &[x, mean]);
+        let sq = self.sub_push(name, "/Pow", OpKind::Pow, Attributes::new(), &[sub, two]);
+        let var = self.sub_push(name, "/ReduceMean_1", OpKind::ReduceMean, axes, &[sq]);
+        let ve = self.sub_push(name, "/Add", OpKind::Add, Attributes::new(), &[var, eps]);
+        let std = self.sub_push(name, "/Sqrt", OpKind::Sqrt, Attributes::new(), &[ve]);
+        let nrm = self.sub_push(name, "/Div", OpKind::Div, Attributes::new(), &[sub, std]);
+        let sc = self.sub_push(name, "/Mul", OpKind::Mul, Attributes::new(), &[nrm, scale]);
+        self.sub_push(name, "/Add_1", OpKind::Add, Attributes::new(), &[sc, bias])
     }
 
     /// Fused single-node LayerNormalization (opset >= 17 export).
     pub fn layer_norm_fused(&mut self, name: &str, x: TensorId) -> TensorId {
         let last = *self.shape(x).dims().last().expect("LN input rank >= 1");
-        let scale = self.weight(&format!("{name}.weight"), &[last]);
-        let bias = self.weight(&format!("{name}.bias"), &[last]);
+        let scale = self.sub_weight(name, ".weight", &[last]);
+        let bias = self.sub_weight(name, ".bias", &[last]);
         self.push(
             name,
             OpKind::LayerNormalization,
@@ -412,8 +495,8 @@ impl GraphBuilder {
     /// GroupNorm (used by the Stable Diffusion UNet).
     pub fn group_norm(&mut self, name: &str, x: TensorId, groups: u64) -> TensorId {
         let c = self.channels(x);
-        let scale = self.weight(&format!("{name}.weight"), &[c]);
-        let bias = self.weight(&format!("{name}.bias"), &[c]);
+        let scale = self.sub_weight(name, ".weight", &[c]);
+        let bias = self.sub_weight(name, ".bias", &[c]);
         self.push(
             name,
             OpKind::GroupNormalization,
@@ -429,10 +512,10 @@ impl GraphBuilder {
     pub fn linear(&mut self, name: &str, x: TensorId, out_features: u64, bias: bool) -> TensorId {
         let in_features = *self.shape(x).dims().last().expect("linear input rank >= 1");
         if self.shape(x).rank() == 2 {
-            let w = self.weight(&format!("{name}.weight"), &[out_features, in_features]);
+            let w = self.sub_weight(name, ".weight", &[out_features, in_features]);
             let mut ins = vec![x, w];
             if bias {
-                ins.push(self.weight(&format!("{name}.bias"), &[out_features]));
+                ins.push(self.sub_weight(name, ".bias", &[out_features]));
             }
             self.push(
                 name,
@@ -441,21 +524,11 @@ impl GraphBuilder {
                 &ins,
             )
         } else {
-            let w = self.weight(&format!("{name}.weight"), &[in_features, out_features]);
-            let y = self.push(
-                &format!("{name}/MatMul"),
-                OpKind::MatMul,
-                Attributes::new(),
-                &[x, w],
-            );
+            let w = self.sub_weight(name, ".weight", &[in_features, out_features]);
+            let y = self.sub_push(name, "/MatMul", OpKind::MatMul, Attributes::new(), &[x, w]);
             if bias {
-                let b = self.weight(&format!("{name}.bias"), &[out_features]);
-                self.push(
-                    &format!("{name}/Add"),
-                    OpKind::Add,
-                    Attributes::new(),
-                    &[y, b],
-                )
+                let b = self.sub_weight(name, ".bias", &[out_features]);
+                self.sub_push(name, "/Add", OpKind::Add, Attributes::new(), &[y, b])
             } else {
                 y
             }
@@ -760,6 +833,25 @@ mod tests {
         let g = b.finish();
         assert_eq!(node_names(&g), ["r", "r_2", "r_2_1"]);
         assert_eq!(tensor_names(&g), ["r_1", "r:0", "r_2:0", "r_2_1:0"]);
+    }
+
+    #[test]
+    fn hash_collisions_never_rename() {
+        // Every name hashes alike, so each claim is decided by comparing
+        // names alone: free names stay as given, taken ones are suffixed.
+        let mut b = GraphBuilder::new("t");
+        b.names.hash = |_| 7;
+        let x = b.input("x", &[1, 4], DType::F32);
+        let w = b.weight("w", &[4]);
+        let a = b.add("r", x, w);
+        let c = b.relu("r", a);
+        let d = b.relu("x:0", c);
+        b.output(d);
+        // All but the first name took the exact-comparison path.
+        assert_eq!(b.names.collided.len(), 7);
+        let g = b.finish();
+        assert_eq!(node_names(&g), ["r", "r_1", "x:0"]);
+        assert_eq!(tensor_names(&g), ["x", "w", "r:0", "r_1:0", "x:0:0"]);
     }
 
     #[test]

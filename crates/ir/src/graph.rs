@@ -1,8 +1,9 @@
 //! The compute graph.
 
+use crate::hash::FastBuild;
 use crate::{DType, Node, OpKind, Shape, TensorInfo, TensorKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Index of a tensor in [`Graph::tensors`].
 pub type TensorId = u32;
@@ -152,7 +153,7 @@ impl Graph {
         {
             return Err(GraphError::DanglingGraphIo { tensor: t });
         }
-        let mut names = std::collections::HashSet::with_capacity(self.nodes.len());
+        let mut names = HashSet::with_capacity_and_hasher(self.nodes.len(), FastBuild::default());
         for n in &self.nodes {
             if !names.insert(n.name.as_str()) {
                 return Err(GraphError::DuplicateNodeName {
@@ -168,7 +169,8 @@ impl Graph {
                 }
             }
         }
-        let mut tnames = std::collections::HashSet::with_capacity(self.tensors.len());
+        let mut tnames =
+            HashSet::with_capacity_and_hasher(self.tensors.len(), FastBuild::default());
         for t in &self.tensors {
             if !tnames.insert(t.name.as_str()) {
                 return Err(GraphError::DuplicateTensorName {

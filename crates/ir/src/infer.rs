@@ -4,6 +4,7 @@
 //! analysis representation requires: every tensor in the graph must have a
 //! concrete shape before FLOP/memory prediction.
 
+use crate::shape::broadcast_dims;
 use crate::{Attributes, DType, OpKind, Shape};
 
 /// Shape inference failure, with enough context to debug model builders.
@@ -24,7 +25,7 @@ macro_rules! bail {
 
 fn expect_inputs(
     op: OpKind,
-    inputs: &[(Shape, DType)],
+    inputs: &[(&Shape, DType)],
     range: std::ops::RangeInclusive<usize>,
 ) -> Result<(), ShapeError> {
     if !range.contains(&inputs.len()) {
@@ -40,54 +41,76 @@ fn expect_inputs(
     Ok(())
 }
 
-/// Spatial output size for conv/pool windows.
-/// `pads` is `[begin..., end...]` per ONNX (length 2×spatial rank).
-fn window_out(
-    op: OpKind,
-    spatial: &[u64],
-    kernel: &[i64],
-    strides: &[i64],
-    pads: &[i64],
-    dilations: &[i64],
-    ceil_mode: bool,
-) -> Result<Vec<u64>, ShapeError> {
-    let r = spatial.len();
-    if kernel.len() != r || strides.len() != r || dilations.len() != r || pads.len() != 2 * r {
-        bail!(
-            "{op}: window attr ranks disagree with spatial rank {r} \
-             (kernel {kernel:?}, strides {strides:?}, pads {pads:?}, dilations {dilations:?})"
-        );
-    }
-    let mut out = Vec::with_capacity(r);
-    for i in 0..r {
-        let eff_k = dilations[i] * (kernel[i] - 1) + 1;
-        let padded = spatial[i] as i64 + pads[i] + pads[r + i];
-        let num = padded - eff_k;
-        if num < 0 {
-            bail!("{op}: window {eff_k} larger than padded input {padded} on spatial axis {i}");
-        }
-        let o = if ceil_mode {
-            (num + strides[i] - 1) / strides[i] + 1
-        } else {
-            num / strides[i] + 1
-        };
-        out.push(o as u64);
-    }
-    Ok(out)
+/// Conv/pool window attributes, read in place from the node's attributes.
+/// An absent one (`None`) takes its ONNX default: strides and dilations 1,
+/// pads 0. `pads` is `[begin..., end...]` per ONNX (length 2×spatial rank).
+struct Window<'a> {
+    kernel: &'a [i64],
+    strides: Option<&'a [i64]>,
+    pads: Option<&'a [i64]>,
+    dilations: Option<&'a [i64]>,
 }
 
-fn same_as(input: &(Shape, DType)) -> Vec<(Shape, DType)> {
-    vec![input.clone()]
+impl Window<'_> {
+    /// Append the spatial output size of each axis of `spatial` to `dims`.
+    fn out_dims(
+        &self,
+        op: OpKind,
+        spatial: &[u64],
+        ceil_mode: bool,
+        dims: &mut Vec<u64>,
+    ) -> Result<(), ShapeError> {
+        let r = spatial.len();
+        let fits = |v: Option<&[i64]>, len| v.is_none_or(|v| v.len() == len);
+        if self.kernel.len() != r
+            || !fits(self.strides, r)
+            || !fits(self.dilations, r)
+            || !fits(self.pads, 2 * r)
+        {
+            let or =
+                |v: Option<&[i64]>, fill, len| v.map_or_else(|| vec![fill; len], <[i64]>::to_vec);
+            bail!(
+                "{op}: window attr ranks disagree with spatial rank {r} \
+                 (kernel {:?}, strides {:?}, pads {:?}, dilations {:?})",
+                self.kernel,
+                or(self.strides, 1, r),
+                or(self.pads, 0, 2 * r),
+                or(self.dilations, 1, r)
+            );
+        }
+        let at = |v: Option<&[i64]>, i: usize, default| v.map_or(default, |v| v[i]);
+        for i in 0..r {
+            let eff_k = at(self.dilations, i, 1) * (self.kernel[i] - 1) + 1;
+            let padded = spatial[i] as i64 + at(self.pads, i, 0) + at(self.pads, r + i, 0);
+            let num = padded - eff_k;
+            if num < 0 {
+                bail!("{op}: window {eff_k} larger than padded input {padded} on spatial axis {i}");
+            }
+            let stride = at(self.strides, i, 1);
+            let o = if ceil_mode {
+                (num + stride - 1) / stride + 1
+            } else {
+                num / stride + 1
+            };
+            dims.push(o as u64);
+        }
+        Ok(())
+    }
+}
+
+fn same_as(&(shape, dtype): &(&Shape, DType)) -> Vec<(Shape, DType)> {
+    vec![(shape.clone(), dtype)]
 }
 
 /// Infer output shapes and dtypes for one operator.
 ///
 /// `inputs` are `(shape, dtype)` pairs in ONNX input order (data inputs first,
-/// then weights). Returns one entry per output.
+/// then weights), borrowed from wherever the caller keeps them. Returns one
+/// owned entry per output.
 pub fn infer_shapes(
     op: OpKind,
     attrs: &Attributes,
-    inputs: &[(Shape, DType)],
+    inputs: &[(&Shape, DType)],
 ) -> Result<Vec<(Shape, DType)>, ShapeError> {
     use OpKind::*;
     match op {
@@ -154,22 +177,22 @@ pub fn infer_shapes(
         Transpose => {
             expect_inputs(op, inputs, 1..=1)?;
             let (s, d) = &inputs[0];
-            let perm: Vec<usize> = match attrs.ints("perm") {
-                Some(p) => p.iter().map(|&x| x as usize).collect(),
-                None => (0..s.rank()).rev().collect(),
-            };
-            if perm.len() != s.rank() {
-                bail!("Transpose: perm {perm:?} rank != input rank {}", s.rank());
+            let r = s.rank();
+            let perm = attrs.ints("perm");
+            // The input axis output axis `i` reads (reversed order by default).
+            let axis = |i: usize| perm.map_or(r - 1 - i, |p| p[i] as usize);
+            let shown = || -> Vec<usize> { (0..perm.map_or(r, <[i64]>::len)).map(axis).collect() };
+            if perm.is_some_and(|p| p.len() != r) {
+                bail!("Transpose: perm {:?} rank != input rank {r}", shown());
             }
-            let mut seen = vec![false; s.rank()];
-            for &p in &perm {
-                if p >= s.rank() || seen[p] {
-                    bail!("Transpose: invalid perm {perm:?} for {s}");
+            for i in 0..r {
+                let p = axis(i);
+                if p >= r || (0..i).any(|j| axis(j) == p) {
+                    bail!("Transpose: invalid perm {:?} for {s}", shown());
                 }
-                seen[p] = true;
             }
             Ok(vec![(
-                crate::Shape(perm.iter().map(|&p| s.0[p]).collect()),
+                crate::Shape((0..r).map(|i| s.0[axis(i)]).collect()),
                 *d,
             )])
         }
@@ -421,7 +444,7 @@ pub fn infer_shapes(
 
 fn infer_conv(
     attrs: &Attributes,
-    inputs: &[(Shape, DType)],
+    inputs: &[(&Shape, DType)],
 ) -> Result<Vec<(Shape, DType)>, ShapeError> {
     expect_inputs(OpKind::Conv, inputs, 2..=3)?;
     let (x, d) = &inputs[0];
@@ -430,7 +453,6 @@ fn infer_conv(
         bail!("Conv: input {x} / weight {w} ranks unsupported");
     }
     let spatial = &x.0[2..];
-    let r = spatial.len();
     let group = attrs.int_or("group", 1) as u64;
     let (n, c) = (x.0[0], x.0[1]);
     let (m, wc) = (w.0[0], w.0[1]);
@@ -440,65 +462,55 @@ fn infer_conv(
     if m % group != 0 {
         bail!("Conv: out channels {m} not divisible by group {group}");
     }
-    let kernel: Vec<i64> = match attrs.ints("kernel_shape") {
-        Some(k) => k.to_vec(),
-        None => w.0[2..].iter().map(|&x| x as i64).collect(),
+    let derived: Vec<i64>;
+    let kernel = match attrs.ints("kernel_shape") {
+        Some(k) => k,
+        None => {
+            derived = w.0[2..].iter().map(|&x| x as i64).collect();
+            &derived
+        }
     };
-    let ones = vec![1i64; r];
-    let zeros = vec![0i64; 2 * r];
-    let strides = attrs
-        .ints("strides")
-        .map(|s| s.to_vec())
-        .unwrap_or_else(|| ones.clone());
-    let dilations = attrs.ints("dilations").map(|s| s.to_vec()).unwrap_or(ones);
-    let pads = attrs.ints("pads").map(|s| s.to_vec()).unwrap_or(zeros);
-    let out_sp = window_out(
-        OpKind::Conv,
-        spatial,
-        &kernel,
-        &strides,
-        &pads,
-        &dilations,
-        false,
-    )?;
-    let mut dims = vec![n, m];
-    dims.extend(out_sp);
+    let window = Window {
+        kernel,
+        strides: attrs.ints("strides"),
+        pads: attrs.ints("pads"),
+        dilations: attrs.ints("dilations"),
+    };
+    let mut dims = Vec::with_capacity(x.rank());
+    dims.extend([n, m]);
+    window.out_dims(OpKind::Conv, spatial, false, &mut dims)?;
     Ok(vec![(Shape(dims), *d)])
 }
 
 fn infer_pool(
     op: OpKind,
     attrs: &Attributes,
-    inputs: &[(Shape, DType)],
+    inputs: &[(&Shape, DType)],
 ) -> Result<Vec<(Shape, DType)>, ShapeError> {
     expect_inputs(op, inputs, 1..=1)?;
     let (x, d) = &inputs[0];
     if x.rank() < 3 {
         bail!("{op}: input {x} rank < 3");
     }
-    let spatial = &x.0[2..];
-    let r = spatial.len();
     let kernel = attrs
         .ints("kernel_shape")
-        .ok_or_else(|| ShapeError(format!("{op}: missing 'kernel_shape'")))?
-        .to_vec();
-    let ones = vec![1i64; r];
-    let zeros = vec![0i64; 2 * r];
-    let strides = attrs
-        .ints("strides")
-        .map(|s| s.to_vec())
-        .unwrap_or_else(|| kernel.clone());
-    let pads = attrs.ints("pads").map(|s| s.to_vec()).unwrap_or(zeros);
+        .ok_or_else(|| ShapeError(format!("{op}: missing 'kernel_shape'")))?;
+    let window = Window {
+        kernel,
+        strides: Some(attrs.ints("strides").unwrap_or(kernel)),
+        pads: attrs.ints("pads"),
+        dilations: None,
+    };
     let ceil = attrs.int_or("ceil_mode", 0) != 0;
-    let out_sp = window_out(op, spatial, &kernel, &strides, &pads, &ones, ceil)?;
-    let mut dims = vec![x.0[0], x.0[1]];
-    dims.extend(out_sp);
+    let mut dims = Vec::with_capacity(x.rank());
+    dims.extend([x.0[0], x.0[1]]);
+    window.out_dims(op, &x.0[2..], ceil, &mut dims)?;
     Ok(vec![(Shape(dims), *d)])
 }
 
 fn infer_gemm(
     attrs: &Attributes,
-    inputs: &[(Shape, DType)],
+    inputs: &[(&Shape, DType)],
 ) -> Result<Vec<(Shape, DType)>, ShapeError> {
     expect_inputs(OpKind::Gemm, inputs, 2..=3)?;
     let (a, d) = &inputs[0];
@@ -529,7 +541,7 @@ fn infer_gemm(
     Ok(vec![(Shape(vec![m, n]), *d)])
 }
 
-fn infer_matmul(inputs: &[(Shape, DType)]) -> Result<Vec<(Shape, DType)>, ShapeError> {
+fn infer_matmul(inputs: &[(&Shape, DType)]) -> Result<Vec<(Shape, DType)>, ShapeError> {
     expect_inputs(OpKind::MatMul, inputs, 2..=2)?;
     let (a, d) = &inputs[0];
     let (b, _) = &inputs[1];
@@ -541,12 +553,14 @@ fn infer_matmul(inputs: &[(Shape, DType)]) -> Result<Vec<(Shape, DType)>, ShapeE
     if ka != kb {
         bail!("MatMul: inner dims {ka} != {kb} ({a} x {b})");
     }
-    let abatch = Shape(a.0[..a.rank() - 2].to_vec());
-    let bbatch = Shape(b.0[..b.rank() - 2].to_vec());
-    let batch = abatch
-        .broadcast(&bbatch)
-        .ok_or_else(|| ShapeError(format!("MatMul: batch dims {abatch} vs {bbatch}")))?;
-    let mut dims = batch.0;
+    let (abatch, bbatch) = (&a.0[..a.rank() - 2], &b.0[..b.rank() - 2]);
+    let mut dims = broadcast_dims(abatch, bbatch, 2).ok_or_else(|| {
+        ShapeError(format!(
+            "MatMul: batch dims {} vs {}",
+            Shape::new(abatch),
+            Shape::new(bbatch)
+        ))
+    })?;
     dims.push(m);
     dims.push(n);
     Ok(vec![(Shape(dims), *d)])
@@ -555,28 +569,27 @@ fn infer_matmul(inputs: &[(Shape, DType)]) -> Result<Vec<(Shape, DType)>, ShapeE
 fn infer_reduce(
     op: OpKind,
     attrs: &Attributes,
-    inputs: &[(Shape, DType)],
+    inputs: &[(&Shape, DType)],
 ) -> Result<Vec<(Shape, DType)>, ShapeError> {
     expect_inputs(op, inputs, 1..=1)?;
     let (s, d) = &inputs[0];
     let keep = attrs.int_or("keepdims", 1) != 0;
-    let axes: Vec<usize> = match (attrs.ints("axes"), attrs.int("axis")) {
-        (Some(a), _) => a
-            .iter()
-            .map(|&x| {
-                s.normalize_axis(x)
-                    .ok_or_else(|| ShapeError(format!("{op}: bad axis {x} for {s}")))
-            })
-            .collect::<Result<_, _>>()?,
-        (None, Some(x)) => vec![s
-            .normalize_axis(x)
-            .ok_or_else(|| ShapeError(format!("{op}: bad axis {x} for {s}")))?],
-        (None, None) => (0..s.rank()).collect(),
+    let (list, single) = (attrs.ints("axes"), attrs.int("axis"));
+    let listed: &[i64] = match (list, &single) {
+        (Some(a), _) => a,
+        (None, Some(x)) => std::slice::from_ref(x),
+        (None, None) => &[],
     };
+    if let Some(x) = listed.iter().find(|&&x| s.normalize_axis(x).is_none()) {
+        bail!("{op}: bad axis {x} for {s}");
+    }
+    // With neither attribute, every axis is reduced.
+    let all = list.is_none() && single.is_none();
+    let reduced = |i| all || listed.iter().any(|&x| s.normalize_axis(x) == Some(i));
     let out_d = if op == OpKind::ArgMax { DType::I64 } else { *d };
     let mut dims = Vec::with_capacity(s.rank());
     for (i, &v) in s.0.iter().enumerate() {
-        if axes.contains(&i) {
+        if reduced(i) {
             if keep {
                 dims.push(1);
             }
@@ -589,7 +602,7 @@ fn infer_reduce(
 
 fn infer_slice(
     attrs: &Attributes,
-    inputs: &[(Shape, DType)],
+    inputs: &[(&Shape, DType)],
 ) -> Result<Vec<(Shape, DType)>, ShapeError> {
     expect_inputs(OpKind::Slice, inputs, 1..=1)?;
     let (s, d) = &inputs[0];
@@ -599,24 +612,25 @@ fn infer_slice(
     let ends = attrs
         .ints("ends")
         .ok_or_else(|| ShapeError("Slice: missing 'ends'".into()))?;
-    let default_axes: Vec<i64> = (0..starts.len() as i64).collect();
-    let axes = attrs.ints("axes").unwrap_or(&default_axes);
-    let default_steps = vec![1i64; starts.len()];
-    let steps = attrs.ints("steps").unwrap_or(&default_steps);
-    if starts.len() != ends.len() || starts.len() != axes.len() || starts.len() != steps.len() {
+    // Absent axes default to 0.., absent steps to 1.
+    let (axes, steps) = (attrs.ints("axes"), attrs.ints("steps"));
+    let n = starts.len();
+    let fits = |v: Option<&[i64]>| v.is_none_or(|v| v.len() == n);
+    if ends.len() != n || !fits(axes) || !fits(steps) {
         bail!("Slice: starts/ends/axes/steps length mismatch");
     }
     let mut dims = s.0.clone();
-    for i in 0..starts.len() {
+    for i in 0..n {
+        let axis = axes.map_or(i as i64, |a| a[i]);
         let ax = s
-            .normalize_axis(axes[i])
-            .ok_or_else(|| ShapeError(format!("Slice: bad axis {} for {s}", axes[i])))?;
+            .normalize_axis(axis)
+            .ok_or_else(|| ShapeError(format!("Slice: bad axis {axis} for {s}")))?;
         let len = s.0[ax] as i64;
         let clamp = |v: i64| -> i64 {
             let v = if v < 0 { v + len } else { v };
             v.clamp(0, len)
         };
-        let (start, end, step) = (clamp(starts[i]), clamp(ends[i]), steps[i]);
+        let (start, end, step) = (clamp(starts[i]), clamp(ends[i]), steps.map_or(1, |s| s[i]));
         if step <= 0 {
             bail!("Slice: non-positive steps unsupported");
         }
@@ -674,6 +688,16 @@ mod tests {
     use super::*;
     use crate::attrs;
 
+    /// [`infer_shapes`] over owned `(shape, dtype)` pairs.
+    fn infer(
+        op: OpKind,
+        attrs: &Attributes,
+        inputs: &[(Shape, DType)],
+    ) -> Result<Vec<(Shape, DType)>, ShapeError> {
+        let inputs: Vec<(&Shape, DType)> = inputs.iter().map(|(s, d)| (s, *d)).collect();
+        infer_shapes(op, attrs, &inputs)
+    }
+
     fn t(dims: &[u64]) -> (Shape, DType) {
         (Shape::new(dims), DType::F32)
     }
@@ -681,7 +705,7 @@ mod tests {
     #[test]
     fn conv_basic_and_strided() {
         // ResNet stem: 7x7/2 pad 3 on 224 -> 112
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Conv,
             &attrs! {"strides" => ints[2,2], "pads" => ints[3,3,3,3]},
             &[t(&[1, 3, 224, 224]), t(&[64, 3, 7, 7])],
@@ -692,7 +716,7 @@ mod tests {
 
     #[test]
     fn depthwise_conv_groups() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Conv,
             &attrs! {"group" => int 32, "pads" => ints[1,1,1,1]},
             &[t(&[1, 32, 56, 56]), t(&[32, 1, 3, 3])],
@@ -703,7 +727,7 @@ mod tests {
 
     #[test]
     fn conv_channel_mismatch_is_error() {
-        let err = infer_shapes(
+        let err = infer(
             OpKind::Conv,
             &Attributes::new(),
             &[t(&[1, 3, 8, 8]), t(&[16, 4, 1, 1])],
@@ -713,7 +737,7 @@ mod tests {
 
     #[test]
     fn matmul_broadcast_batch() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::MatMul,
             &Attributes::new(),
             &[t(&[8, 12, 197, 64]), t(&[8, 12, 64, 197])],
@@ -721,7 +745,7 @@ mod tests {
         .unwrap();
         assert_eq!(out[0].0, Shape::new(&[8, 12, 197, 197]));
         // 2-D weight broadcasts against 3-D activation
-        let out = infer_shapes(
+        let out = infer(
             OpKind::MatMul,
             &Attributes::new(),
             &[t(&[4, 197, 768]), t(&[768, 3072])],
@@ -732,7 +756,7 @@ mod tests {
 
     #[test]
     fn matmul_inner_dim_mismatch() {
-        assert!(infer_shapes(
+        assert!(infer(
             OpKind::MatMul,
             &Attributes::new(),
             &[t(&[2, 3]), t(&[4, 5])]
@@ -742,7 +766,7 @@ mod tests {
 
     #[test]
     fn gemm_with_transpose_and_bias() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Gemm,
             &attrs! {"transB" => int 1},
             &[t(&[128, 2048]), t(&[1000, 2048]), t(&[1000])],
@@ -754,7 +778,7 @@ mod tests {
     #[test]
     fn pooling_with_ceil_mode() {
         // 112 -> 56 with 3x3/2 pad 1
-        let out = infer_shapes(
+        let out = infer(
             OpKind::MaxPool,
             &attrs! {"kernel_shape" => ints[3,3], "strides" => ints[2,2], "pads" => ints[1,1,1,1]},
             &[t(&[1, 64, 112, 112])],
@@ -765,7 +789,7 @@ mod tests {
 
     #[test]
     fn global_avg_pool() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::GlobalAveragePool,
             &Attributes::new(),
             &[t(&[2, 512, 7, 7])],
@@ -776,20 +800,20 @@ mod tests {
 
     #[test]
     fn transpose_default_and_perm() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Transpose,
             &attrs! {"perm" => ints[0, 2, 1, 3]},
             &[t(&[2, 3, 4, 5])],
         )
         .unwrap();
         assert_eq!(out[0].0, Shape::new(&[2, 4, 3, 5]));
-        let rev = infer_shapes(OpKind::Transpose, &Attributes::new(), &[t(&[2, 3, 4])]).unwrap();
+        let rev = infer(OpKind::Transpose, &Attributes::new(), &[t(&[2, 3, 4])]).unwrap();
         assert_eq!(rev[0].0, Shape::new(&[4, 3, 2]));
     }
 
     #[test]
     fn reshape_with_negative_one() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Reshape,
             &attrs! {"shape" => ints[0, -1, 16]},
             &[t(&[4, 8, 32])],
@@ -800,7 +824,7 @@ mod tests {
 
     #[test]
     fn reshape_numel_mismatch_is_error() {
-        assert!(infer_shapes(
+        assert!(infer(
             OpKind::Reshape,
             &attrs! {"shape" => ints[7, 3]},
             &[t(&[4, 4])]
@@ -810,7 +834,7 @@ mod tests {
 
     #[test]
     fn split_equal_and_explicit() {
-        let outs = infer_shapes(
+        let outs = infer(
             OpKind::Split,
             &attrs! {"axis" => int 1, "num_outputs" => int 2},
             &[t(&[1, 116, 28, 28])],
@@ -818,7 +842,7 @@ mod tests {
         .unwrap();
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].0, Shape::new(&[1, 58, 28, 28]));
-        let outs = infer_shapes(
+        let outs = infer(
             OpKind::Split,
             &attrs! {"axis" => int 0, "split" => ints[1, 3]},
             &[t(&[4, 2])],
@@ -829,14 +853,14 @@ mod tests {
 
     #[test]
     fn slice_negative_and_stepped() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Slice,
             &attrs! {"starts" => ints[1], "ends" => ints[-1], "axes" => ints[1]},
             &[t(&[2, 10, 3])],
         )
         .unwrap();
         assert_eq!(out[0].0, Shape::new(&[2, 8, 3]));
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Slice,
             &attrs! {"starts" => ints[0], "ends" => ints[10], "axes" => ints[0], "steps" => ints[3]},
             &[t(&[10])],
@@ -847,7 +871,7 @@ mod tests {
 
     #[test]
     fn gather_embedding_lookup() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Gather,
             &Attributes::new(),
             &[t(&[30522, 768]), (Shape::new(&[4, 128]), DType::I64)],
@@ -858,14 +882,14 @@ mod tests {
 
     #[test]
     fn reduce_mean_keepdims_variants() {
-        let keep = infer_shapes(
+        let keep = infer(
             OpKind::ReduceMean,
             &attrs! {"axes" => ints[-1]},
             &[t(&[4, 197, 768])],
         )
         .unwrap();
         assert_eq!(keep[0].0, Shape::new(&[4, 197, 1]));
-        let drop = infer_shapes(
+        let drop = infer(
             OpKind::ReduceMean,
             &attrs! {"axes" => ints[2, 3], "keepdims" => int 0},
             &[t(&[4, 1280, 7, 7])],
@@ -876,20 +900,20 @@ mod tests {
 
     #[test]
     fn elementwise_broadcast_and_compare_dtype() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Add,
             &Attributes::new(),
             &[t(&[4, 197, 768]), t(&[768])],
         )
         .unwrap();
         assert_eq!(out[0].0, Shape::new(&[4, 197, 768]));
-        let cmp = infer_shapes(OpKind::Equal, &Attributes::new(), &[t(&[3]), t(&[3])]).unwrap();
+        let cmp = infer(OpKind::Equal, &Attributes::new(), &[t(&[3]), t(&[3])]).unwrap();
         assert_eq!(cmp[0].1, DType::Bool);
     }
 
     #[test]
     fn cast_changes_dtype_only() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Cast,
             &Attributes::new().with_dtype("to", DType::F16),
             &[t(&[2, 2])],
@@ -900,26 +924,151 @@ mod tests {
 
     #[test]
     fn shape_op_returns_rank_vector() {
-        let out = infer_shapes(OpKind::Shape, &Attributes::new(), &[t(&[2, 3, 4])]).unwrap();
+        let out = infer(OpKind::Shape, &Attributes::new(), &[t(&[2, 3, 4])]).unwrap();
         assert_eq!(out[0], (Shape::new(&[3]), DType::I64));
     }
 
     #[test]
     fn pad_and_resize() {
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Pad,
             &attrs! {"pads" => ints[0,0,1,1,0,0,1,1]},
             &[t(&[1, 3, 8, 8])],
         )
         .unwrap();
         assert_eq!(out[0].0, Shape::new(&[1, 3, 10, 10]));
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Resize,
             &Attributes::new().with("scales", AttrValue::Floats(vec![1.0, 1.0, 2.0, 2.0])),
             &[t(&[1, 64, 32, 32])],
         )
         .unwrap();
         assert_eq!(out[0].0, Shape::new(&[1, 64, 64, 64]));
+    }
+
+    #[test]
+    fn error_texts_name_the_resolved_attributes() {
+        let err = |op, a: &Attributes, ins: &[(Shape, DType)]| infer(op, a, ins).unwrap_err().0;
+        assert_eq!(
+            err(
+                OpKind::Conv,
+                &attrs! {"strides" => ints[2]},
+                &[t(&[1, 3, 8, 8]), t(&[4, 3, 3, 3])]
+            ),
+            "Conv: window attr ranks disagree with spatial rank 2 \
+             (kernel [3, 3], strides [2], pads [0, 0, 0, 0], dilations [1, 1])"
+        );
+        assert_eq!(
+            err(
+                OpKind::MaxPool,
+                &attrs! {"kernel_shape" => ints[3, 3], "pads" => ints[1, 1]},
+                &[t(&[1, 3, 8, 8])]
+            ),
+            "MaxPool: window attr ranks disagree with spatial rank 2 \
+             (kernel [3, 3], strides [3, 3], pads [1, 1], dilations [1, 1])"
+        );
+        assert_eq!(
+            err(
+                OpKind::Conv,
+                &Attributes::new(),
+                &[t(&[1, 3, 2, 2]), t(&[4, 3, 3, 3])]
+            ),
+            "Conv: window 3 larger than padded input 2 on spatial axis 0"
+        );
+        assert_eq!(
+            err(
+                OpKind::MatMul,
+                &Attributes::new(),
+                &[t(&[2, 3, 4, 5]), t(&[3, 3, 5, 6])]
+            ),
+            "MatMul: batch dims [2x3] vs [3x3]"
+        );
+        assert_eq!(
+            err(
+                OpKind::Transpose,
+                &attrs! {"perm" => ints[1, 0]},
+                &[t(&[2, 3, 4])]
+            ),
+            "Transpose: perm [1, 0] rank != input rank 3"
+        );
+        assert_eq!(
+            err(
+                OpKind::Transpose,
+                &attrs! {"perm" => ints[0, 0, 1]},
+                &[t(&[2, 3, 4])]
+            ),
+            "Transpose: invalid perm [0, 0, 1] for [2x3x4]"
+        );
+        assert_eq!(
+            err(
+                OpKind::ReduceMean,
+                &attrs! {"axes" => ints[1, 3]},
+                &[t(&[2, 3, 4])]
+            ),
+            "ReduceMean: bad axis 3 for [2x3x4]"
+        );
+        assert_eq!(
+            err(
+                OpKind::ArgMax,
+                &Attributes::new().with_int("axis", -4),
+                &[t(&[2, 3, 4])]
+            ),
+            "ArgMax: bad axis -4 for [2x3x4]"
+        );
+        assert_eq!(
+            err(
+                OpKind::Slice,
+                &attrs! {"starts" => ints[0, 0], "ends" => ints[1, 1]},
+                &[t(&[2])]
+            ),
+            "Slice: bad axis 1 for [2]"
+        );
+        assert_eq!(
+            err(
+                OpKind::Slice,
+                &attrs! {"starts" => ints[0], "ends" => ints[1], "steps" => ints[1, 1]},
+                &[t(&[2])]
+            ),
+            "Slice: starts/ends/axes/steps length mismatch"
+        );
+    }
+
+    #[test]
+    fn defaulted_window_and_axis_attributes() {
+        // No strides/pads/dilations: stride 1, no padding.
+        let out = infer(
+            OpKind::Conv,
+            &Attributes::new(),
+            &[t(&[1, 3, 8, 8]), t(&[4, 3, 3, 3])],
+        )
+        .unwrap();
+        assert_eq!(out[0].0, Shape::new(&[1, 4, 6, 6]));
+        // Pool strides default to the kernel.
+        let out = infer(
+            OpKind::AveragePool,
+            &attrs! {"kernel_shape" => ints[2, 2]},
+            &[t(&[1, 3, 8, 8])],
+        )
+        .unwrap();
+        assert_eq!(out[0].0, Shape::new(&[1, 3, 4, 4]));
+        // Reduce with no axes reduces every axis; an empty list reduces none.
+        let all = infer(OpKind::ReduceSum, &Attributes::new(), &[t(&[2, 3, 4])]).unwrap();
+        assert_eq!(all[0].0, Shape::new(&[1, 1, 1]));
+        let none = infer(
+            OpKind::ReduceSum,
+            &attrs! {"axes" => ints[]},
+            &[t(&[2, 3, 4])],
+        )
+        .unwrap();
+        assert_eq!(none[0].0, Shape::new(&[2, 3, 4]));
+        // Slice axes default to 0.., steps to 1.
+        let out = infer(
+            OpKind::Slice,
+            &attrs! {"starts" => ints[1, 0], "ends" => ints[3, 2]},
+            &[t(&[4, 4])],
+        )
+        .unwrap();
+        assert_eq!(out[0].0, Shape::new(&[2, 2]));
     }
 
     use crate::AttrValue;

@@ -29,6 +29,7 @@ pub mod builder;
 pub mod dot;
 pub mod dtype;
 pub mod graph;
+mod hash;
 pub mod index;
 pub mod infer;
 pub mod node;

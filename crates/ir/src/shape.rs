@@ -53,19 +53,7 @@ impl Shape {
 
     /// NumPy-style broadcast of two shapes; `None` when incompatible.
     pub fn broadcast(&self, other: &Shape) -> Option<Shape> {
-        let r = self.rank().max(other.rank());
-        let mut out = Vec::with_capacity(r);
-        for i in 0..r {
-            let a = dim_from_end(&self.0, r - 1 - i);
-            let b = dim_from_end(&other.0, r - 1 - i);
-            out.push(match (a, b) {
-                (x, y) if x == y => x,
-                (1, y) => y,
-                (x, 1) => x,
-                _ => return None,
-            });
-        }
-        Some(Shape(out))
+        broadcast_dims(&self.0, &other.0, 0).map(Shape)
     }
 
     /// Whether `self` can broadcast *to* `target` (no dim of target shrinks).
@@ -75,6 +63,24 @@ impl Shape {
             None => false,
         }
     }
+}
+
+/// NumPy-style broadcast of two dim lists, allocated with room for `extra`
+/// more dims; `None` when incompatible.
+pub(crate) fn broadcast_dims(a: &[u64], b: &[u64], extra: usize) -> Option<Vec<u64>> {
+    let r = a.len().max(b.len());
+    let mut out = Vec::with_capacity(r + extra);
+    for i in 0..r {
+        out.push(
+            match (dim_from_end(a, r - 1 - i), dim_from_end(b, r - 1 - i)) {
+                (x, y) if x == y => x,
+                (1, y) => y,
+                (x, 1) => x,
+                _ => return None,
+            },
+        );
+    }
+    Some(out)
 }
 
 fn dim_from_end(dims: &[u64], back: usize) -> u64 {

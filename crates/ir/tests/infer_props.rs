@@ -1,7 +1,17 @@
 //! Property tests for shape inference and core IR types.
 
-use proof_ir::{attrs, infer_shapes, Attributes, DType, OpKind, Shape};
+use proof_ir::{attrs, infer_shapes, Attributes, DType, OpKind, Shape, ShapeError};
 use proptest::prelude::*;
+
+/// [`infer_shapes`] over owned `(shape, dtype)` pairs.
+fn infer(
+    op: OpKind,
+    attrs: &Attributes,
+    inputs: &[(Shape, DType)],
+) -> Result<Vec<(Shape, DType)>, ShapeError> {
+    let inputs: Vec<(&Shape, DType)> = inputs.iter().map(|(s, d)| (s, *d)).collect();
+    infer_shapes(op, attrs, &inputs)
+}
 
 fn dims_strategy(max_rank: usize) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(1u64..=16, 1..=max_rank)
@@ -24,8 +34,8 @@ proptest! {
             inverse[p as usize] = i as i64;
         }
         let input = (Shape::new(&dims), DType::F32);
-        let t1 = infer_shapes(OpKind::Transpose, &attrs! {"perm" => ints perm}, std::slice::from_ref(&input)).unwrap();
-        let t2 = infer_shapes(OpKind::Transpose, &attrs! {"perm" => ints inverse}, &[t1[0].clone()]).unwrap();
+        let t1 = infer(OpKind::Transpose, &attrs! {"perm" => ints perm}, std::slice::from_ref(&input)).unwrap();
+        let t2 = infer(OpKind::Transpose, &attrs! {"perm" => ints inverse}, &[t1[0].clone()]).unwrap();
         prop_assert_eq!(&t2[0].0, &input.0);
     }
 
@@ -38,13 +48,13 @@ proptest! {
         let k = split_at % dims.len();
         let head: u64 = dims[..k].iter().product();
         let tail: u64 = dims[k..].iter().product();
-        let explicit = infer_shapes(
+        let explicit = infer(
             OpKind::Reshape,
             &attrs! {"shape" => ints[head as i64, tail as i64]},
             &[(shape.clone(), DType::F32)],
         ).unwrap();
         prop_assert_eq!(explicit[0].0.numel(), numel);
-        let inferred = infer_shapes(
+        let inferred = infer(
             OpKind::Reshape,
             &attrs! {"shape" => ints[head as i64, -1]},
             &[(shape, DType::F32)],
@@ -69,7 +79,7 @@ proptest! {
     #[test]
     fn add_matches_broadcast(a in dims_strategy(4), b in dims_strategy(4)) {
         let (sa, sb) = (Shape::new(&a), Shape::new(&b));
-        let inferred = infer_shapes(
+        let inferred = infer(
             OpKind::Add,
             &Attributes::new(),
             &[(sa.clone(), DType::F32), (sb.clone(), DType::F32)],
@@ -92,7 +102,7 @@ proptest! {
         p in 0u64..=2,
     ) {
         prop_assume!(h + 2 * p >= k);
-        let out = infer_shapes(
+        let out = infer(
             OpKind::Conv,
             &attrs! {
                 "kernel_shape" => ints[k as i64, k as i64],
@@ -115,12 +125,12 @@ proptest! {
         let mut dims = vec![1, c];
         dims.extend(&rest);
         let shape = Shape::new(&dims);
-        let parts = infer_shapes(
+        let parts = infer(
             OpKind::Split,
             &attrs! {"axis" => int 1, "num_outputs" => int 2},
             &[(shape.clone(), DType::F32)],
         ).unwrap();
-        let cat = infer_shapes(
+        let cat = infer(
             OpKind::Concat,
             &attrs! {"axis" => int 1},
             &parts,
@@ -132,7 +142,7 @@ proptest! {
     #[test]
     fn pooling_never_grows(h in 4u64..64, k in 1u64..=4, s in 1u64..=4) {
         prop_assume!(h >= k);
-        let out = infer_shapes(
+        let out = infer(
             OpKind::MaxPool,
             &attrs! {
                 "kernel_shape" => ints[k as i64, k as i64],
