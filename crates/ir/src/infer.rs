@@ -79,9 +79,9 @@ impl Window<'_> {
             );
         }
         let at = |v: Option<&[i64]>, i: usize, default| v.map_or(default, |v| v[i]);
-        for i in 0..r {
-            let eff_k = at(self.dilations, i, 1) * (self.kernel[i] - 1) + 1;
-            let padded = spatial[i] as i64 + at(self.pads, i, 0) + at(self.pads, r + i, 0);
+        for (i, (&len, &k)) in spatial.iter().zip(self.kernel).enumerate() {
+            let eff_k = at(self.dilations, i, 1) * (k - 1) + 1;
+            let padded = len as i64 + at(self.pads, i, 0) + at(self.pads, r + i, 0);
             let num = padded - eff_k;
             if num < 0 {
                 bail!("{op}: window {eff_k} larger than padded input {padded} on spatial axis {i}");
@@ -133,14 +133,14 @@ pub fn infer_shapes(
         Add | Sub | Mul | Div | Pow | Min | Max => {
             expect_inputs(op, inputs, 2..=2)?;
             let (a, b) = (&inputs[0], &inputs[1]);
-            let out = a.0.broadcast(&b.0).ok_or_else(|| {
+            let out = a.0.broadcast(b.0).ok_or_else(|| {
                 ShapeError(format!("{op}: cannot broadcast {} with {}", a.0, b.0))
             })?;
             Ok(vec![(out, a.1)])
         }
         Equal | Greater | Less => {
             expect_inputs(op, inputs, 2..=2)?;
-            let out = inputs[0].0.broadcast(&inputs[1].0).ok_or_else(|| {
+            let out = inputs[0].0.broadcast(inputs[1].0).ok_or_else(|| {
                 ShapeError(format!(
                     "{op}: cannot broadcast {} with {}",
                     inputs[0].0, inputs[1].0
@@ -152,8 +152,8 @@ pub fn infer_shapes(
             expect_inputs(op, inputs, 3..=3)?;
             let s = inputs[0]
                 .0
-                .broadcast(&inputs[1].0)
-                .and_then(|s| s.broadcast(&inputs[2].0))
+                .broadcast(inputs[1].0)
+                .and_then(|s| s.broadcast(inputs[2].0))
                 .ok_or_else(|| {
                     ShapeError(format!(
                         "Where: cannot broadcast {}, {}, {}",
