@@ -234,6 +234,21 @@ if grep -q "all nodes dead" "$bad_err"; then
 fi
 rm -f "$bad_err"
 
+echo "==> proof fleet malformed-flag smoke (a non-numeric --batches is a usage error, exit 2)"
+bad_err="$(mktemp)"
+set +e
+./target/release/proof fleet sweep --in-process --models resnet-50 --platforms a100 \
+    --batches a >/dev/null 2>"$bad_err"
+code=$?
+set -e
+if [ "$code" != 2 ] || grep -q "panicked" "$bad_err"; then
+    echo "malformed --batches exited ${code}, expected 2:" >&2
+    cat "$bad_err" >&2
+    exit 1
+fi
+grep -q "^--batches expects a number, got 'a'" "$bad_err"
+rm -f "$bad_err"
+
 echo "==> proof fleet fault smoke (one panicking daemon, sweep reschedules and still matches)"
 # daemon A panics at the compile stage for every job of this sweep's seed;
 # the coordinator must shift A's shards to the clean daemon B and the

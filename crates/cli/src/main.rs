@@ -33,6 +33,7 @@ use proof_models::ModelId;
 use proof_runtime::{BackendFlavor, SessionConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
@@ -69,6 +70,20 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         i += 2;
     }
     flags
+}
+
+/// Parse one numeric value of `--key`. A malformed one prints
+/// `--key expects a number, got '<v>'` and the usage text, then exits 2.
+fn parse_num<T: FromStr>(key: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("--{key} expects a number, got '{v}'");
+        usage()
+    })
+}
+
+/// The numeric flag `--key`, if given (see [`parse_num`]).
+fn num_flag<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
+    flags.get(key).map(|v| parse_num(key, v))
 }
 
 fn parse_precision(s: &str) -> DType {
@@ -147,10 +162,7 @@ fn cmd_list() {
 }
 
 fn cmd_inspect(flags: HashMap<String, String>) {
-    let batch: u64 = flags
-        .get("batch")
-        .map(|v| v.parse().expect("batch"))
-        .unwrap_or(1);
+    let batch: u64 = num_flag(&flags, "batch").unwrap_or(1);
     let g = load_model(&flags, batch);
     let analysis = proof_core::AnalyzeRepr::new(&g, DType::F32);
     println!(
@@ -191,11 +203,10 @@ fn run_profile(
 ) -> Result<proof_core::ProfileReport, proof_core::ProofError> {
     // --timeout-ms bounds the whole run; expiry cancels at the next stage
     // boundary and reports which stage the deadline preempted.
-    let ctx = match flags.get("timeout-ms") {
-        Some(ms) => proof_core::RunCtx::with_timeout(
-            cfg.seed,
-            std::time::Duration::from_millis(ms.parse().expect("timeout-ms")),
-        ),
+    let ctx = match num_flag(flags, "timeout-ms") {
+        Some(ms) => {
+            proof_core::RunCtx::with_timeout(cfg.seed, std::time::Duration::from_millis(ms))
+        }
         None => proof_core::RunCtx::unbounded(cfg.seed),
     };
     let Some(path) = flags.get("trace-out") else {
@@ -218,10 +229,7 @@ fn run_profile(
 
 fn cmd_profile(flags: HashMap<String, String>) -> ExitCode {
     let platform = load_platform(&flags);
-    let batch: u64 = flags
-        .get("batch")
-        .map(|v| v.parse().expect("batch"))
-        .unwrap_or_else(|| platform.preferred_batch());
+    let batch: u64 = num_flag(&flags, "batch").unwrap_or_else(|| platform.preferred_batch());
     let g = load_model(&flags, batch);
     let flavor = flags
         .get("backend")
@@ -240,8 +248,8 @@ fn cmd_profile(flags: HashMap<String, String>) -> ExitCode {
         }
     };
     let mut cfg = SessionConfig::new(precision);
-    if let Some(seed) = flags.get("seed") {
-        cfg = cfg.with_seed(seed.parse().expect("seed"));
+    if let Some(seed) = num_flag(&flags, "seed") {
+        cfg = cfg.with_seed(seed);
     }
     let report = match run_profile(&flags, &g, &platform, flavor, &cfg, mode) {
         Ok(r) => r,
@@ -261,10 +269,7 @@ fn cmd_profile(flags: HashMap<String, String>) -> ExitCode {
             Vec::new(),
         );
     }
-    let top: usize = flags
-        .get("top")
-        .map(|v| v.parse().expect("top"))
-        .unwrap_or(15);
+    let top: usize = num_flag(&flags, "top").unwrap_or(15);
     println!("{}", profile_summary(&report, top));
     if flags.contains_key("trace") {
         println!("\n{}", report.trace.summary());
@@ -294,10 +299,7 @@ fn cmd_profile(flags: HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_memory(flags: HashMap<String, String>) {
-    let batch: u64 = flags
-        .get("batch")
-        .map(|v| v.parse().expect("batch"))
-        .unwrap_or(1);
+    let batch: u64 = num_flag(&flags, "batch").unwrap_or(1);
     let precision = flags
         .get("precision")
         .map(|s| parse_precision(s))
@@ -313,7 +315,7 @@ fn cmd_memory(flags: HashMap<String, String>) {
         plan.peak_node
     );
     if let Some(gb) = flags.get("budget-gb") {
-        let budget = (gb.parse::<f64>().expect("budget-gb") * 1e9) as u64;
+        let budget = (parse_num::<f64>("budget-gb", gb) * 1e9) as u64;
         let slug = flags.get("model").map(String::as_str).unwrap_or_default();
         if let Some(model) = ModelId::parse(slug) {
             match proof_core::max_batch_within(budget, precision, 65536, |b| model.build(b)) {
@@ -326,10 +328,7 @@ fn cmd_memory(flags: HashMap<String, String>) {
 
 fn cmd_headroom(flags: HashMap<String, String>) {
     let platform = load_platform(&flags);
-    let batch: u64 = flags
-        .get("batch")
-        .map(|v| v.parse().expect("batch"))
-        .unwrap_or_else(|| platform.preferred_batch());
+    let batch: u64 = num_flag(&flags, "batch").unwrap_or_else(|| platform.preferred_batch());
     let g = load_model(&flags, batch);
     let cfg = SessionConfig::new(platform.preferred_dtype());
     let report = profile_model(
@@ -349,10 +348,7 @@ fn cmd_headroom(flags: HashMap<String, String>) {
         hr.ideal_ms,
         hr.potential_speedup()
     );
-    let top: usize = flags
-        .get("top")
-        .map(|v| v.parse().expect("top"))
-        .unwrap_or(10);
+    let top: usize = num_flag(&flags, "top").unwrap_or(10);
     println!("layers losing the most time vs their roofline bound:");
     for l in hr.worst_layers(top) {
         println!(
@@ -395,26 +391,26 @@ fn cmd_serve(flags: HashMap<String, String>) -> ExitCode {
     if let Some(addr) = flags.get("addr") {
         config.addr = addr.clone();
     }
-    if let Some(w) = flags.get("workers") {
-        config.workers = w.parse().expect("workers");
+    if let Some(w) = num_flag(&flags, "workers") {
+        config.workers = w;
     }
-    if let Some(mb) = flags.get("cache-budget-mb") {
-        config.cache_budget_bytes = mb.parse::<usize>().expect("cache-budget-mb") << 20;
+    if let Some(mb) = num_flag::<usize>(&flags, "cache-budget-mb") {
+        config.cache_budget_bytes = mb << 20;
     }
     if let Some(dir) = flags.get("cache-dir") {
         config.cache_dir = Some(std::path::PathBuf::from(dir));
     }
-    if let Some(cap) = flags.get("queue-cap") {
-        config.queue_capacity = cap.parse().expect("queue-cap");
+    if let Some(cap) = num_flag(&flags, "queue-cap") {
+        config.queue_capacity = cap;
     }
-    if let Some(cap) = flags.get("stage-cache-cap") {
-        config.stage_cache_capacity = cap.parse().expect("stage-cache-cap");
+    if let Some(cap) = num_flag(&flags, "stage-cache-cap") {
+        config.stage_cache_capacity = cap;
     }
-    if let Some(ms) = flags.get("job-timeout") {
-        config.job_timeout_ms = Some(ms.parse().expect("job-timeout"));
+    if let Some(ms) = num_flag(&flags, "job-timeout") {
+        config.job_timeout_ms = Some(ms);
     }
-    if let Some(n) = flags.get("job-retries") {
-        config.max_retries = n.parse().expect("job-retries");
+    if let Some(n) = num_flag(&flags, "job-retries") {
+        config.max_retries = n;
     }
     for addr in csv(&flags, "peer-cache") {
         match addr.parse() {
@@ -425,8 +421,8 @@ fn cmd_serve(flags: HashMap<String, String>) -> ExitCode {
             }
         }
     }
-    if let Some(ms) = flags.get("peer-timeout-ms") {
-        config.peer_timeout_ms = ms.parse().expect("peer-timeout-ms");
+    if let Some(ms) = num_flag(&flags, "peer-timeout-ms") {
+        config.peer_timeout_ms = ms;
     }
     let workers = config.workers;
     let server = match proof_serve::Server::start(config) {
@@ -467,7 +463,7 @@ fn fleet_grid_spec(flags: &HashMap<String, String>) -> proof_core::GridSpec {
         .get("batches")
         .map(|v| {
             v.split(',')
-                .map(|b| b.trim().parse().expect("batches"))
+                .map(|b| parse_num("batches", b.trim()))
                 .collect()
         })
         .unwrap_or_else(|| vec![1]);
@@ -478,10 +474,7 @@ fn fleet_grid_spec(flags: &HashMap<String, String>) -> proof_core::GridSpec {
         dtypes: csv(flags, "precisions"),
         batches,
         mode: flags.get("mode").cloned(),
-        seed: flags
-            .get("seed")
-            .map(|s| s.parse().expect("seed"))
-            .unwrap_or(proof_core::DEFAULT_GRID_SEED),
+        seed: num_flag(flags, "seed").unwrap_or(proof_core::DEFAULT_GRID_SEED),
     };
     if let Err(e) = spec.validate() {
         eprintln!("invalid grid: {e}");
@@ -502,15 +495,14 @@ fn fleet_config(flags: &HashMap<String, String>) -> proof_fleet::FleetConfig {
             }
         }
     }
-    if let Some(n) = flags.get("local") {
-        config.local_daemons = n.parse().expect("local");
+    if let Some(n) = num_flag(flags, "local") {
+        config.local_daemons = n;
     }
-    if let Some(w) = flags.get("workers") {
-        config.local_workers = w.parse().expect("workers");
+    if let Some(w) = num_flag(flags, "workers") {
+        config.local_workers = w;
     }
-    if let Some(ms) = flags.get("shard-timeout-ms") {
-        config.dispatcher.shard_timeout =
-            std::time::Duration::from_millis(ms.parse().expect("shard-timeout-ms"));
+    if let Some(ms) = num_flag(flags, "shard-timeout-ms") {
+        config.dispatcher.shard_timeout = std::time::Duration::from_millis(ms);
     }
     if let Some(v) = flags.get("peer-cache") {
         config.advertise_peer_cache = match v.as_str() {
