@@ -1,9 +1,8 @@
 //! The compute graph.
 
-use crate::hash::FastBuild;
 use crate::{DType, Node, OpKind, Shape, TensorInfo, TensorKind};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Index of a tensor in [`Graph::tensors`].
 pub type TensorId = u32;
@@ -153,7 +152,7 @@ impl Graph {
         {
             return Err(GraphError::DanglingGraphIo { tensor: t });
         }
-        let mut names = HashSet::with_capacity_and_hasher(self.nodes.len(), FastBuild::default());
+        let mut names = std::collections::HashSet::with_capacity(self.nodes.len());
         for n in &self.nodes {
             if !names.insert(n.name.as_str()) {
                 return Err(GraphError::DuplicateNodeName {
@@ -169,8 +168,7 @@ impl Graph {
                 }
             }
         }
-        let mut tnames =
-            HashSet::with_capacity_and_hasher(self.tensors.len(), FastBuild::default());
+        let mut tnames = std::collections::HashSet::with_capacity(self.tensors.len());
         for t in &self.tensors {
             if !tnames.insert(t.name.as_str()) {
                 return Err(GraphError::DuplicateTensorName {

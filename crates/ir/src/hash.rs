@@ -1,11 +1,13 @@
-//! A small, fast, non-cryptographic hasher for the IR's own name tables.
+//! A small, fast, non-cryptographic hasher for [`crate::GraphBuilder`]'s
+//! name set.
 //!
-//! Graph names come from model code, not from untrusted input, so the
-//! DoS resistance of the std SipHash default buys nothing here, while its
-//! cost shows on every node a graph builds. This is the word-at-a-time
-//! multiply-rotate hash rustc uses for its own tables (FxHash). Every table
-//! keyed by it still compares keys exactly: a collision costs a probe,
-//! never a wrong answer.
+//! The builder's names come from the program's own model code, never from
+//! outside input, so the DoS resistance of the std SipHash default buys
+//! nothing there, while its cost shows on every name a graph builds. This
+//! is the word-at-a-time multiply-rotate hash rustc uses for its own tables
+//! (FxHash). The name set still compares names exactly: a collision costs
+//! a comparison, never a wrong answer. [`crate::Graph::validate`] also
+//! checks graphs read from JSON files, so it keeps the std default.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -14,7 +16,7 @@ pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Default)]
 pub(crate) struct FastHasher(u64);
 
 impl FastHasher {
@@ -47,18 +49,8 @@ impl Hasher for FastHasher {
     }
 
     #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
     }
 
     #[inline]
@@ -67,7 +59,7 @@ impl Hasher for FastHasher {
     }
 }
 
-/// The [`FastHasher`] hash of one name, as `HashSet<&str, FastBuild>` sees it.
+/// The [`FastHasher`] hash of one name.
 pub(crate) fn hash_name(name: &str) -> u64 {
     use std::hash::Hash;
     let mut h = FastHasher::default();
