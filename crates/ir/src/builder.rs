@@ -71,8 +71,10 @@ impl NameSet {
     }
 }
 
-/// `{base}{suffix}`, allocated at its exact length.
-fn join(base: &str, suffix: &str) -> String {
+/// `{base}{suffix}` at its exact length: the name of a node or tensor
+/// derived from `base`. (`format!("{base}...")` under-sizes a string that
+/// starts with an argument and has to grow it.)
+pub fn sub_name(base: &str, suffix: &str) -> String {
     let mut s = String::with_capacity(base.len() + suffix.len());
     s.push_str(base);
     s.push_str(suffix);
@@ -162,7 +164,7 @@ impl GraphBuilder {
 
     /// The f32 weight `{name}{suffix}`.
     fn sub_weight(&mut self, name: &str, suffix: &str, dims: &[u64]) -> TensorId {
-        let name = join(name, suffix);
+        let name = sub_name(name, suffix);
         self.add_tensor(name, Shape::new(dims), DType::F32, TensorKind::Weight)
     }
 
@@ -178,7 +180,7 @@ impl GraphBuilder {
 
     /// The scalar f32 initializer `{name}{suffix}`.
     fn sub_scalar(&mut self, name: &str, suffix: &str) -> TensorId {
-        let name = join(name, suffix);
+        let name = sub_name(name, suffix);
         self.add_tensor(name, Shape::scalar(), DType::F32, TensorKind::Weight)
     }
 
@@ -253,7 +255,7 @@ impl GraphBuilder {
         inputs: &[TensorId],
     ) -> NodeId {
         match self.infer(op, &attrs, inputs) {
-            Ok(outs) => self.append(join(name, suffix), op, attrs, inputs, outs),
+            Ok(outs) => self.append(sub_name(name, suffix), op, attrs, inputs, outs),
             Err(e) => panic!(
                 "while building node {name}{suffix} ({op}) in graph {}: {e}",
                 self.name

@@ -40,7 +40,7 @@ pub mod subgraph;
 pub mod tensor;
 
 pub use attr::{AttrValue, Attributes};
-pub use builder::GraphBuilder;
+pub use builder::{sub_name, GraphBuilder};
 pub use dtype::DType;
 pub use graph::{Graph, GraphError, NodeId, TensorId};
 pub use index::{GraphIndex, NameIndex};

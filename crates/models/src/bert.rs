@@ -4,7 +4,7 @@
 //! configuration that reproduces the paper's 48.7 GFLOP at batch 1.
 
 use crate::blocks::{mha, mlp};
-use proof_ir::{Attributes, DType, Graph, GraphBuilder, OpKind};
+use proof_ir::{sub_name, Attributes, DType, Graph, GraphBuilder, OpKind};
 
 /// Build DistilBERT base at `(batch, seq_len)`: 6 layers, hidden 768.
 pub fn distilbert_base(batch: u64, seq_len: u64) -> Graph {
@@ -50,12 +50,12 @@ pub fn encoder(
     for i in 0..layers {
         let blk = format!("transformer.layer.{i}");
         // DistilBERT is post-norm: attn → add → LN → ffn → add → LN
-        let att = mha(&mut b, &format!("{blk}.attention"), y, heads, None);
-        let a = b.add(&format!("{blk}.add1"), y, att);
-        let n1 = b.layer_norm_decomposed(&format!("{blk}.sa_norm"), a);
-        let ff = mlp(&mut b, &format!("{blk}.ffn"), n1, hidden * 4, hidden);
-        let f = b.add(&format!("{blk}.add2"), n1, ff);
-        y = b.layer_norm_decomposed(&format!("{blk}.output_norm"), f);
+        let att = mha(&mut b, &sub_name(&blk, ".attention"), y, heads, None);
+        let a = b.add(&sub_name(&blk, ".add1"), y, att);
+        let n1 = b.layer_norm_decomposed(&sub_name(&blk, ".sa_norm"), a);
+        let ff = mlp(&mut b, &sub_name(&blk, ".ffn"), n1, hidden * 4, hidden);
+        let f = b.add(&sub_name(&blk, ".add2"), n1, ff);
+        y = b.layer_norm_decomposed(&sub_name(&blk, ".output_norm"), f);
     }
     b.output(y);
     b.finish()

@@ -6,7 +6,7 @@
 //! 122 nodes). Activations use the exporter's decompositions (SiLU =
 //! `Sigmoid`+`Mul`, GELU = 5 ops).
 
-use proof_ir::{GraphBuilder, TensorId};
+use proof_ir::{sub_name, GraphBuilder, TensorId};
 
 /// Folded Conv+BN (a biased convolution), square kernel.
 #[allow(clippy::too_many_arguments)]
@@ -36,7 +36,7 @@ pub fn conv_bn_relu(
     groups: u64,
 ) -> TensorId {
     let c = conv_bn(b, name, x, cout, k, s, p, groups);
-    b.relu(&format!("{name}/relu"), c)
+    b.relu(&sub_name(name, "/relu"), c)
 }
 
 /// Folded Conv+BN followed by SiLU (Sigmoid+Mul pair).
@@ -52,19 +52,19 @@ pub fn conv_bn_silu(
     groups: u64,
 ) -> TensorId {
     let c = conv_bn(b, name, x, cout, k, s, p, groups);
-    b.silu(&format!("{name}/silu"), c)
+    b.silu(&sub_name(name, "/silu"), c)
 }
 
 /// Squeeze-and-Excitation: GAP → 1×1 conv reduce → SiLU → 1×1 conv expand →
 /// Sigmoid → Mul (the EfficientNet pattern).
 pub fn se_block(b: &mut GraphBuilder, name: &str, x: TensorId, reduced: u64) -> TensorId {
     let c = b.channels(x);
-    let pooled = b.global_avg_pool(&format!("{name}/gap"), x);
-    let r = b.conv(&format!("{name}/fc1"), pooled, reduced, 1, 1, 0, 1, true);
-    let r = b.silu(&format!("{name}/act"), r);
-    let e = b.conv(&format!("{name}/fc2"), r, c, 1, 1, 0, 1, true);
-    let s = b.sigmoid(&format!("{name}/gate"), e);
-    b.mul(&format!("{name}/scale"), x, s)
+    let pooled = b.global_avg_pool(&sub_name(name, "/gap"), x);
+    let r = b.conv(&sub_name(name, "/fc1"), pooled, reduced, 1, 1, 0, 1, true);
+    let r = b.silu(&sub_name(name, "/act"), r);
+    let e = b.conv(&sub_name(name, "/fc2"), r, c, 1, 1, 0, 1, true);
+    let s = b.sigmoid(&sub_name(name, "/gate"), e);
+    b.mul(&sub_name(name, "/scale"), x, s)
 }
 
 /// ShuffleNet channel shuffle: reshape `[N, g, C/g, H, W]` → transpose →
@@ -75,7 +75,7 @@ pub fn channel_shuffle(b: &mut GraphBuilder, name: &str, x: TensorId, groups: u6
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     assert_eq!(c % groups, 0, "shuffle {name}: {c} % {groups}");
     let r1 = b.reshape(
-        &format!("{name}/reshape"),
+        &sub_name(name, "/reshape"),
         x,
         &[
             n as i64,
@@ -85,9 +85,9 @@ pub fn channel_shuffle(b: &mut GraphBuilder, name: &str, x: TensorId, groups: u6
             w as i64,
         ],
     );
-    let t = b.transpose(&format!("{name}/transpose"), r1, &[0, 2, 1, 3, 4]);
+    let t = b.transpose(&sub_name(name, "/transpose"), r1, &[0, 2, 1, 3, 4]);
     b.reshape(
-        &format!("{name}/reshape_1"),
+        &sub_name(name, "/reshape_1"),
         t,
         &[n as i64, c as i64, h as i64, w as i64],
     )
@@ -108,9 +108,9 @@ pub fn mha(
     let (batch, len, embed) = (dims[0], dims[1], dims[2]);
     assert_eq!(embed % heads, 0, "mha {name}: {embed} % {heads}");
     let hd = embed / heads;
-    let q = b.linear(&format!("{name}/q"), x, embed, true);
-    let k = b.linear(&format!("{name}/k"), x, embed, true);
-    let v = b.linear(&format!("{name}/v"), x, embed, true);
+    let q = b.linear(&sub_name(name, "/q"), x, embed, true);
+    let k = b.linear(&sub_name(name, "/k"), x, embed, true);
+    let v = b.linear(&sub_name(name, "/v"), x, embed, true);
     let split = |b: &mut GraphBuilder, t: TensorId, tag: &str, perm: &[i64]| {
         let r = b.reshape(
             &format!("{name}/{tag}/reshape"),
@@ -122,29 +122,29 @@ pub fn mha(
     let qh = split(b, q, "qh", &[0, 2, 1, 3]); // [B, H, L, hd]
     let kh = split(b, k, "kh", &[0, 2, 3, 1]); // [B, H, hd, L]
     let vh = split(b, v, "vh", &[0, 2, 1, 3]);
-    let scores = b.matmul(&format!("{name}/qk"), qh, kh);
-    let scale = b.scalar(&format!("{name}/scale"));
-    let scaled = b.mul(&format!("{name}/scaled"), scores, scale);
+    let scores = b.matmul(&sub_name(name, "/qk"), qh, kh);
+    let scale = b.scalar(&sub_name(name, "/scale"));
+    let scaled = b.mul(&sub_name(name, "/scaled"), scores, scale);
     let biased = match attn_bias {
-        Some(bias) => b.add(&format!("{name}/bias_add"), scaled, bias),
+        Some(bias) => b.add(&sub_name(name, "/bias_add"), scaled, bias),
         None => scaled,
     };
-    let probs = b.softmax(&format!("{name}/softmax"), biased, -1);
-    let ctx = b.matmul(&format!("{name}/av"), probs, vh);
-    let merged = b.transpose(&format!("{name}/merge/transpose"), ctx, &[0, 2, 1, 3]);
+    let probs = b.softmax(&sub_name(name, "/softmax"), biased, -1);
+    let ctx = b.matmul(&sub_name(name, "/av"), probs, vh);
+    let merged = b.transpose(&sub_name(name, "/merge/transpose"), ctx, &[0, 2, 1, 3]);
     let flat = b.reshape(
-        &format!("{name}/merge/reshape"),
+        &sub_name(name, "/merge/reshape"),
         merged,
         &[batch as i64, len as i64, embed as i64],
     );
-    b.linear(&format!("{name}/proj"), flat, embed, true)
+    b.linear(&sub_name(name, "/proj"), flat, embed, true)
 }
 
 /// Transformer MLP block: linear → GELU → linear.
 pub fn mlp(b: &mut GraphBuilder, name: &str, x: TensorId, hidden: u64, out: u64) -> TensorId {
-    let h = b.linear(&format!("{name}/fc1"), x, hidden, true);
-    let a = b.gelu(&format!("{name}/gelu"), h);
-    b.linear(&format!("{name}/fc2"), a, out, true)
+    let h = b.linear(&sub_name(name, "/fc1"), x, hidden, true);
+    let a = b.gelu(&sub_name(name, "/gelu"), h);
+    b.linear(&sub_name(name, "/fc2"), a, out, true)
 }
 
 /// `make_divisible` channel rounding used by the mobile CNN families.

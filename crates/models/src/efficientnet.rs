@@ -5,7 +5,7 @@
 //! Fused-MBConv — the §4.4 insight PRoof's layer-wise roofline corroborates.
 
 use crate::blocks::{conv_bn, conv_bn_silu, make_divisible, se_block};
-use proof_ir::{DType, Graph, GraphBuilder, TensorId};
+use proof_ir::{sub_name, DType, Graph, GraphBuilder, TensorId};
 
 /// MBConv: 1×1 expand → SiLU → k×k depthwise → SiLU → SE → 1×1 project.
 #[allow(clippy::too_many_arguments)]
@@ -23,11 +23,11 @@ fn mbconv(
     let hidden = cin * expand;
     let mut y = x;
     if expand != 1 {
-        y = conv_bn_silu(b, &format!("{name}.expand"), y, hidden, 1, 1, 0, 1);
+        y = conv_bn_silu(b, &sub_name(name, ".expand"), y, hidden, 1, 1, 0, 1);
     }
     y = conv_bn_silu(
         b,
-        &format!("{name}.dw"),
+        &sub_name(name, ".dw"),
         y,
         hidden,
         kernel,
@@ -39,11 +39,11 @@ fn mbconv(
         // SE reduction is computed from the block *input* channels (ratio
         // 0.25), as in the reference implementation.
         let reduced = (cin / 4).max(1);
-        y = se_block(b, &format!("{name}.se"), y, reduced);
+        y = se_block(b, &sub_name(name, ".se"), y, reduced);
     }
-    y = conv_bn(b, &format!("{name}.project"), y, cout, 1, 1, 0, 1);
+    y = conv_bn(b, &sub_name(name, ".project"), y, cout, 1, 1, 0, 1);
     if stride == 1 && cin == cout {
-        b.add(&format!("{name}.add"), x, y)
+        b.add(&sub_name(name, ".add"), x, y)
     } else {
         y
     }
@@ -63,13 +63,13 @@ fn fused_mbconv(
     let hidden = cin * expand;
     let mut y;
     if expand != 1 {
-        y = conv_bn_silu(b, &format!("{name}.fused"), x, hidden, 3, stride, 1, 1);
-        y = conv_bn(b, &format!("{name}.project"), y, cout, 1, 1, 0, 1);
+        y = conv_bn_silu(b, &sub_name(name, ".fused"), x, hidden, 3, stride, 1, 1);
+        y = conv_bn(b, &sub_name(name, ".project"), y, cout, 1, 1, 0, 1);
     } else {
-        y = conv_bn_silu(b, &format!("{name}.fused"), x, cout, 3, stride, 1, 1);
+        y = conv_bn_silu(b, &sub_name(name, ".fused"), x, cout, 3, stride, 1, 1);
     }
     if stride == 1 && cin == cout {
-        b.add(&format!("{name}.add"), x, y)
+        b.add(&sub_name(name, ".add"), x, y)
     } else {
         y
     }

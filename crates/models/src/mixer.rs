@@ -2,7 +2,7 @@
 //! patches × 768 channels.
 
 use crate::blocks::mlp;
-use proof_ir::{DType, Graph, GraphBuilder};
+use proof_ir::{sub_name, DType, Graph, GraphBuilder};
 
 /// Build MLP-Mixer B/16 at the given batch size.
 pub fn mixer_b16(batch: u64) -> Graph {
@@ -25,27 +25,27 @@ pub fn mixer_b16(batch: u64) -> Graph {
     for i in 0..layers {
         let blk = format!("blocks.{i}");
         // token-mixing: LN → transpose → MLP over patches → transpose → +skip
-        let n1 = b.layer_norm_decomposed(&format!("{blk}.norm1"), y);
-        let t = b.transpose(&format!("{blk}.token/transpose"), n1, &[0, 2, 1]);
+        let n1 = b.layer_norm_decomposed(&sub_name(&blk, ".norm1"), y);
+        let t = b.transpose(&sub_name(&blk, ".token/transpose"), n1, &[0, 2, 1]);
         let tm = mlp(
             &mut b,
-            &format!("{blk}.token_mlp"),
+            &sub_name(&blk, ".token_mlp"),
             t,
             token_hidden,
             patches,
         );
-        let t2 = b.transpose(&format!("{blk}.token/transpose_1"), tm, &[0, 2, 1]);
-        y = b.add(&format!("{blk}.add1"), y, t2);
+        let t2 = b.transpose(&sub_name(&blk, ".token/transpose_1"), tm, &[0, 2, 1]);
+        y = b.add(&sub_name(&blk, ".add1"), y, t2);
         // channel-mixing: LN → MLP over channels → +skip
-        let n2 = b.layer_norm_decomposed(&format!("{blk}.norm2"), y);
+        let n2 = b.layer_norm_decomposed(&sub_name(&blk, ".norm2"), y);
         let cm = mlp(
             &mut b,
-            &format!("{blk}.channel_mlp"),
+            &sub_name(&blk, ".channel_mlp"),
             n2,
             channel_hidden,
             dim,
         );
-        y = b.add(&format!("{blk}.add2"), y, cm);
+        y = b.add(&sub_name(&blk, ".add2"), y, cm);
     }
     y = b.layer_norm_decomposed("norm", y);
     // global average over patches, then classify

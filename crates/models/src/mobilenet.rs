@@ -1,7 +1,7 @@
 //! MobileNetV2 (Sandler et al., 2018) at width multipliers 0.5 and 1.0.
 
 use crate::blocks::{conv_bn, make_divisible};
-use proof_ir::{DType, Graph, GraphBuilder, TensorId};
+use proof_ir::{sub_name, DType, Graph, GraphBuilder, TensorId};
 
 /// Inverted residual: 1×1 expand → ReLU6 → 3×3 depthwise → ReLU6 → 1×1
 /// project (linear), with a skip when stride 1 and channels match.
@@ -17,14 +17,14 @@ fn inverted_residual(
     let hidden = cin * expand;
     let mut y = x;
     if expand != 1 {
-        y = conv_bn(b, &format!("{name}.expand"), y, hidden, 1, 1, 0, 1);
-        y = b.relu6(&format!("{name}.expand_relu6"), y);
+        y = conv_bn(b, &sub_name(name, ".expand"), y, hidden, 1, 1, 0, 1);
+        y = b.relu6(&sub_name(name, ".expand_relu6"), y);
     }
-    y = conv_bn(b, &format!("{name}.dw"), y, hidden, 3, stride, 1, hidden);
-    y = b.relu6(&format!("{name}.dw_relu6"), y);
-    y = conv_bn(b, &format!("{name}.project"), y, cout, 1, 1, 0, 1);
+    y = conv_bn(b, &sub_name(name, ".dw"), y, hidden, 3, stride, 1, hidden);
+    y = b.relu6(&sub_name(name, ".dw_relu6"), y);
+    y = conv_bn(b, &sub_name(name, ".project"), y, cout, 1, 1, 0, 1);
     if stride == 1 && cin == cout {
-        b.add(&format!("{name}.add"), x, y)
+        b.add(&sub_name(name, ".add"), x, y)
     } else {
         y
     }

@@ -1,34 +1,34 @@
 //! ResNet-34 / ResNet-50 (He et al., 2016), torchvision-style export.
 
 use crate::blocks::{conv_bn, conv_bn_relu};
-use proof_ir::{DType, Graph, GraphBuilder, TensorId};
+use proof_ir::{sub_name, DType, Graph, GraphBuilder, TensorId};
 
 /// Basic (two 3×3 conv) residual block.
 fn basic_block(b: &mut GraphBuilder, name: &str, x: TensorId, cout: u64, stride: u64) -> TensorId {
-    let y = conv_bn_relu(b, &format!("{name}.conv1"), x, cout, 3, stride, 1, 1);
-    let y = conv_bn(b, &format!("{name}.conv2"), y, cout, 3, 1, 1, 1);
+    let y = conv_bn_relu(b, &sub_name(name, ".conv1"), x, cout, 3, stride, 1, 1);
+    let y = conv_bn(b, &sub_name(name, ".conv2"), y, cout, 3, 1, 1, 1);
     let shortcut = if stride != 1 || b.channels(x) != cout {
-        conv_bn(b, &format!("{name}.downsample"), x, cout, 1, stride, 0, 1)
+        conv_bn(b, &sub_name(name, ".downsample"), x, cout, 1, stride, 0, 1)
     } else {
         x
     };
-    let s = b.add(&format!("{name}.add"), y, shortcut);
-    b.relu(&format!("{name}.relu_out"), s)
+    let s = b.add(&sub_name(name, ".add"), y, shortcut);
+    b.relu(&sub_name(name, ".relu_out"), s)
 }
 
 /// Bottleneck (1×1 → 3×3 → 1×1, ×4 expansion) residual block.
 fn bottleneck(b: &mut GraphBuilder, name: &str, x: TensorId, width: u64, stride: u64) -> TensorId {
     let cout = width * 4;
-    let y = conv_bn_relu(b, &format!("{name}.conv1"), x, width, 1, 1, 0, 1);
-    let y = conv_bn_relu(b, &format!("{name}.conv2"), y, width, 3, stride, 1, 1);
-    let y = conv_bn(b, &format!("{name}.conv3"), y, cout, 1, 1, 0, 1);
+    let y = conv_bn_relu(b, &sub_name(name, ".conv1"), x, width, 1, 1, 0, 1);
+    let y = conv_bn_relu(b, &sub_name(name, ".conv2"), y, width, 3, stride, 1, 1);
+    let y = conv_bn(b, &sub_name(name, ".conv3"), y, cout, 1, 1, 0, 1);
     let shortcut = if stride != 1 || b.channels(x) != cout {
-        conv_bn(b, &format!("{name}.downsample"), x, cout, 1, stride, 0, 1)
+        conv_bn(b, &sub_name(name, ".downsample"), x, cout, 1, stride, 0, 1)
     } else {
         x
     };
-    let s = b.add(&format!("{name}.add"), y, shortcut);
-    b.relu(&format!("{name}.relu_out"), s)
+    let s = b.add(&sub_name(name, ".add"), y, shortcut);
+    b.relu(&sub_name(name, ".relu_out"), s)
 }
 
 fn resnet(name: &str, batch: u64, layers: [u64; 4], bottlenecked: bool) -> Graph {

@@ -4,7 +4,7 @@
 //! explicit residual `Add`.
 
 use crate::blocks::{channel_shuffle, conv_bn, conv_bn_relu};
-use proof_ir::{DType, Graph, GraphBuilder, TensorId};
+use proof_ir::{sub_name, DType, Graph, GraphBuilder, TensorId};
 
 /// Stage output channels per width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,12 +34,12 @@ impl Width {
 fn basic_unit(b: &mut GraphBuilder, name: &str, x: TensorId) -> TensorId {
     let c = b.channels(x);
     let half = c / 2;
-    let (left, right) = b.split2(&format!("{name}.split"), x, 1);
-    let y = conv_bn_relu(b, &format!("{name}.pw1"), right, half, 1, 1, 0, 1);
-    let y = conv_bn(b, &format!("{name}.dw"), y, half, 3, 1, 1, half);
-    let y = conv_bn_relu(b, &format!("{name}.pw2"), y, half, 1, 1, 0, 1);
-    let cat = b.concat(&format!("{name}.concat"), &[left, y], 1);
-    channel_shuffle(b, &format!("{name}.shuffle"), cat, 2)
+    let (left, right) = b.split2(&sub_name(name, ".split"), x, 1);
+    let y = conv_bn_relu(b, &sub_name(name, ".pw1"), right, half, 1, 1, 0, 1);
+    let y = conv_bn(b, &sub_name(name, ".dw"), y, half, 3, 1, 1, half);
+    let y = conv_bn_relu(b, &sub_name(name, ".pw2"), y, half, 1, 1, 0, 1);
+    let cat = b.concat(&sub_name(name, ".concat"), &[left, y], 1);
+    channel_shuffle(b, &sub_name(name, ".shuffle"), cat, 2)
 }
 
 /// Downsampling unit: both branches convolve at stride 2, concat doubles
@@ -48,14 +48,14 @@ fn down_unit(b: &mut GraphBuilder, name: &str, x: TensorId, cout: u64) -> Tensor
     let half = cout / 2;
     let cin = b.channels(x);
     // left branch: dw s2 + pw
-    let l = conv_bn(b, &format!("{name}.left_dw"), x, cin, 3, 2, 1, cin);
-    let l = conv_bn_relu(b, &format!("{name}.left_pw"), l, half, 1, 1, 0, 1);
+    let l = conv_bn(b, &sub_name(name, ".left_dw"), x, cin, 3, 2, 1, cin);
+    let l = conv_bn_relu(b, &sub_name(name, ".left_pw"), l, half, 1, 1, 0, 1);
     // right branch: pw + dw s2 + pw
-    let r = conv_bn_relu(b, &format!("{name}.pw1"), x, half, 1, 1, 0, 1);
-    let r = conv_bn(b, &format!("{name}.dw"), r, half, 3, 2, 1, half);
-    let r = conv_bn_relu(b, &format!("{name}.pw2"), r, half, 1, 1, 0, 1);
-    let cat = b.concat(&format!("{name}.concat"), &[l, r], 1);
-    channel_shuffle(b, &format!("{name}.shuffle"), cat, 2)
+    let r = conv_bn_relu(b, &sub_name(name, ".pw1"), x, half, 1, 1, 0, 1);
+    let r = conv_bn(b, &sub_name(name, ".dw"), r, half, 3, 2, 1, half);
+    let r = conv_bn_relu(b, &sub_name(name, ".pw2"), r, half, 1, 1, 0, 1);
+    let cat = b.concat(&sub_name(name, ".concat"), &[l, r], 1);
+    channel_shuffle(b, &sub_name(name, ".shuffle"), cat, 2)
 }
 
 /// The paper's modified basic unit (Figure 7): no split/shuffle; pw1 takes
@@ -65,10 +65,10 @@ fn down_unit(b: &mut GraphBuilder, name: &str, x: TensorId, cout: u64) -> Tensor
 fn modified_basic_unit(b: &mut GraphBuilder, name: &str, x: TensorId) -> TensorId {
     let c = b.channels(x);
     let half = c / 2;
-    let y = conv_bn_relu(b, &format!("{name}.pw1"), x, half, 1, 1, 0, 1);
-    let y = conv_bn(b, &format!("{name}.dw"), y, half, 3, 1, 1, half);
-    let y = conv_bn_relu(b, &format!("{name}.pw2"), y, c, 1, 1, 0, 1);
-    b.add(&format!("{name}.add"), x, y)
+    let y = conv_bn_relu(b, &sub_name(name, ".pw1"), x, half, 1, 1, 0, 1);
+    let y = conv_bn(b, &sub_name(name, ".dw"), y, half, 3, 1, 1, half);
+    let y = conv_bn_relu(b, &sub_name(name, ".pw2"), y, c, 1, 1, 0, 1);
+    b.add(&sub_name(name, ".add"), x, y)
 }
 
 fn backbone(name: &str, batch: u64, stage_channels: [u64; 3], modified: bool) -> Graph {

@@ -5,7 +5,7 @@
 //! these are the data-movement layers that show up in layer-wise rooflines.
 
 use crate::blocks::{mha, mlp};
-use proof_ir::{Attributes, DType, Graph, GraphBuilder, OpKind, TensorId};
+use proof_ir::{sub_name, Attributes, DType, Graph, GraphBuilder, OpKind, TensorId};
 
 /// Swin size configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,9 +39,9 @@ const WINDOW: u64 = 7;
 /// Cyclic roll along spatial axis `axis` by `shift` (two slices + concat).
 fn roll(b: &mut GraphBuilder, name: &str, x: TensorId, axis: i64, shift: i64) -> TensorId {
     let len = b.shape(x).dims()[axis as usize] as i64;
-    let head = b.slice(&format!("{name}/slice"), x, &[shift], &[len], &[axis]);
-    let tail = b.slice(&format!("{name}/slice_1"), x, &[0], &[shift], &[axis]);
-    b.concat(&format!("{name}/concat"), &[head, tail], axis)
+    let head = b.slice(&sub_name(name, "/slice"), x, &[shift], &[len], &[axis]);
+    let tail = b.slice(&sub_name(name, "/slice_1"), x, &[0], &[shift], &[axis]);
+    b.concat(&sub_name(name, "/concat"), &[head, tail], axis)
 }
 
 /// One Swin block on `[B, H·W, C]` tokens.
@@ -57,19 +57,19 @@ fn swin_block(
 ) -> TensorId {
     let c = *b.shape(x).dims().last().unwrap();
     let nw = h / WINDOW; // windows per side
-    let n1 = b.layer_norm_decomposed(&format!("{name}.norm1"), x);
+    let n1 = b.layer_norm_decomposed(&sub_name(name, ".norm1"), x);
     let mut grid = b.reshape(
-        &format!("{name}.to_grid"),
+        &sub_name(name, ".to_grid"),
         n1,
         &[batch as i64, h as i64, h as i64, c as i64],
     );
     if shifted {
-        grid = roll(b, &format!("{name}.shift_h"), grid, 1, (WINDOW / 2) as i64);
-        grid = roll(b, &format!("{name}.shift_w"), grid, 2, (WINDOW / 2) as i64);
+        grid = roll(b, &sub_name(name, ".shift_h"), grid, 1, (WINDOW / 2) as i64);
+        grid = roll(b, &sub_name(name, ".shift_w"), grid, 2, (WINDOW / 2) as i64);
     }
     // window partition: [B, nw, 7, nw, 7, C] → [B, nw, nw, 7, 7, C] → [B·nw², 49, C]
     let part = b.reshape(
-        &format!("{name}.win_partition"),
+        &sub_name(name, ".win_partition"),
         grid,
         &[
             batch as i64,
@@ -80,21 +80,21 @@ fn swin_block(
             c as i64,
         ],
     );
-    let part = b.transpose(&format!("{name}.win_transpose"), part, &[0, 1, 3, 2, 4, 5]);
+    let part = b.transpose(&sub_name(name, ".win_transpose"), part, &[0, 1, 3, 2, 4, 5]);
     let windows = b.reshape(
-        &format!("{name}.win_tokens"),
+        &sub_name(name, ".win_tokens"),
         part,
         &[(batch * nw * nw) as i64, (WINDOW * WINDOW) as i64, c as i64],
     );
     // relative-position bias, materialized as a dense [heads, 49, 49] table
     let bias = b.weight(
-        &format!("{name}.attn.rel_pos_bias"),
+        &sub_name(name, ".attn.rel_pos_bias"),
         &[heads, WINDOW * WINDOW, WINDOW * WINDOW],
     );
-    let att = mha(b, &format!("{name}.attn"), windows, heads, Some(bias));
+    let att = mha(b, &sub_name(name, ".attn"), windows, heads, Some(bias));
     // window reverse
     let rev = b.reshape(
-        &format!("{name}.rev_grid"),
+        &sub_name(name, ".rev_grid"),
         att,
         &[
             batch as i64,
@@ -105,37 +105,37 @@ fn swin_block(
             c as i64,
         ],
     );
-    let rev = b.transpose(&format!("{name}.rev_transpose"), rev, &[0, 1, 3, 2, 4, 5]);
+    let rev = b.transpose(&sub_name(name, ".rev_transpose"), rev, &[0, 1, 3, 2, 4, 5]);
     let mut back = b.reshape(
-        &format!("{name}.rev_full"),
+        &sub_name(name, ".rev_full"),
         rev,
         &[batch as i64, h as i64, h as i64, c as i64],
     );
     if shifted {
         back = roll(
             b,
-            &format!("{name}.unshift_h"),
+            &sub_name(name, ".unshift_h"),
             back,
             1,
             (h - WINDOW / 2) as i64,
         );
         back = roll(
             b,
-            &format!("{name}.unshift_w"),
+            &sub_name(name, ".unshift_w"),
             back,
             2,
             (h - WINDOW / 2) as i64,
         );
     }
     let tokens = b.reshape(
-        &format!("{name}.to_tokens"),
+        &sub_name(name, ".to_tokens"),
         back,
         &[batch as i64, (h * h) as i64, c as i64],
     );
-    let x = b.add(&format!("{name}.add1"), x, tokens);
-    let n2 = b.layer_norm_decomposed(&format!("{name}.norm2"), x);
-    let m = mlp(b, &format!("{name}.mlp"), n2, c * 4, c);
-    b.add(&format!("{name}.add2"), x, m)
+    let x = b.add(&sub_name(name, ".add1"), x, tokens);
+    let n2 = b.layer_norm_decomposed(&sub_name(name, ".norm2"), x);
+    let m = mlp(b, &sub_name(name, ".mlp"), n2, c * 4, c);
+    b.add(&sub_name(name, ".add2"), x, m)
 }
 
 /// Patch merging: 2×2 neighbourhood concat (4 strided slices) + LN +
@@ -143,7 +143,7 @@ fn swin_block(
 fn patch_merging(b: &mut GraphBuilder, name: &str, x: TensorId, batch: u64, h: u64) -> TensorId {
     let c = *b.shape(x).dims().last().unwrap();
     let grid = b.reshape(
-        &format!("{name}.to_grid"),
+        &sub_name(name, ".to_grid"),
         x,
         &[batch as i64, h as i64, h as i64, c as i64],
     );
@@ -162,14 +162,14 @@ fn patch_merging(b: &mut GraphBuilder, name: &str, x: TensorId, batch: u64, h: u
             ),
         );
     }
-    let cat = b.concat(&format!("{name}.concat"), &quads, -1);
+    let cat = b.concat(&sub_name(name, ".concat"), &quads, -1);
     let tokens = b.reshape(
-        &format!("{name}.to_tokens"),
+        &sub_name(name, ".to_tokens"),
         cat,
         &[batch as i64, ((h / 2) * (h / 2)) as i64, (4 * c) as i64],
     );
-    let n = b.layer_norm_decomposed(&format!("{name}.norm"), tokens);
-    b.linear(&format!("{name}.reduction"), n, 2 * c, false)
+    let n = b.layer_norm_decomposed(&sub_name(name, ".norm"), tokens);
+    b.linear(&sub_name(name, ".reduction"), n, 2 * c, false)
 }
 
 /// Build a Swin Transformer at the given batch size.

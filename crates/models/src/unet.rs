@@ -6,7 +6,7 @@
 //! it at a 128×128 latent with batch 4 for Figure 4 (footnote 5); Table 3's
 //! GFLOP row is at batch 1.
 
-use proof_ir::{DType, Graph, GraphBuilder, TensorId};
+use proof_ir::{sub_name, DType, Graph, GraphBuilder, TensorId};
 
 const MODEL_CH: u64 = 320;
 const TIME_CH: u64 = 1280;
@@ -23,36 +23,36 @@ struct UNetBuilder {
 
 impl UNetBuilder {
     fn group_norm_silu(&mut self, name: &str, x: TensorId) -> TensorId {
-        let n = self.b.group_norm(&format!("{name}.norm"), x, 32);
-        self.b.silu(&format!("{name}.silu"), n)
+        let n = self.b.group_norm(&sub_name(name, ".norm"), x, 32);
+        self.b.silu(&sub_name(name, ".silu"), n)
     }
 
     /// Residual block with timestep-embedding injection.
     fn res_block(&mut self, name: &str, x: TensorId, cout: u64) -> TensorId {
         let cin = self.b.channels(x);
-        let h = self.group_norm_silu(&format!("{name}.in"), x);
+        let h = self.group_norm_silu(&sub_name(name, ".in"), x);
         let h = self
             .b
-            .conv(&format!("{name}.conv1"), h, cout, 3, 1, 1, 1, true);
-        let e = self.b.silu(&format!("{name}.emb_silu"), self.t_emb);
-        let e = self.b.linear(&format!("{name}.emb_proj"), e, cout, true);
+            .conv(&sub_name(name, ".conv1"), h, cout, 3, 1, 1, 1, true);
+        let e = self.b.silu(&sub_name(name, ".emb_silu"), self.t_emb);
+        let e = self.b.linear(&sub_name(name, ".emb_proj"), e, cout, true);
         let e = self.b.reshape(
-            &format!("{name}.emb_reshape"),
+            &sub_name(name, ".emb_reshape"),
             e,
             &[self.batch as i64, cout as i64, 1, 1],
         );
-        let h = self.b.add(&format!("{name}.emb_add"), h, e);
-        let h = self.group_norm_silu(&format!("{name}.out"), h);
+        let h = self.b.add(&sub_name(name, ".emb_add"), h, e);
+        let h = self.group_norm_silu(&sub_name(name, ".out"), h);
         let h = self
             .b
-            .conv(&format!("{name}.conv2"), h, cout, 3, 1, 1, 1, true);
+            .conv(&sub_name(name, ".conv2"), h, cout, 3, 1, 1, 1, true);
         let skip = if cin != cout {
             self.b
-                .conv(&format!("{name}.skip"), x, cout, 1, 1, 0, 1, true)
+                .conv(&sub_name(name, ".skip"), x, cout, 1, 1, 0, 1, true)
         } else {
             x
         };
-        self.b.add(&format!("{name}.add"), skip, h)
+        self.b.add(&sub_name(name, ".add"), skip, h)
     }
 
     /// Cross-attention (queries from `x` `[B, L, C]`, keys/values from the
@@ -63,9 +63,9 @@ impl UNetBuilder {
         let kv_len = self.b.shape(kv).dims()[1];
         let hd = c / HEADS;
         let b = &mut self.b;
-        let q = b.linear(&format!("{name}.to_q"), x, c, false);
-        let k = b.linear(&format!("{name}.to_k"), kv, c, false);
-        let v = b.linear(&format!("{name}.to_v"), kv, c, false);
+        let q = b.linear(&sub_name(name, ".to_q"), x, c, false);
+        let k = b.linear(&sub_name(name, ".to_k"), kv, c, false);
+        let v = b.linear(&sub_name(name, ".to_v"), kv, c, false);
         let reshape4 = |b: &mut GraphBuilder, t, tag: &str, l: u64, perm: &[i64]| {
             let r = b.reshape(
                 &format!("{name}.{tag}_reshape"),
@@ -77,29 +77,29 @@ impl UNetBuilder {
         let qh = reshape4(b, q, "q", len, &[0, 2, 1, 3]);
         let kh = reshape4(b, k, "k", kv_len, &[0, 2, 3, 1]);
         let vh = reshape4(b, v, "v", kv_len, &[0, 2, 1, 3]);
-        let scores = b.matmul(&format!("{name}.qk"), qh, kh);
-        let scale = b.scalar(&format!("{name}.scale"));
-        let scaled = b.mul(&format!("{name}.scaled"), scores, scale);
-        let probs = b.softmax(&format!("{name}.softmax"), scaled, -1);
-        let ctx = b.matmul(&format!("{name}.av"), probs, vh);
-        let merged = b.transpose(&format!("{name}.merge_transpose"), ctx, &[0, 2, 1, 3]);
+        let scores = b.matmul(&sub_name(name, ".qk"), qh, kh);
+        let scale = b.scalar(&sub_name(name, ".scale"));
+        let scaled = b.mul(&sub_name(name, ".scaled"), scores, scale);
+        let probs = b.softmax(&sub_name(name, ".softmax"), scaled, -1);
+        let ctx = b.matmul(&sub_name(name, ".av"), probs, vh);
+        let merged = b.transpose(&sub_name(name, ".merge_transpose"), ctx, &[0, 2, 1, 3]);
         let flat = b.reshape(
-            &format!("{name}.merge_reshape"),
+            &sub_name(name, ".merge_reshape"),
             merged,
             &[batch as i64, len as i64, c as i64],
         );
-        b.linear(&format!("{name}.to_out"), flat, c, true)
+        b.linear(&sub_name(name, ".to_out"), flat, c, true)
     }
 
     /// GEGLU feed-forward: linear → split → GELU-gate → linear.
     fn geglu_ff(&mut self, name: &str, x: TensorId) -> TensorId {
         let c = *self.b.shape(x).dims().last().unwrap();
         let b = &mut self.b;
-        let proj = b.linear(&format!("{name}.proj"), x, 8 * c, true);
-        let (a, gate) = b.split2(&format!("{name}.split"), proj, -1);
-        let g = b.gelu(&format!("{name}.gelu"), gate);
-        let gated = b.mul(&format!("{name}.mul"), a, g);
-        b.linear(&format!("{name}.out"), gated, c, true)
+        let proj = b.linear(&sub_name(name, ".proj"), x, 8 * c, true);
+        let (a, gate) = b.split2(&sub_name(name, ".split"), proj, -1);
+        let g = b.gelu(&sub_name(name, ".gelu"), gate);
+        let gated = b.mul(&sub_name(name, ".mul"), a, g);
+        b.linear(&sub_name(name, ".out"), gated, c, true)
     }
 
     /// Spatial transformer: GN → proj_in → (self-attn, cross-attn, GEGLU FF)
@@ -108,40 +108,40 @@ impl UNetBuilder {
         let c = self.b.channels(x);
         let dims = self.b.shape(x).dims().to_vec();
         let (h, w) = (dims[2], dims[3]);
-        let n = self.b.group_norm(&format!("{name}.norm"), x, 32);
+        let n = self.b.group_norm(&sub_name(name, ".norm"), x, 32);
         let p = self
             .b
-            .conv(&format!("{name}.proj_in"), n, c, 1, 1, 0, 1, true);
+            .conv(&sub_name(name, ".proj_in"), n, c, 1, 1, 0, 1, true);
         let t = self.b.reshape(
-            &format!("{name}.to_tokens"),
+            &sub_name(name, ".to_tokens"),
             p,
             &[self.batch as i64, c as i64, (h * w) as i64],
         );
         let mut y = self
             .b
-            .transpose(&format!("{name}.transpose_in"), t, &[0, 2, 1]);
+            .transpose(&sub_name(name, ".transpose_in"), t, &[0, 2, 1]);
         // basic transformer block (depth 1 in SD v1)
-        let n1 = self.b.layer_norm_fused(&format!("{name}.norm1"), y);
-        let sa = self.attention(&format!("{name}.attn1"), n1, n1);
-        y = self.b.add(&format!("{name}.add1"), y, sa);
-        let n2 = self.b.layer_norm_fused(&format!("{name}.norm2"), y);
-        let ca = self.attention(&format!("{name}.attn2"), n2, self.context);
-        y = self.b.add(&format!("{name}.add2"), y, ca);
-        let n3 = self.b.layer_norm_fused(&format!("{name}.norm3"), y);
-        let ff = self.geglu_ff(&format!("{name}.ff"), n3);
-        y = self.b.add(&format!("{name}.add3"), y, ff);
+        let n1 = self.b.layer_norm_fused(&sub_name(name, ".norm1"), y);
+        let sa = self.attention(&sub_name(name, ".attn1"), n1, n1);
+        y = self.b.add(&sub_name(name, ".add1"), y, sa);
+        let n2 = self.b.layer_norm_fused(&sub_name(name, ".norm2"), y);
+        let ca = self.attention(&sub_name(name, ".attn2"), n2, self.context);
+        y = self.b.add(&sub_name(name, ".add2"), y, ca);
+        let n3 = self.b.layer_norm_fused(&sub_name(name, ".norm3"), y);
+        let ff = self.geglu_ff(&sub_name(name, ".ff"), n3);
+        y = self.b.add(&sub_name(name, ".add3"), y, ff);
         let back = self
             .b
-            .transpose(&format!("{name}.transpose_out"), y, &[0, 2, 1]);
+            .transpose(&sub_name(name, ".transpose_out"), y, &[0, 2, 1]);
         let grid = self.b.reshape(
-            &format!("{name}.to_grid"),
+            &sub_name(name, ".to_grid"),
             back,
             &[self.batch as i64, c as i64, h as i64, w as i64],
         );
         let o = self
             .b
-            .conv(&format!("{name}.proj_out"), grid, c, 1, 1, 0, 1, true);
-        self.b.add(&format!("{name}.res_add"), x, o)
+            .conv(&sub_name(name, ".proj_out"), grid, c, 1, 1, 0, 1, true);
+        self.b.add(&sub_name(name, ".res_add"), x, o)
     }
 }
 
@@ -172,9 +172,9 @@ pub fn sd_unet(batch: u64, latent: u64) -> Graph {
     for (level, &c) in chans.iter().enumerate() {
         for i in 0..2 {
             let name = format!("input_blocks.{level}.{i}");
-            h = u.res_block(&format!("{name}.res"), h, c);
+            h = u.res_block(&sub_name(&name, ".res"), h, c);
             if level < 3 {
-                h = u.spatial_transformer(&format!("{name}.st"), h);
+                h = u.spatial_transformer(&sub_name(&name, ".st"), h);
             }
             skips.push(h);
         }
@@ -203,10 +203,10 @@ pub fn sd_unet(batch: u64, latent: u64) -> Graph {
         for i in 0..3 {
             let name = format!("output_blocks.{level}.{i}");
             let skip = skips.pop().expect("skip stack underflow");
-            let cat = u.b.concat(&format!("{name}.cat"), &[h, skip], 1);
-            h = u.res_block(&format!("{name}.res"), cat, c);
+            let cat = u.b.concat(&sub_name(&name, ".cat"), &[h, skip], 1);
+            h = u.res_block(&sub_name(&name, ".res"), cat, c);
             if level < 3 {
-                h = u.spatial_transformer(&format!("{name}.st"), h);
+                h = u.spatial_transformer(&sub_name(&name, ".st"), h);
             }
         }
         if level > 0 {

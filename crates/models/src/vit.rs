@@ -2,7 +2,7 @@
 //! 224×224 → 197 tokens.
 
 use crate::blocks::{mha, mlp};
-use proof_ir::{DType, Graph, GraphBuilder};
+use proof_ir::{sub_name, DType, Graph, GraphBuilder};
 
 /// ViT size configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,12 +60,12 @@ pub fn vit(batch: u64, size: ViTSize) -> Graph {
 
     for i in 0..depth {
         let blk = format!("blocks.{i}");
-        let n1 = b.layer_norm_decomposed(&format!("{blk}.norm1"), y);
-        let att = mha(&mut b, &format!("{blk}.attn"), n1, heads, None);
-        y = b.add(&format!("{blk}.add1"), y, att);
-        let n2 = b.layer_norm_decomposed(&format!("{blk}.norm2"), y);
-        let m = mlp(&mut b, &format!("{blk}.mlp"), n2, embed * 4, embed);
-        y = b.add(&format!("{blk}.add2"), y, m);
+        let n1 = b.layer_norm_decomposed(&sub_name(&blk, ".norm1"), y);
+        let att = mha(&mut b, &sub_name(&blk, ".attn"), n1, heads, None);
+        y = b.add(&sub_name(&blk, ".add1"), y, att);
+        let n2 = b.layer_norm_decomposed(&sub_name(&blk, ".norm2"), y);
+        let m = mlp(&mut b, &sub_name(&blk, ".mlp"), n2, embed * 4, embed);
+        y = b.add(&sub_name(&blk, ".add2"), y, m);
     }
     y = b.layer_norm_decomposed("norm", y);
     // classifier on the cls token
