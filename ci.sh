@@ -311,6 +311,18 @@ addr_b="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$log_b" | head -n1)"
 ./target/release/proof fleet sweep --in-process "${fleet_spec[@]}" \
     --out /tmp/proof_ci_cache_ref.json 2>/dev/null
 cmp /tmp/proof_ci_cache_warm.json /tmp/proof_ci_cache_ref.json
+# publishes travel over kept-alive peer connections: each of the smoke's 2
+# cells must reach the other node exactly once, with no peer error
+curl -sf "http://${addr_a}/metrics" -o /tmp/proof_ci_cache_ma.json
+curl -sf "http://${addr_b}/metrics" -o /tmp/proof_ci_cache_mb.json
+python3 - <<'EOF'
+import json
+caches = [json.load(open(f"/tmp/proof_ci_cache_m{n}.json"))["cache"] for n in "ab"]
+publishes = sum(c["publishes"] for c in caches)
+assert publishes == 2, f"expected 2 peer publishes, got {publishes}: {caches}"
+assert all(c["remote_errors"] == 0 for c in caches), caches
+print(f"  peer publishes OK: {publishes} publish(es), no remote errors")
+EOF
 
 kill "$pid_a" 2>/dev/null || true
 ./target/release/proof serve --addr 127.0.0.1:0 --workers 1 >"$log_c" 2>&1 &
@@ -362,7 +374,7 @@ kill "$pid_b" "$pid_c" "$pid_f" 2>/dev/null || true
 trap - EXIT
 rm -f "$log_a" "$log_b" "$log_c" "$log_f" /tmp/proof_ci_cache_warm.json \
     /tmp/proof_ci_cache_ref.json /tmp/proof_ci_cache_fresh.json /tmp/proof_ci_cache_prom.txt \
-    /tmp/proof_ci_cache_nodes.json
+    /tmp/proof_ci_cache_nodes.json /tmp/proof_ci_cache_ma.json /tmp/proof_ci_cache_mb.json
 
 echo "==> proof fleet trace smoke (merged cross-node trace, byte-reproducible)"
 # each run gets its own pair of fresh 2-worker daemons, so jobs of the one

@@ -281,6 +281,46 @@ fn fresh_node_pulls_shards_from_warm_peer_cache() {
     b.shutdown();
 }
 
+/// Summed `/metrics` `cache.<counter>` over `nodes`.
+fn cache_counter(nodes: &[SocketAddr], counter: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|&addr| {
+            let (status, body) = proof_serve::client::get(addr, "/metrics").unwrap();
+            assert_eq!(status, 200, "{body}");
+            let v: Value = serde_json::from_str(&body).unwrap();
+            v["cache"][counter].as_u64().unwrap()
+        })
+        .sum()
+}
+
+/// Pooled peer connections lose no best-effort publish: two cold grids
+/// back to back on one fleet, the second over connections kept from the
+/// first, each publish every cell exactly once and count no peer error.
+/// A publish that silently failed would change no artifact byte.
+#[test]
+fn pooled_peer_connections_lose_no_publish() {
+    let fleet = Fleet::start(FleetConfig::local(2)).unwrap();
+    let nodes = fleet.node_addrs();
+    for seed in [31, 32] {
+        let s = spec(&format!(
+            r#"{{"model":"mobilenetv2-0.5","platforms":["a100","rtx-4090"],"batches":[1,2,4],"seed":{seed}}}"#
+        ));
+        let before = cache_counter(&nodes, "publishes");
+        let run = fleet.run_grid(&s).unwrap();
+        assert_eq!(run.merged, run_grid_local(&s).unwrap());
+        let cells = run.outcome.results.len() as u64;
+        assert_eq!(cells, 6);
+        assert_eq!(
+            cache_counter(&nodes, "publishes") - before,
+            cells,
+            "seed {seed}: every cold cell is published to the other node once"
+        );
+        assert_eq!(cache_counter(&nodes, "remote_errors"), 0, "seed {seed}");
+    }
+    fleet.shutdown();
+}
+
 #[test]
 fn node_killed_mid_run_still_produces_the_complete_report() {
     let s = spec(r#"{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2,4,8],"seed":3}"#);

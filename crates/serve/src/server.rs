@@ -1121,9 +1121,12 @@ pub struct PeersAdded {
     pub peers: usize,
 }
 
-/// `POST /cache/peers` — fleet advertisement: attaches (or refreshes) peer
-/// cache endpoints on the remote tier. Every address must parse before any
-/// is attached, so a refused advertisement changes nothing.
+/// `POST /cache/peers` — fleet advertisement: attaches peer cache endpoints
+/// on the remote tier. Every address must parse before any is attached, so
+/// a refused advertisement changes nothing. An address already attached is
+/// kept as it is, with its warm connections: this daemon would build the
+/// same peer again (same address, same `peer_timeout`), and a coordinator
+/// re-advertises every peer at the start of every run.
 fn post_cache_peers(shared: &Shared, body: &str) -> Reply {
     let list: PeerList = serde_json::from_value(&parse_json(body)?)
         .map_err(|_| invalid("body must be {\"peers\": [\"ip:port\", ...]}"))?;
@@ -1135,10 +1138,13 @@ fn post_cache_peers(shared: &Shared, body: &str) -> Reply {
                 .map_err(|_| invalid(format!("invalid peer address: {peer:?}")))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    let attached = shared.cache.peer_endpoints();
     for &addr in &addrs {
-        shared
-            .cache
-            .add_peer(Arc::new(HttpPeer::new(addr, shared.peer_timeout)));
+        if !attached.contains(&addr.to_string()) {
+            shared
+                .cache
+                .add_peer(Arc::new(HttpPeer::new(addr, shared.peer_timeout)));
+        }
     }
     let added = addrs.len() as u64;
     let peers = shared.cache.peer_count();

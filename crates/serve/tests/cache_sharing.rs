@@ -9,8 +9,10 @@ use proof_models::ModelId;
 use proof_runtime::{BackendFlavor, SessionConfig};
 use proof_serve::client::{get, post, Call};
 use proof_serve::{ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn wait_done(addr: SocketAddr, id: u64) -> serde_json::Value {
@@ -61,6 +63,76 @@ fn canned_peer(response: &'static str) -> SocketAddr {
         }
     });
     addr
+}
+
+/// Connections and requests a [`keep_alive_peer`] has seen.
+#[derive(Default)]
+struct PeerTally {
+    connections: AtomicUsize,
+    requests: AtomicUsize,
+}
+
+/// A fake peer that keeps every connection alive: `GET /cache/*` is a 404
+/// miss and `PUT /cache/*` a 201, each sized and `Connection: keep-alive`,
+/// on as many requests as a connection carries. It counts what it sees.
+fn keep_alive_peer() -> (SocketAddr, Arc<PeerTally>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let tally = Arc::new(PeerTally::default());
+    let seen = Arc::clone(&tally);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { continue };
+            seen.connections.fetch_add(1, Ordering::SeqCst);
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || serve_kept_alive(stream, &seen));
+        }
+    });
+    (addr, tally)
+}
+
+fn serve_kept_alive(stream: TcpStream, seen: &PeerTally) {
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    loop {
+        let mut start = String::new();
+        if reader.read_line(&mut start).unwrap_or(0) == 0 {
+            return;
+        }
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return;
+            }
+            if line == "\r\n" {
+                break;
+            }
+            let lower = line.to_ascii_lowercase();
+            if let Some(v) = lower.strip_prefix("content-length:") {
+                length = v.trim().parse().unwrap();
+            }
+        }
+        let mut body = vec![0u8; length];
+        if reader.read_exact(&mut body).is_err() {
+            return;
+        }
+        seen.requests.fetch_add(1, Ordering::SeqCst);
+        let (status, body) = if start.starts_with("GET /cache/") {
+            ("404 Not Found", r#"{"error":"miss"}"#)
+        } else if start.starts_with("PUT /cache/") {
+            ("201 Created", r#"{"stored":true}"#)
+        } else {
+            ("400 Bad Request", r#"{"error":"unexpected"}"#)
+        };
+        let reply = format!(
+            "HTTP/1.1 {status}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{body}",
+            body.len()
+        );
+        if writer.write_all(reply.as_bytes()).is_err() {
+            return;
+        }
+    }
 }
 
 #[test]
@@ -249,4 +321,67 @@ fn busy_peer_falls_back_to_local_build() {
     assert!(m["cache"]["remote_busy"].as_u64().unwrap() >= 1);
     assert_eq!(m["jobs"]["failed"], 0u64);
     server.shutdown();
+}
+
+/// A node's miss walks and publishes to one peer share one kept-alive
+/// connection: four cold jobs on a one-worker daemon are eight peer
+/// requests over a single accepted connection. Re-advertising the peer
+/// mid-way keeps the attached peer, and with it that connection.
+#[test]
+fn peer_connections_are_reused() {
+    let (peer, tally) = keep_alive_peer();
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        peer_cache: vec![peer],
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    for batch in 1..=4 {
+        if batch == 3 {
+            let body = format!(r#"{{"peers":["{peer}"]}}"#);
+            let (status, reply) = post(addr, "/cache/peers", &body).unwrap();
+            assert_eq!(status, 200, "{reply}");
+            assert_eq!(reply, r#"{"added":1,"peers":1}"#);
+        }
+        let spec =
+            format!(r#"{{"model":"mobilenetv2-0.5","hardware":"a100","batch":{batch},"seed":17}}"#);
+        let v = wait_done(addr, submit(addr, &spec));
+        assert_eq!(v["cache_tier"], "built");
+    }
+    let m = metrics(addr);
+    assert_eq!(m["cache"]["publishes"], 4u64);
+    assert_eq!(m["cache"]["remote_errors"], 0u64);
+    assert_eq!(tally.requests.load(Ordering::SeqCst), 8);
+    assert_eq!(
+        tally.connections.load(Ordering::SeqCst),
+        1,
+        "every peer request after the first must reuse its connection"
+    );
+    server.shutdown();
+}
+
+/// A pooled connection to a peer that has since shut down costs at most a
+/// rebuild: the next job still ends `done`, built locally.
+#[test]
+fn stale_pooled_peer_connection_costs_a_rebuild_not_a_job() {
+    let b = Server::start(ServeConfig::default()).unwrap();
+    let a = Server::start(ServeConfig {
+        peer_cache: vec![b.addr()],
+        peer_timeout_ms: 500,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let spec = |batch: u64| {
+        format!(r#"{{"model":"mobilenetv2-0.5","hardware":"a100","batch":{batch},"seed":23}}"#)
+    };
+    let v = wait_done(a.addr(), submit(a.addr(), &spec(1)));
+    assert_eq!(v["cache_tier"], "built");
+    assert_eq!(metrics(a.addr())["cache"]["publishes"], 1u64);
+
+    b.shutdown();
+    let v = wait_done(a.addr(), submit(a.addr(), &spec(2)));
+    assert_eq!(v["status"], "done");
+    assert_eq!(v["cache_tier"], "built");
+    a.shutdown();
 }

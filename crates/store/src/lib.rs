@@ -6,7 +6,7 @@
 //! ```text
 //! lookup(key):  memory LRU ──miss──▶ disk ──miss──▶ remote peers ──miss──▶ build
 //!                   ▲                  ▲                 │                   │
-//!                   └──── fill ────────┴───── fill ──────┘    fulfill: disk + publish + memory
+//!                   └──── fill ────────┴───── fill ──────┘    fulfill: disk + memory + wake, then publish
 //! ```
 //!
 //! - [`ArtifactKey`] — validated canonical addressing shared by every

@@ -9,9 +9,9 @@
 //!    hit *inward* (remote → disk + memory, disk → memory) so the next
 //!    lookup short-circuits at the top;
 //! 4. a miss everywhere returns a [`BuildGuard`]: the caller builds the
-//!    artifact once and [`BuildGuard::fulfill`] writes it through all
-//!    tiers (disk, best-effort peer replication, memory) before waking the
-//!    coalesced waiters.
+//!    artifact once and [`BuildGuard::fulfill`] writes it to disk, inserts
+//!    it into memory, wakes the coalesced waiters, and only then replicates
+//!    it to the peers (best-effort), so no waiter waits on the network.
 //!
 //! Tier damage never fails a lookup: corrupt disk files and broken peers
 //! are counted, skipped, and rebuilt over.
@@ -314,14 +314,13 @@ impl BuildGuard<'_> {
     }
 
     /// Write the built artifact through every tier — disk first (so a
-    /// crash after this point still persists it), then best-effort peer
-    /// replication, then memory — and wake the waiters.
+    /// crash after this point still persists it), then memory — wake the
+    /// waiters, and last replicate it to the peers, best-effort: coalesced
+    /// waiters never wait on the network.
     pub fn fulfill(mut self, artifact: String) -> Arc<String> {
         if let Some(disk) = &self.store.disk {
             let _ = disk.put(&self.key, &artifact);
         }
-        let accepted = self.store.remote.publish(&self.key, &artifact);
-        self.store.counters.publishes.add(accepted as u64);
         let artifact = Arc::new(artifact);
         self.store
             .memory
@@ -329,6 +328,8 @@ impl BuildGuard<'_> {
         if let Some(g) = self.guard.take() {
             g.complete();
         }
+        let accepted = self.store.remote.publish(&self.key, &artifact);
+        self.store.counters.publishes.add(accepted as u64);
         artifact
     }
 }
@@ -659,6 +660,49 @@ mod tests {
             published.as_slice(),
             &[("pub".to_string(), r#"{"v":7}"#.to_string())]
         );
+        assert_eq!(store.stats().publishes, 1);
+    }
+
+    /// A slow peer delays only the builder: the artifact is in memory and
+    /// the coalesced waiters are awake before the publish starts.
+    #[test]
+    fn fulfill_wakes_waiters_before_publishing() {
+        use crate::remote::PeerClient;
+        use std::sync::{mpsc, Mutex};
+        use std::time::Duration;
+        /// Holds every publish until the test releases it.
+        struct GatedPeer(Mutex<mpsc::Receiver<()>>);
+        impl PeerClient for GatedPeer {
+            fn endpoint(&self) -> String {
+                "peer:4".to_string()
+            }
+            fn fetch(&self, _: &ArtifactKey) -> Result<Option<String>, TierError> {
+                Ok(None)
+            }
+            fn publish(&self, _: &ArtifactKey, _: &str) -> Result<(), TierError> {
+                let _ = self.0.lock().unwrap().recv_timeout(Duration::from_secs(10));
+                Ok(())
+            }
+        }
+        let (release, gate) = mpsc::channel();
+        let store = mem_store();
+        store.add_peer(Arc::new(GatedPeer(Mutex::new(gate))));
+        let Lookup::Miss(guard) = store.lookup_or_begin(&key("slow")) else {
+            panic!("cold store cannot hit");
+        };
+        std::thread::scope(|s| {
+            let builder = s.spawn(move || guard.fulfill(r#"{"v":1}"#.to_string()));
+            // the waiter coalesces on the claim, or arrives after it, and
+            // must get its hit while the publish is still held
+            let waiter = s.spawn(|| store.lookup_or_begin(&key("slow")));
+            assert!(matches!(
+                waiter.join().unwrap(),
+                Lookup::Hit(_, HitTier::Memory)
+            ));
+            assert_eq!(store.stats().publishes, 0, "the publish was released early");
+            release.send(()).unwrap();
+            builder.join().unwrap();
+        });
         assert_eq!(store.stats().publishes, 1);
     }
 }
