@@ -476,11 +476,12 @@ trap - EXIT
 rm -f "$log_a" "$log_b" /tmp/proof_ci_hetero.json /tmp/proof_ci_hetero_m.json \
     /tmp/proof_ci_hetero_ref.json
 
-echo "==> proof fleet streaming smoke (async submit, live status, byte-identical result)"
+echo "==> proof fleet streaming smoke (async submit, live status, queued run, byte-identical result)"
 # two single-worker daemons, every shard stalled 400 ms at the metrics
 # stage: the 6-shard sweep takes over a second, long enough to observe the
 # run mid-flight — result answering 202 while status already shows partial
-# completions — before comparing the finished artifact against --in-process
+# completions — and to see a second submission of the same spec wait
+# behind it, before comparing both artifacts against --in-process
 log_a="$(mktemp)"; log_b="$(mktemp)"; log_f="$(mktemp)"
 PROOF_FAULT="metrics:stall:400" \
     ./target/release/proof serve --addr 127.0.0.1:0 --workers 1 >"$log_a" 2>&1 &
@@ -510,6 +511,16 @@ coord_addr="$(sed -n 's#.*http://\([0-9.:]*\).*#\1#p' "$log_f" | head -n1)"
 stream_spec='{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2,3,4,6,8],"seed":97}'
 run_id="$(curl -sf -X POST "http://${coord_addr}/grid/submit" -d "$stream_spec" \
     | python3 -c 'import json,sys; print(json.load(sys.stdin)["run_id"])')"
+run2_id="$(curl -sf -X POST "http://${coord_addr}/grid/submit" -d "$stream_spec" \
+    | python3 -c 'import json,sys; print(json.load(sys.stdin)["run_id"])')"
+
+# runs queue behind one another: run 2 is accepted but dispatches nothing
+# while run 1's result still answers 202 (read after run 2's status, so
+# run 1 was unfinished when that status was taken)
+curl -sf "http://${coord_addr}/grid/${run2_id}/status" | python3 -c \
+    'import json,sys; s=json.load(sys.stdin); assert s["state"] == "running" and s["dispatched"] == 0, s'
+code="$(curl -s -o /dev/null -w '%{http_code}' "http://${coord_addr}/grid/${run_id}/result")"
+[ "$code" = 202 ] || { echo "run 1 finished before run 2's queued status was read (${code})"; exit 1; }
 
 # the run streams: at some poll the result endpoint must still answer 202
 # while the status endpoint already reports completed > 0
@@ -550,10 +561,19 @@ done
     --models mobilenetv2-0.5 --platforms a100 --batches 1,2,3,4,6,8 --seed 97 \
     --out /tmp/proof_ci_stream_ref.json 2>/dev/null
 cmp /tmp/proof_ci_stream.json /tmp/proof_ci_stream_ref.json
+# run 2 follows run 1; its cells are cache hits on the nodes
+for _ in $(seq 600); do
+    code="$(curl -s -o /tmp/proof_ci_stream2.json -w '%{http_code}' "http://${coord_addr}/grid/${run2_id}/result")"
+    [ "$code" = 200 ] && break
+    sleep 0.1
+done
+[ "$code" = 200 ] || { echo "queued run never finished (last result status ${code})"; exit 1; }
+cmp /tmp/proof_ci_stream2.json /tmp/proof_ci_stream_ref.json
 curl -sf "http://${coord_addr}/healthz" | python3 -c \
-    'import json,sys; h=json.load(sys.stdin); assert h["runs_total"] >= 1 and h["running"] is False, h; print("  streaming OK: %d run(s), alive %d" % (h["runs_total"], h["alive"]))'
+    'import json,sys; h=json.load(sys.stdin); assert h["runs_total"] >= 2 and h["running"] is False, h; print("  streaming OK: %d run(s), alive %d" % (h["runs_total"], h["alive"]))'
 kill "$pid_a" "$pid_b" "$pid_f" 2>/dev/null || true
 trap - EXIT
-rm -f "$log_a" "$log_b" "$log_f" /tmp/proof_ci_stream.json /tmp/proof_ci_stream_ref.json
+rm -f "$log_a" "$log_b" "$log_f" /tmp/proof_ci_stream.json /tmp/proof_ci_stream2.json \
+    /tmp/proof_ci_stream_ref.json
 
 echo "CI OK"

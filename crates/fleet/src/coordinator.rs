@@ -4,13 +4,16 @@
 //! embedded in-process `proof-serve` daemons for self-contained operation),
 //! the `proof-obs` metrics the whole run reports through, and the
 //! dispatcher. Runs are job-style: [`Fleet::submit_grid`] validates the
-//! spec, mints a [`RunHandle`] on the run ledger, and hands the dispatch
-//! to a dedicated run thread that publishes progress through the handle's
-//! [`ProgressSink`](crate::progress::ProgressSink); [`Fleet::run_grid`] is
-//! the synchronous wrapper (submit + wait). The registry snapshot, last
+//! spec, mints a [`RunHandle`] on the run ledger, and queues the run for
+//! the fleet's one run thread, `fleet-run`. That thread owns the
+//! [`NodeRegistry`] by value, runs the queued grids one at a time in
+//! submission order, and publishes each run's progress through its
+//! handle's [`ProgressSink`](crate::progress::ProgressSink), so a backlog
+//! of accepted runs costs queue entries, not threads. [`Fleet::run_grid`]
+//! is the synchronous wrapper (submit + wait). The registry snapshot, last
 //! merged trace, and health view stay readable from the shared
-//! [`FleetView`] while the run thread owns the registry — the coordinator
-//! HTTP surface never blocks on a running grid.
+//! [`FleetView`] — the coordinator HTTP surface never blocks on a running
+//! grid.
 //!
 //! [`run_grid_local`] is the in-process single-node reference producing
 //! the byte-identical document without any HTTP — the determinism contract
@@ -30,7 +33,9 @@ use proof_serve::{AnalysisJob, TraceSpans};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Transport bound for the coordinator's lock-free node scrapes
@@ -55,8 +60,10 @@ pub enum FleetError {
     },
     /// The grid spec or the merge rejected the run.
     Grid(ProofError),
-    /// Starting an embedded daemon failed.
+    /// Starting an embedded daemon or a coordinator thread failed.
     Io(String),
+    /// The run panicked; carries the panic text.
+    Panicked(String),
 }
 
 impl std::fmt::Display for FleetError {
@@ -76,6 +83,7 @@ impl std::fmt::Display for FleetError {
             ),
             FleetError::Grid(e) => write!(f, "{e}"),
             FleetError::Io(e) => write!(f, "{e}"),
+            FleetError::Panicked(e) => write!(f, "run panicked: {e}"),
         }
     }
 }
@@ -159,16 +167,14 @@ pub struct FleetRun {
     pub trace_json: String,
 }
 
-/// The shared coordinator core: everything a run thread, the HTTP surface,
-/// and the owning [`Fleet`] handle all read through. The registry mutex is
-/// held by at most one run thread at a time (concurrent submissions
-/// serialize on it); every other field answers without it.
+/// The shared coordinator core: everything the run thread, the HTTP
+/// surface, and the owning [`Fleet`] handle all read through. The node
+/// registry is not here: the run thread owns it.
 struct FleetInner {
     config: FleetConfig,
-    registry: Mutex<NodeRegistry>,
     /// One scrape client per node, in registry order, bounded by
-    /// [`SCRAPE_TIMEOUT`]: reads that must answer while a run thread
-    /// holds the registry go through these.
+    /// [`SCRAPE_TIMEOUT`]: reads that must answer while the run thread
+    /// dispatches go through these.
     scrapers: Vec<WorkerClient>,
     metrics: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
@@ -176,21 +182,24 @@ struct FleetInner {
     runs: Arc<RunLedger>,
 }
 
-impl FleetInner {
-    fn lock_registry(&self) -> MutexGuard<'_, NodeRegistry> {
-        self.registry.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
+/// An accepted run, waiting in the queue for the run thread.
+type QueuedRun = (GridSpec, ShardPlan, Arc<RunHandle>);
 
-/// Coordinator handle: registry + embedded daemons + observability.
+/// Coordinator handle: run queue + embedded daemons + observability.
 pub struct Fleet {
     inner: Arc<FleetInner>,
+    /// The run queue's only sender. Dropping it, by [`Fleet::shutdown`] or
+    /// by dropping the `Fleet`, lets the run thread exit once every
+    /// queued run has finished.
+    queue: mpsc::Sender<QueuedRun>,
+    run_thread: JoinHandle<()>,
     embedded: Vec<proof_serve::Server>,
 }
 
 impl Fleet {
-    /// Start embedded daemons (if any) and register every node. Fails if
-    /// the resulting registry would be empty or a daemon cannot bind.
+    /// Start embedded daemons (if any), register every node, and start the
+    /// run thread, which owns the registry from then on. Fails if the
+    /// resulting registry would be empty or a daemon cannot bind.
     pub fn start(config: FleetConfig) -> Result<Fleet, FleetError> {
         if config.nodes.is_empty() && config.local_daemons == 0 {
             return Err(FleetError::NoNodes);
@@ -216,25 +225,33 @@ impl Fleet {
             .collect();
         let registry = NodeRegistry::new(clients, config.node_fail_threshold);
         let metrics = Arc::new(MetricsRegistry::new());
-        // pre-register so the exposition carries the zero value even
-        // before (or without) any peer-cache traffic, weighted dispatch,
-        // or submitted runs
+        // register up front so the exposition carries the zero value even
+        // before (or without) any dispatch, peer-cache traffic, or
+        // submitted runs
+        let counters = FleetCounters::register(&metrics);
         metrics.counter("fleet_cache_remote_hits");
-        metrics.counter("fleet_weighted_picks");
         metrics.counter("fleet_runs_total");
         metrics.gauge("fleet_runs_active").set(0.0);
         let view = Arc::new(FleetView::new());
         view.set_nodes(registry.snapshot());
+        let inner = Arc::new(FleetInner {
+            config,
+            scrapers,
+            metrics,
+            flight: Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
+            view,
+            runs: Arc::new(RunLedger::new()),
+        });
+        let (queue, accepted) = mpsc::channel();
+        let run_inner = Arc::clone(&inner);
+        let run_thread = std::thread::Builder::new()
+            .name("fleet-run".to_string())
+            .spawn(move || run_queue(&run_inner, registry, &counters, accepted))
+            .map_err(|e| FleetError::Io(format!("cannot start the run thread: {e}")))?;
         Ok(Fleet {
-            inner: Arc::new(FleetInner {
-                config,
-                registry: Mutex::new(registry),
-                scrapers,
-                metrics,
-                flight: Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
-                view,
-                runs: Arc::new(RunLedger::new()),
-            }),
+            inner,
+            queue,
+            run_thread,
             embedded,
         })
     }
@@ -251,11 +268,11 @@ impl Fleet {
 
     /// Accept a grid run: plan the spec (a grid holding any cell a worker
     /// would refuse is refused here, before a run is minted), mint a run
-    /// id on the ledger, and hand the dispatch to a dedicated run thread.
-    /// Returns immediately with the [`RunHandle`] — poll its progress, or
+    /// id on the ledger, and queue the run for the run thread. Returns
+    /// immediately with the [`RunHandle`] — poll its progress, or
     /// [`RunHandle::wait`] for the result. Concurrent submissions are
-    /// accepted eagerly and serialize on the registry inside their run
-    /// threads, in submission order of lock acquisition.
+    /// accepted eagerly and run one at a time in submission order; a
+    /// queued run counts as active from the moment it is accepted.
     pub fn submit_grid(&self, spec: &GridSpec) -> Result<Arc<RunHandle>, FleetError> {
         let plan = plan_shards(spec)?;
         let handle = self.inner.runs.create(plan.shards.len());
@@ -277,32 +294,10 @@ impl Fleet {
                 ("seed", FieldValue::U64(spec.seed)),
             ],
         );
-        let inner = Arc::clone(&self.inner);
-        let spec = spec.clone();
-        let run_handle = Arc::clone(&handle);
-        let thread = std::thread::spawn(move || {
-            let result = execute_run(&inner, &spec, &plan, &run_handle);
-            if let Err(e) = &result {
-                inner.flight.record(
-                    "run",
-                    format!("run {} failed: {e}", run_handle.id()),
-                    vec![("run", FieldValue::U64(run_handle.id()))],
-                );
-            }
-            // publish the post-run gauge value *before* flipping the
-            // handle, so a waiter that wakes on finish() already sees it;
-            // re-set after as self-correction under concurrent finishes
-            inner
-                .metrics
-                .gauge("fleet_runs_active")
-                .set(inner.runs.active().saturating_sub(1) as f64);
-            run_handle.finish(result);
-            inner
-                .metrics
-                .gauge("fleet_runs_active")
-                .set(inner.runs.active() as f64);
-        });
-        self.inner.runs.note_thread(thread);
+        let run = (spec.clone(), plan, Arc::clone(&handle));
+        self.queue
+            .send(run)
+            .expect("the run thread catches every run's panic, so it outlives the sender");
         Ok(handle)
     }
 
@@ -348,7 +343,7 @@ impl Fleet {
         &self.inner.metrics
     }
 
-    /// The always-readable registry/trace view shared with run threads.
+    /// The always-readable registry/trace view shared with the run thread.
     pub fn view(&self) -> &Arc<FleetView> {
         &self.inner.view
     }
@@ -358,26 +353,68 @@ impl Fleet {
         &self.inner.runs
     }
 
-    /// Drain every run thread, then shut down embedded daemons (their
+    /// Close the run queue and join the run thread, which first finishes
+    /// every run already accepted; then shut down embedded daemons (their
     /// queues drain first). Remote nodes are untouched.
     pub fn shutdown(self) {
-        self.inner.runs.join_all();
+        drop(self.queue);
+        self.run_thread
+            .join()
+            .expect("the run thread catches every run's panic");
         for server in self.embedded {
             server.shutdown();
         }
     }
 }
 
-/// The run thread body: owns the registry for the duration of the
-/// dispatch, publishes progress through the handle's sink and the shared
-/// view, and produces the merged artifact + cross-node trace.
+/// The run thread: runs every accepted grid in submission order until the
+/// queue's sender is dropped and the queue is empty. Each run executes
+/// under `catch_unwind`, so a run that panics fails its own handle with
+/// the panic text and the thread goes on to the next run. Like a failed
+/// run, a panicked one may leave node in-flight counts it never settled.
+fn run_queue(
+    inner: &FleetInner,
+    mut registry: NodeRegistry,
+    counters: &FleetCounters,
+    accepted: mpsc::Receiver<QueuedRun>,
+) {
+    for (spec, plan, handle) in accepted {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            execute_run(inner, &mut registry, counters, &spec, &plan, &handle)
+        }))
+        .unwrap_or_else(|panic| {
+            Err(FleetError::Panicked(proof_serve::panic_message(
+                panic.as_ref(),
+            )))
+        });
+        if let Err(e) = &result {
+            inner.flight.record(
+                "run",
+                format!("run {} failed: {e}", handle.id()),
+                vec![("run", FieldValue::U64(handle.id()))],
+            );
+        }
+        // publish the post-run gauge value *before* flipping the handle,
+        // so a waiter that wakes on finish() already sees it; re-set after
+        // in case a submission landed in between
+        let active = inner.metrics.gauge("fleet_runs_active");
+        active.set(inner.runs.active().saturating_sub(1) as f64);
+        handle.finish(result);
+        active.set(inner.runs.active() as f64);
+    }
+}
+
+/// One run on the run thread: dispatch over the registry, publishing
+/// progress through the handle's sink and the shared view, and produce the
+/// merged artifact + cross-node trace.
 fn execute_run(
     inner: &FleetInner,
+    registry: &mut NodeRegistry,
+    counters: &FleetCounters,
     spec: &GridSpec,
     plan: &ShardPlan,
     handle: &RunHandle,
 ) -> Result<FleetRun, FleetError> {
-    let mut registry = inner.lock_registry();
     let trace = proof_obs::new_trace_id();
     // the run's root span exists only for its id: workers' job spans name
     // it as their remote parent, and the merge synthesizes the
@@ -398,13 +435,11 @@ fn execute_run(
     // lands, and remember each node's remote-hit count so the post-run
     // scrape can attribute this run's deltas
     let remote_hits_before = if inner.config.advertise_peer_cache {
-        advertise_peer_caches(inner, &registry);
-        scrape_remote_hits(&registry)
+        advertise_peer_caches(inner, registry);
+        scrape_remote_hits(registry)
     } else {
         Vec::new()
     };
-    let mut dispatcher_config = inner.config.dispatcher.clone();
-    dispatcher_config.advertise_peer_cache &= inner.config.advertise_peer_cache;
     // the merge thread copies each report as its shard lands; the end of
     // the dispatch (done or failed) closes the channel, and the run joins
     // the thread before it returns either way
@@ -413,9 +448,9 @@ fn execute_run(
         let merge = spawn_merge(scope, spec, trace, arrivals)
             .map_err(|e| FleetError::Io(format!("cannot start the merge thread: {e}")))?;
         let dispatcher = Dispatcher::new(
-            dispatcher_config,
+            inner.config.dispatcher.clone(),
             DispatchCtx {
-                counters: FleetCounters::register(&inner.metrics),
+                counters: counters.clone(),
                 trace,
                 parent_span: root_id,
                 metrics: Arc::clone(&inner.metrics),
@@ -423,12 +458,13 @@ fn execute_run(
                 progress: Arc::clone(handle.progress()),
                 view: Arc::clone(&inner.view),
                 reports,
+                advertise_peer_cache: inner.config.advertise_peer_cache,
             },
         );
-        let outcome = dispatcher.run(plan, &mut registry);
+        let outcome = dispatcher.run(plan, registry);
         root.finish();
         if inner.config.advertise_peer_cache {
-            let after = scrape_remote_hits(&registry);
+            let after = scrape_remote_hits(registry);
             let mut delta = 0u64;
             for (before, after) in remote_hits_before.iter().zip(&after) {
                 if let (Some(b), Some(a)) = (before, after) {
@@ -440,7 +476,7 @@ fn execute_run(
         // the nodes' span listings are fetched while the merge thread
         // writes the document
         let dispatched = outcome.map(|outcome| {
-            let trace_json = fleet_trace(&registry, trace, &outcome.shards);
+            let trace_json = fleet_trace(registry, trace, &outcome.shards);
             (outcome, trace_json)
         });
         let merged = merge
@@ -523,25 +559,19 @@ fn fleet_trace(registry: &NodeRegistry, trace: u64, shards: &[ShardReport]) -> S
 /// (best-effort — an unreachable node just misses the refresh and gets
 /// re-advertised when a probe revives it).
 fn advertise_peer_caches(inner: &FleetInner, registry: &NodeRegistry) {
-    let n = registry.len();
-    if n < 2 {
+    if registry.len() < 2 {
         return;
     }
-    let addrs: Vec<SocketAddr> = (0..n).map(|i| registry.client(i).addr).collect();
-    for i in 0..n {
-        let peers: Vec<SocketAddr> = addrs
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, a)| a)
-            .collect();
-        match registry.client(i).advertise_peers(&peers) {
+    for i in 0..registry.len() {
+        match registry.advertise_peers(i) {
             Ok(_) => inner.metrics.counter("fleet_peer_advertisements").inc(),
             Err(e) => proof_obs::event(
                 proof_obs::Level::Warn,
                 "proof_fleet",
-                format!("peer-cache advertisement to {} failed: {e}", addrs[i]),
+                format!(
+                    "peer-cache advertisement to {} failed: {e}",
+                    registry.client(i).addr
+                ),
                 Vec::new(),
             ),
         }
@@ -584,8 +614,8 @@ struct MetricsJson {
 /// reachable node's exposition federated under a `node="<addr>"` label —
 /// one scrape endpoint for the whole fleet. Unreachable nodes are skipped
 /// (the coordinator's own series still report them). Lock-free: the
-/// scrapes go straight to the nodes, so it answers while a run thread
-/// holds the registry. Shared by [`Fleet::metrics_prometheus_federated`]
+/// scrapes go straight to the nodes, so it answers while the run thread
+/// dispatches. Shared by [`Fleet::metrics_prometheus_federated`]
 /// and the HTTP surface.
 pub(crate) fn federated_prometheus_from(
     metrics: &MetricsRegistry,
@@ -678,6 +708,16 @@ mod tests {
         assert_eq!(counts.completed, 2);
         assert_eq!(counts.pending, 0);
         assert!(events.len() >= 4, "2 dispatches + 2 completions at least");
+        // the outcome is read back from the same stream
+        assert_eq!(run.outcome.dispatched, counts.dispatched);
+        assert_eq!(run.outcome.rescheduled, counts.rescheduled);
+        let completed: Vec<usize> = events
+            .iter()
+            .filter(|e| e.kind == crate::progress::ProgressKind::Completed)
+            .map(|e| e.shard)
+            .collect();
+        let shards: Vec<usize> = run.outcome.shards.iter().map(|r| r.shard).collect();
+        assert_eq!(shards, completed);
         assert_eq!(run.merged, run_grid_local(&s).unwrap());
         // the sync wrapper produces the same bytes and a second run id
         let sync = fleet.run_grid(&s).unwrap();

@@ -27,7 +27,7 @@
 use crate::client::{JobPoll, Pending, Submission, WorkerError};
 use crate::coordinator::FleetError;
 use crate::planner::{Shard, ShardPlan};
-use crate::progress::ProgressSink;
+use crate::progress::{ProgressKind, ProgressSink};
 use crate::registry::{NodeRegistry, NodeState};
 use crate::runs::FleetView;
 use proof_obs::{Counter, FieldValue, FlightRecorder, Level, MetricsRegistry};
@@ -55,10 +55,6 @@ pub struct DispatcherConfig {
     pub probe_interval: Duration,
     /// Total attempts one shard may consume across all nodes.
     pub max_shard_attempts: u32,
-    /// Re-advertise the other nodes' cache endpoints to a node that comes
-    /// back from the dead, so a restarted (cold) daemon serves its next
-    /// shard from a warm peer's remote tier instead of re-simulating.
-    pub advertise_peer_cache: bool,
 }
 
 impl Default for DispatcherConfig {
@@ -69,14 +65,15 @@ impl Default for DispatcherConfig {
             poll_interval: Duration::from_millis(5),
             probe_interval: Duration::from_millis(250),
             max_shard_attempts: 3,
-            advertise_peer_cache: true,
         }
     }
 }
 
 /// Fleet-level counters on the shared metrics registry (`GET /metrics` on
 /// the coordinator renders them; per-node counters live in the
-/// [`NodeRegistry`] snapshot).
+/// [`NodeRegistry`] snapshot). Registered once per fleet; every run's
+/// dispatch adds to the same counters.
+#[derive(Clone)]
 pub struct FleetCounters {
     pub dispatched: Arc<Counter>,
     pub completed: Arc<Counter>,
@@ -118,7 +115,9 @@ pub struct ShardReport {
 }
 
 /// What one grid run did, beyond the reports themselves. Counts are
-/// per-run (the [`FleetCounters`] accumulate across runs).
+/// per-run (the [`FleetCounters`] accumulate across runs). Dispatch,
+/// reschedule and completion figures are read back from the run's
+/// [`ProgressSink`] when the dispatch ends, so the two always agree.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchOutcome {
     /// `(shard id, report JSON)` for every cell, unordered, each report
@@ -185,8 +184,13 @@ pub struct DispatchCtx {
     /// reschedules, and node health transitions land here.
     pub flight: Arc<FlightRecorder>,
     /// The run's seq-numbered progress ledger — every dispatch,
-    /// completion, and reschedule is published here as it resolves.
+    /// completion, and reschedule is published here as it resolves, and
+    /// the run's [`DispatchOutcome`] is built from it.
     pub progress: Arc<ProgressSink>,
+    /// Re-advertise the other nodes' cache endpoints to a node that comes
+    /// back from the dead, so a restarted (cold) daemon serves its next
+    /// shard from a warm peer's remote tier instead of re-simulating.
+    pub advertise_peer_cache: bool,
     /// Shared registry view for lock-free `/nodes` and `/healthz` reads
     /// while this dispatch owns the registry.
     pub view: Arc<FleetView>,
@@ -280,7 +284,7 @@ impl Dispatcher {
 
             // write phase: every submission and status request goes out
             // before any reply is read, so the nodes work in parallel
-            let submits = self.write_submits(registry, &mut pending, &mut outcome)?;
+            let submits = self.write_submits(registry, &mut pending)?;
             let wait = Some(self.config.poll_interval);
             let statuses: Vec<StatusSent> = inflight
                 .drain(..)
@@ -303,12 +307,10 @@ impl Dispatcher {
             // read phase, in write order
             let mut resolved = false;
             for sent in submits {
-                resolved |=
-                    self.read_submit(registry, sent, &mut pending, &mut inflight, &mut outcome);
+                resolved |= self.read_submit(registry, sent, &mut pending, &mut inflight);
             }
             for sent in statuses {
-                resolved |=
-                    self.read_status(registry, sent, &mut pending, &mut inflight, &mut outcome)?;
+                resolved |= self.read_status(registry, sent, &mut pending, &mut inflight)?;
             }
             // republish the registry view every pass so `/nodes` and
             // `/healthz` track health transitions and in-flight counts live
@@ -318,6 +320,19 @@ impl Dispatcher {
             }
         }
         self.ctx.view.set_nodes(registry.snapshot());
+        let (counts, events) = self.ctx.progress.since(0);
+        outcome.dispatched = counts.dispatched;
+        outcome.rescheduled = counts.rescheduled;
+        outcome.shards = events
+            .iter()
+            .filter(|e| e.kind == ProgressKind::Completed)
+            .map(|e| ShardReport {
+                shard: e.shard,
+                node: e.node,
+                job_id: e.job_id,
+                attempts: e.attempts,
+            })
+            .collect();
         Ok(outcome)
     }
 
@@ -343,14 +358,10 @@ impl Dispatcher {
                 format!("probe of {} failed", client.addr),
                 vec![("node", FieldValue::U64(i as u64))],
             );
-        } else if was_dead && self.config.advertise_peer_cache && registry.len() > 1 {
+        } else if was_dead && self.ctx.advertise_peer_cache && registry.len() > 1 {
             // a revived node is likely a restarted (cold) daemon: re-point
             // its remote cache tier at the surviving warm peers
-            let peers: Vec<std::net::SocketAddr> = (0..registry.len())
-                .filter(|&j| j != i)
-                .map(|j| registry.client(j).addr)
-                .collect();
-            if let Err(e) = client.advertise_peers(&peers) {
+            if let Err(e) = registry.advertise_peers(i) {
                 proof_obs::event(
                     Level::Warn,
                     "proof_fleet",
@@ -372,7 +383,6 @@ impl Dispatcher {
         &self,
         registry: &mut NodeRegistry,
         pending: &mut VecDeque<PendingShard>,
-        outcome: &mut DispatchOutcome,
     ) -> Result<Vec<SubmitSent>, FleetError> {
         let mut sent = Vec::new();
         while !pending.is_empty() {
@@ -410,7 +420,7 @@ impl Dispatcher {
                     });
                 }
                 Err(e) => {
-                    let entry = self.submit_failed(registry, entry, node, e, false, outcome);
+                    let entry = self.submit_failed(registry, entry, node, e, false);
                     pending.push_front(entry);
                 }
             }
@@ -426,7 +436,6 @@ impl Dispatcher {
         sent: SubmitSent,
         pending: &mut VecDeque<PendingShard>,
         inflight: &mut Vec<InFlight>,
-        outcome: &mut DispatchOutcome,
     ) -> bool {
         let SubmitSent {
             mut entry,
@@ -444,7 +453,7 @@ impl Dispatcher {
                 return false;
             }
             Err(e) => {
-                let entry = self.submit_failed(registry, entry, node, e, true, outcome);
+                let entry = self.submit_failed(registry, entry, node, e, true);
                 pending.push_front(entry);
                 return false;
             }
@@ -454,7 +463,6 @@ impl Dispatcher {
         };
         registry.note_accepted(node);
         self.ctx.counters.dispatched.inc();
-        outcome.dispatched += 1;
         entry.attempts += 1;
         if proof_obs::event_enabled(Level::Debug) {
             let addr = registry.client(node).addr;
@@ -496,7 +504,7 @@ impl Dispatcher {
                 false
             }
             Submission::Done { report, .. } => {
-                self.complete(registry, flight, report, outcome);
+                self.complete(registry, flight, report);
                 true
             }
         }
@@ -513,7 +521,6 @@ impl Dispatcher {
         node: usize,
         e: WorkerError,
         written: bool,
-        outcome: &mut DispatchOutcome,
     ) -> PendingShard {
         let state_before = registry.node(node).state;
         registry.note_failure(node, written);
@@ -534,7 +541,6 @@ impl Dispatcher {
         );
         entry.last_error = Some(e.to_string());
         self.ctx.counters.rescheduled.inc();
-        outcome.rescheduled += 1;
         self.ctx
             .progress
             .note_rescheduled(entry.shard.id, node, 0, entry.attempts, false);
@@ -550,7 +556,6 @@ impl Dispatcher {
         sent: StatusSent,
         pending: &mut VecDeque<PendingShard>,
         inflight: &mut Vec<InFlight>,
-        outcome: &mut DispatchOutcome,
     ) -> Result<bool, FleetError> {
         // `Keep` leaves the job in flight; the other arms resolve it.
         enum Resolution {
@@ -605,24 +610,18 @@ impl Dispatcher {
                 Ok(false)
             }
             Resolution::Done(report) => {
-                self.complete(registry, entry, report, outcome);
+                self.complete(registry, entry, report);
                 Ok(true)
             }
             Resolution::Fail { why, timed_out } => {
-                self.reschedule(registry, entry, why, timed_out, pending, outcome)?;
+                self.reschedule(registry, entry, why, timed_out, pending)?;
                 Ok(true)
             }
         }
     }
 
     /// Collect a finished shard's report.
-    fn complete(
-        &self,
-        registry: &mut NodeRegistry,
-        entry: InFlight,
-        report: String,
-        outcome: &mut DispatchOutcome,
-    ) {
+    fn complete(&self, registry: &mut NodeRegistry, entry: InFlight, report: String) {
         registry.note_success(entry.node);
         self.ctx.counters.completed.inc();
         let shard_us = entry
@@ -639,14 +638,12 @@ impl Dispatcher {
             .metrics
             .gauge(&format!("node{}_ewma_us", entry.node))
             .set(ewma);
-        let record = ShardReport {
+        self.ctx.progress.note_completed(&ShardReport {
             shard: entry.shard.id,
             node: entry.node,
             job_id: entry.job_id,
             attempts: entry.attempts,
-        };
-        self.ctx.progress.note_completed(&record);
-        outcome.shards.push(record);
+        });
         // a merge thread that is gone has panicked; its join reports that
         let _ = self.ctx.reports.send((entry.shard.id, report));
     }
@@ -660,7 +657,6 @@ impl Dispatcher {
         why: String,
         timed_out: bool,
         pending: &mut VecDeque<PendingShard>,
-        outcome: &mut DispatchOutcome,
     ) -> Result<(), FleetError> {
         let state_before = registry.node(entry.node).state;
         registry.note_failure(entry.node, true);
@@ -703,7 +699,6 @@ impl Dispatcher {
             });
         }
         self.ctx.counters.rescheduled.inc();
-        outcome.rescheduled += 1;
         self.ctx.progress.note_rescheduled(
             entry.shard.id,
             entry.node,

@@ -23,13 +23,15 @@
 //! reschedule, and probe activity per node.
 //!
 //! Grid runs are job-style: [`Fleet::submit_grid`] returns a
-//! [`RunHandle`] immediately while a dedicated run thread owns the
-//! dispatch, publishing per-shard progress through a seq-numbered
-//! [`ProgressSink`] ([`progress`], [`runs`]); [`Fleet::run_grid`] is the
-//! synchronous submit-and-wait wrapper. The coordinator HTTP surface
-//! ([`server`]) exposes both forms (`POST /grid`, `POST /grid/submit`,
-//! `GET /grid/<id>/status?since=<seq>`, `GET /grid/<id>/result`) and stays
-//! fully readable mid-run via the shared [`FleetView`].
+//! [`RunHandle`] immediately and queues the run for the fleet's one run
+//! thread, which owns the node registry and runs accepted grids one at a
+//! time in submission order, publishing per-shard progress through a
+//! seq-numbered [`ProgressSink`] ([`progress`], [`runs`]);
+//! [`Fleet::run_grid`] is the synchronous submit-and-wait wrapper. The
+//! coordinator HTTP surface ([`server`]) exposes both forms (`POST /grid`,
+//! `POST /grid/submit`, `GET /grid/<id>/status?since=<seq>`,
+//! `GET /grid/<id>/result`) and stays fully readable mid-run via the
+//! shared [`FleetView`].
 //!
 //! ```no_run
 //! use proof_fleet::{Fleet, FleetConfig};

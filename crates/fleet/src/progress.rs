@@ -78,6 +78,21 @@ struct SinkState {
     events: Vec<ProgressEvent>,
 }
 
+impl SinkState {
+    /// Append an event under the next sequence number.
+    fn push(&mut self, kind: ProgressKind, shard: usize, node: usize, job_id: u64, attempts: u32) {
+        let seq = self.events.len() as u64 + 1;
+        self.events.push(ProgressEvent {
+            seq,
+            kind,
+            shard,
+            node,
+            job_id,
+            attempts,
+        });
+    }
+}
+
 /// Seq-numbered, `Arc`-shared progress ledger for one grid run.
 pub struct ProgressSink {
     total: usize,
@@ -102,39 +117,12 @@ impl ProgressSink {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn push(
-        &self,
-        state: &mut SinkState,
-        kind: ProgressKind,
-        shard: usize,
-        node: usize,
-        job_id: u64,
-        attempts: u32,
-    ) {
-        let seq = state.events.len() as u64 + 1;
-        state.events.push(ProgressEvent {
-            seq,
-            kind,
-            shard,
-            node,
-            job_id,
-            attempts,
-        });
-    }
-
     /// A shard was submitted to `node` as `job_id`.
     pub fn note_dispatched(&self, shard: usize, node: usize, job_id: u64, attempts: u32) {
         let mut s = self.lock();
         s.dispatched += 1;
         s.in_flight += 1;
-        self.push(
-            &mut s,
-            ProgressKind::Dispatched,
-            shard,
-            node,
-            job_id,
-            attempts,
-        );
+        s.push(ProgressKind::Dispatched, shard, node, job_id, attempts);
     }
 
     /// A shard resolved with a report.
@@ -142,8 +130,7 @@ impl ProgressSink {
         let mut s = self.lock();
         s.completed += 1;
         s.in_flight = s.in_flight.saturating_sub(1);
-        self.push(
-            &mut s,
+        s.push(
             ProgressKind::Completed,
             report.shard,
             report.node,
@@ -168,14 +155,7 @@ impl ProgressSink {
         if from_flight {
             s.in_flight = s.in_flight.saturating_sub(1);
         }
-        self.push(
-            &mut s,
-            ProgressKind::Rescheduled,
-            shard,
-            node,
-            job_id,
-            attempts,
-        );
+        s.push(ProgressKind::Rescheduled, shard, node, job_id, attempts);
     }
 
     /// Current totals.

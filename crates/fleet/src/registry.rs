@@ -14,8 +14,10 @@
 //! time — `(in_flight + 1) × ewma_us ÷ workers` — so a heterogeneous fleet
 //! keeps its fast nodes fed instead of tail-waiting on the slowest one.
 
-use crate::client::{WorkerClient, WorkerHealth};
+use crate::client::{WorkerClient, WorkerError, WorkerHealth};
+use proof_serve::PeersAdded;
 use serde::Serialize;
+use std::net::SocketAddr;
 use std::time::Instant;
 
 /// EWMA smoothing factor for observed shard latency: recent shards count
@@ -134,6 +136,13 @@ impl NodeRegistry {
 
     pub fn client(&self, i: usize) -> &WorkerClient {
         &self.nodes[i].client
+    }
+
+    /// Point node `i`'s remote cache tier at every other node.
+    pub fn advertise_peers(&self, i: usize) -> Result<PeersAdded, WorkerError> {
+        let others = self.nodes.iter().enumerate().filter(|&(j, _)| j != i);
+        let peers: Vec<SocketAddr> = others.map(|(_, n)| n.client.addr).collect();
+        self.client(i).advertise_peers(&peers)
     }
 
     /// Nodes not currently `Dead`.

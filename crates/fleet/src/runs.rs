@@ -1,9 +1,5 @@
-//! The run ledger and shared fleet view behind streaming grid runs.
-//!
-//! A coordinator used to execute `POST /grid` while holding the one
-//! `Fleet` mutex, which made every other read on the HTTP surface either
-//! block or degrade (503s on `/nodes` and `/grid/trace`, a vanishing
-//! `alive` field in `/healthz`). This module splits the two roles apart:
+//! The run ledger and shared fleet view behind streaming grid runs: the
+//! run thread dispatches while every HTTP handler reads, without waiting.
 //!
 //! - [`FleetView`] is the always-readable side — the latest registry
 //!   snapshot and the most recent merged trace, published by whoever is
@@ -12,8 +8,9 @@
 //! - [`RunHandle`] is one grid run's lifecycle: its id, its
 //!   [`ProgressSink`] stream, and a condvar-signalled terminal state that
 //!   sync callers block on and async callers poll.
-//! - [`RunLedger`] owns every handle (and the run threads), hands out run
-//!   ids, and answers "is anything running?" for `/healthz`.
+//! - [`RunLedger`] owns every handle, hands out run ids, and answers "is
+//!   anything running?" for `/healthz`. The runs themselves execute one
+//!   at a time on the fleet's run thread (see [`crate::coordinator`]).
 
 use crate::coordinator::{FleetError, FleetRun};
 use crate::progress::{ProgressEvent, ProgressSink};
@@ -21,14 +18,13 @@ use crate::registry::{NodeSnapshot, NodeState};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The coordinator state that must stay readable while a run thread owns
-/// the dispatch: the per-node registry snapshot and the last merged trace.
+/// The coordinator state that must stay readable while the run thread
+/// dispatches: the per-node registry snapshot and the last merged trace.
 #[derive(Default)]
 pub struct FleetView {
     nodes: Mutex<Vec<NodeSnapshot>>,
@@ -102,7 +98,7 @@ impl RunHandle {
     }
 
     /// Record the terminal state and wake every [`RunHandle::wait`]er.
-    /// Called exactly once, by the run thread.
+    /// Called exactly once per run.
     pub fn finish(&self, result: Result<FleetRun, FleetError>) {
         let mut state = lock_or_recover(&self.state);
         *state = Lifecycle::Finished(result);
@@ -192,13 +188,11 @@ pub struct RunStatus {
     pub events: Vec<ProgressEvent>,
 }
 
-/// Every run the coordinator has accepted, plus the threads driving the
-/// unfinished ones. Run ids are dense from 1.
+/// Every run the coordinator has accepted. Run ids are dense from 1.
 #[derive(Default)]
 pub struct RunLedger {
     runs: Mutex<Vec<Arc<RunHandle>>>,
     next_id: AtomicU64,
-    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl RunLedger {
@@ -206,7 +200,6 @@ impl RunLedger {
         RunLedger {
             runs: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
-            threads: Mutex::new(Vec::new()),
         }
     }
 
@@ -225,8 +218,8 @@ impl RunLedger {
             .cloned()
     }
 
-    /// Runs not yet finished — the `running` signal in `/healthz` and the
-    /// `fleet_runs_active` gauge.
+    /// Runs not yet finished, queued ones included — the `running` signal
+    /// in `/healthz` and the `fleet_runs_active` gauge.
     pub fn active(&self) -> usize {
         lock_or_recover(&self.runs)
             .iter()
@@ -237,20 +230,6 @@ impl RunLedger {
     /// Lifetime accepted-run count.
     pub fn total(&self) -> u64 {
         self.next_id.load(Ordering::SeqCst).saturating_sub(1)
-    }
-
-    /// Track a run thread so shutdown can drain it.
-    pub fn note_thread(&self, handle: JoinHandle<()>) {
-        lock_or_recover(&self.threads).push(handle);
-    }
-
-    /// Join every run thread (shutdown path: no run may outlive the
-    /// embedded daemons it dispatches to).
-    pub fn join_all(&self) {
-        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_or_recover(&self.threads));
-        for t in threads {
-            let _ = t.join();
-        }
     }
 }
 

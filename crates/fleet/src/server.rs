@@ -6,8 +6,8 @@
 //!   artifact (synchronous: submit + wait; response bytes identical to
 //!   the streaming path's finished result).
 //! - `POST /grid/submit` (or `POST /grid?mode=async`) — validate the spec,
-//!   mint a run id, and return `202 {run_id, shards}` immediately while a
-//!   dedicated run thread executes the dispatch.
+//!   mint a run id, and return `202 {run_id, shards}` immediately; the
+//!   fleet's one run thread executes accepted runs in submission order.
 //! - `GET /grid/<id>/status[?since=<seq>]` — live per-shard progress:
 //!   completed/pending/in-flight/rescheduled counts plus the run's
 //!   seq-numbered progress events past the `since` cursor (all of them
@@ -108,8 +108,8 @@ impl FleetServer {
             started: Instant::now(),
             fleet: Mutex::new(Some(fleet)),
         });
-        // thread-per-connection: run threads own the dispatch, so every
-        // endpoint answers concurrently
+        // thread-per-connection: the fleet's run thread owns the dispatch,
+        // so every endpoint answers concurrently
         let http = HttpServer::start(listener, "proof-fleet", Arc::clone(&shared))?;
         Ok(FleetServer { shared, http })
     }
@@ -119,8 +119,8 @@ impl FleetServer {
     }
 
     /// Stop accepting, let every handler that read a request answer it,
-    /// then take the fleet out of its slot and shut it down — draining run
-    /// threads and embedded daemons unconditionally, even while handler
+    /// then take the fleet out of its slot and shut it down — draining the
+    /// run queue and embedded daemons unconditionally, even while handler
     /// threads still hold shared clones (e.g. a slow request mid-read).
     pub fn shutdown(mut self) {
         self.http.stop();

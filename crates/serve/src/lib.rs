@@ -38,7 +38,7 @@ pub use peer::HttpPeer;
 pub use proof_store::{ArtifactKey, HitTier, Lookup, StoreStats, TieredStore};
 pub use queue::JobQueue;
 pub use server::{
-    CacheTiers, JobStatus, PeerList, PeersAdded, ServeConfig, Server, ShutdownReport, SpanView,
-    TraceSpans, MAX_JOB_WAIT,
+    panic_message, CacheTiers, JobStatus, PeerList, PeersAdded, ServeConfig, Server,
+    ShutdownReport, SpanView, TraceSpans, MAX_JOB_WAIT,
 };
 pub use stage_cache::{StageCache, StageCacheStats, StageGuard, StageLookup};

@@ -452,7 +452,7 @@ enum JobFailure {
 
 /// Best-effort text of a caught panic payload (`panic!` with a string or
 /// format message covers everything this codebase can raise).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
