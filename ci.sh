@@ -561,6 +561,9 @@ done
     --models mobilenetv2-0.5 --platforms a100 --batches 1,2,3,4,6,8 --seed 97 \
     --out /tmp/proof_ci_stream_ref.json 2>/dev/null
 cmp /tmp/proof_ci_stream.json /tmp/proof_ci_stream_ref.json
+# a finished run is handed out shared: a second fetch reads the same bytes
+curl -sf "http://${coord_addr}/grid/${run_id}/result" -o /tmp/proof_ci_stream_again.json
+cmp /tmp/proof_ci_stream_again.json /tmp/proof_ci_stream_ref.json
 # run 2 follows run 1; its cells are cache hits on the nodes
 for _ in $(seq 600); do
     code="$(curl -s -o /tmp/proof_ci_stream2.json -w '%{http_code}' "http://${coord_addr}/grid/${run2_id}/result")"
@@ -574,6 +577,6 @@ curl -sf "http://${coord_addr}/healthz" | python3 -c \
 kill "$pid_a" "$pid_b" "$pid_f" 2>/dev/null || true
 trap - EXIT
 rm -f "$log_a" "$log_b" "$log_f" /tmp/proof_ci_stream.json /tmp/proof_ci_stream2.json \
-    /tmp/proof_ci_stream_ref.json
+    /tmp/proof_ci_stream_again.json /tmp/proof_ci_stream_ref.json
 
 echo "CI OK"

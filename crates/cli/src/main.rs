@@ -527,7 +527,7 @@ fn fleet_config(flags: &HashMap<String, String>) -> proof_fleet::FleetConfig {
 fn watch_fleet_run(
     fleet: &proof_fleet::Fleet,
     spec: &proof_core::GridSpec,
-) -> Result<proof_fleet::FleetRun, proof_fleet::FleetError> {
+) -> Result<std::sync::Arc<proof_fleet::FleetRun>, proof_fleet::FleetError> {
     let handle = fleet.submit_grid(spec)?;
     let (counts, _) = handle.progress().since(0);
     eprintln!(
@@ -620,7 +620,8 @@ fn cmd_fleet_sweep(flags: HashMap<String, String>) -> ExitCode {
             eprintln!("wrote {path}");
         }
         fleet.shutdown();
-        run.merged
+        // the shut-down fleet's ledger no longer shares the run
+        std::sync::Arc::unwrap_or_clone(run).merged
     };
     match flags.get("out") {
         Some(path) => {

@@ -93,7 +93,7 @@ fn run(nodes: Vec<SocketAddr>, seed: u64) -> (String, Vec<NodeSnapshot>) {
     let run = fleet.run_grid(&s).expect("fleet run");
     let snaps = fleet.nodes();
     fleet.shutdown();
-    (run.merged, snaps)
+    (std::sync::Arc::unwrap_or_clone(run).merged, snaps)
 }
 
 #[test]

@@ -302,8 +302,9 @@ impl Fleet {
     }
 
     /// Run one grid to the merged artifact, synchronously: submit + wait.
+    /// The run comes back shared with its [`RunHandle`], not copied.
     /// Counters land on [`Fleet::metrics`].
-    pub fn run_grid(&self, spec: &GridSpec) -> Result<FleetRun, FleetError> {
+    pub fn run_grid(&self, spec: &GridSpec) -> Result<Arc<FleetRun>, FleetError> {
         self.submit_grid(spec)?.wait()
     }
 
@@ -370,8 +371,9 @@ impl Fleet {
 /// The run thread: runs every accepted grid in submission order until the
 /// queue's sender is dropped and the queue is empty. Each run executes
 /// under `catch_unwind`, so a run that panics fails its own handle with
-/// the panic text and the thread goes on to the next run. Like a failed
-/// run, a panicked one may leave node in-flight counts it never settled.
+/// the panic text and the thread goes on to the next run. However a run
+/// ends, its in-flight counts are settled and the view republished before
+/// its handle finishes, so `/nodes` reads `in_flight` 0 between runs.
 fn run_queue(
     inner: &FleetInner,
     mut registry: NodeRegistry,
@@ -394,6 +396,9 @@ fn run_queue(
                 vec![("run", FieldValue::U64(handle.id()))],
             );
         }
+        // a failed or panicked run returns with shards still in flight
+        registry.settle_in_flight();
+        inner.view.set_nodes(registry.snapshot());
         // publish the post-run gauge value *before* flipping the handle,
         // so a waiter that wakes on finish() already sees it; re-set after
         // in case a submission landed in between
@@ -520,7 +525,6 @@ fn execute_run(
             .gauge(&format!("node{i}_failures"))
             .set(n.failures as f64);
     }
-    inner.view.set_nodes(nodes.clone());
     Ok(FleetRun {
         merged: merged.doc,
         outcome,

@@ -15,6 +15,13 @@
 //! or failed — the channel closes and the thread writes the document
 //! ([`GridMerger::finish`]) while the run thread fetches the nodes' span
 //! listings; then the run thread joins it.
+//!
+//! Past its HTTP read, a report's bytes are copied twice: the walk that
+//! checks them copies them into the cell's slot, and `finish`
+//! concatenates the slots into the document. The finished run is then
+//! handed to every caller as one shared `Arc<FleetRun>` (see
+//! [`crate::runs::RunHandle::wait`]); only an HTTP reply copies the
+//! document, into its body.
 
 use proof_core::{merge_cells, GridMerger, GridSpec, MergedGrid, ProofError};
 use std::sync::mpsc::Receiver;

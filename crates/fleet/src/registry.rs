@@ -290,6 +290,15 @@ impl NodeRegistry {
         n.backoff_until = Some(until);
     }
 
+    /// A run ended: none of its shards counts against a node any more.
+    /// Runs do not overlap, so a shard a failed or panicked run left in
+    /// flight is no later run's load; its job still finishes on its node.
+    pub fn settle_in_flight(&mut self) {
+        for n in &mut self.nodes {
+            n.in_flight = 0;
+        }
+    }
+
     /// A health probe of node `i` came back: success revives the node,
     /// failure is charged like any other.
     pub fn note_probe(&mut self, i: usize, healthy: bool) {

@@ -67,7 +67,7 @@ impl FleetView {
 
 enum Lifecycle {
     Running,
-    Finished(Result<FleetRun, FleetError>),
+    Finished(Result<Arc<FleetRun>, FleetError>),
 }
 
 /// One grid run: id, live progress stream, and terminal state.
@@ -101,7 +101,7 @@ impl RunHandle {
     /// Called exactly once per run.
     pub fn finish(&self, result: Result<FleetRun, FleetError>) {
         let mut state = lock_or_recover(&self.state);
-        *state = Lifecycle::Finished(result);
+        *state = Lifecycle::Finished(result.map(Arc::new));
         self.done.notify_all();
     }
 
@@ -109,18 +109,20 @@ impl RunHandle {
         !matches!(*lock_or_recover(&self.state), Lifecycle::Running)
     }
 
-    /// The terminal result, if the run has finished (clones — the ledger
-    /// keeps the original so late `/grid/<id>/result` reads still answer).
-    pub fn result(&self) -> Option<Result<FleetRun, FleetError>> {
+    /// The terminal result, if the run has finished. A finished run is
+    /// shared, not copied: every call hands out the same [`FleetRun`] the
+    /// ledger keeps, so late `/grid/<id>/result` reads still answer.
+    pub fn result(&self) -> Option<Result<Arc<FleetRun>, FleetError>> {
         match &*lock_or_recover(&self.state) {
             Lifecycle::Running => None,
             Lifecycle::Finished(r) => Some(r.clone()),
         }
     }
 
-    /// Block until the run finishes and return its result. This is the
-    /// synchronous `POST /grid` wrapper: submit + wait.
-    pub fn wait(&self) -> Result<FleetRun, FleetError> {
+    /// Block until the run finishes and return its result, shared as
+    /// [`RunHandle::result`] shares it. This is the synchronous
+    /// `POST /grid` wrapper: submit + wait.
+    pub fn wait(&self) -> Result<Arc<FleetRun>, FleetError> {
         let mut state = lock_or_recover(&self.state);
         loop {
             if let Lifecycle::Finished(r) = &*state {
@@ -281,6 +283,24 @@ mod tests {
         assert_eq!(ledger.active(), 1);
         assert!(a.is_finished());
         assert!(matches!(a.result(), Some(Err(FleetError::NoNodes))));
+    }
+
+    #[test]
+    fn a_finished_run_is_handed_out_shared_not_copied() {
+        let ledger = RunLedger::new();
+        let h = ledger.create(1);
+        assert!(h.result().is_none());
+        h.finish(Ok(FleetRun {
+            merged: "{}".to_string(),
+            outcome: Default::default(),
+            nodes: vec![snapshot(NodeState::Healthy)],
+            trace_json: "{}".to_string(),
+        }));
+        let first = h.result().unwrap().unwrap();
+        let second = h.result().unwrap().unwrap();
+        let waited = h.wait().unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&first, &waited));
     }
 
     #[test]

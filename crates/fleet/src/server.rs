@@ -245,8 +245,8 @@ fn fleet_error(e: FleetError) -> Response {
 }
 
 /// A finished run's reply: the merged artifact, or its error.
-fn run_reply(result: Result<FleetRun, FleetError>) -> Response {
-    result.map_or_else(fleet_error, |run| Response::json(200, run.merged))
+fn run_reply(result: Result<Arc<FleetRun>, FleetError>) -> Response {
+    result.map_or_else(fleet_error, |run| Response::json(200, run.merged.clone()))
 }
 
 /// The `202` reply to an async grid submit; [`crate::CoordinatorClient`]

@@ -106,7 +106,11 @@ fn busy_poller_worker() -> SocketAddr {
 /// Run `fleet.run_grid` on a worker thread behind a watchdog: pre-fix both
 /// regression scenarios wedge the dispatch loop forever, and a wedged test
 /// should fail loudly rather than hang the suite.
-fn run_with_watchdog(fleet: Fleet, s: GridSpec, budget: Duration) -> Result<FleetRun, FleetError> {
+fn run_with_watchdog(
+    fleet: Fleet,
+    s: GridSpec,
+    budget: Duration,
+) -> Result<Arc<FleetRun>, FleetError> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let result = fleet.run_grid(&s);
