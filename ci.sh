@@ -214,7 +214,12 @@ doc = json.load(open("/tmp/proof_ci_fleet_g.json"))
 assert len(doc["cells"]) == 8 and doc["sweep"] is None, (len(doc["cells"]), doc["sweep"])
 print(f"  multi-cell grid OK: {len(doc['cells'])} cells, sweep null")
 EOF
-rm -f /tmp/proof_ci_fleet_g.json /tmp/proof_ci_fleet_gr.json
+# the same grid again on the now-warm daemons: its cells land back to
+# back, so the run's copy threads copy at once, and the bytes must not move
+./target/release/proof fleet sweep --nodes "${addr_a},${addr_b}" "${grid_spec[@]}" \
+    --out /tmp/proof_ci_fleet_gw.json 2>/dev/null
+cmp /tmp/proof_ci_fleet_gw.json /tmp/proof_ci_fleet_gr.json
+rm -f /tmp/proof_ci_fleet_g.json /tmp/proof_ci_fleet_gw.json /tmp/proof_ci_fleet_gr.json
 kill "$pid_a" "$pid_b" 2>/dev/null || true
 trap - EXIT
 rm -f "$log_a" "$log_b"

@@ -327,7 +327,9 @@ pub struct MergedGrid {
 
 /// The grid merge, one cell at a time: [`GridMerger::insert`] slots each
 /// shard's report as it arrives, in any order, and [`GridMerger::finish`]
-/// writes the document once every cell is in.
+/// writes the document once every cell is in. `insert` is
+/// [`GridMerger::copy`] then [`GridMerger::slot`], so a caller can copy
+/// cells on several threads and slot the copies on one.
 ///
 /// The document is `{"cells": [...], "grid": ..., "sweep": ...}` with
 /// sorted keys throughout, so its bytes depend only on (spec, per-cell
@@ -367,6 +369,29 @@ impl<'a> GridMerger<'a> {
     /// Slot one shard's report, copied to compact canonical bytes. An
     /// out-of-range or duplicate shard is kept as the merge's error.
     pub fn insert(&mut self, shard: usize, json: &str) {
+        self.slot(shard, GridMerger::copy(shard, json));
+    }
+
+    /// One shard's report as compact canonical bytes, or why its bytes are
+    /// not JSON: the copying half of [`GridMerger::insert`]. It needs no
+    /// merger, so any thread can copy a cell while another slots.
+    pub fn copy(shard: usize, json: &str) -> Result<String, ProofError> {
+        let mut report = String::with_capacity(json.len());
+        if serde_json::copy_canonical(json, &mut report) {
+            report.shrink_to_fit();
+            Ok(report)
+        } else {
+            serde_json::from_str::<Value>(json)
+                .map(|tree| tree.to_string())
+                .map_err(|e| ProofError::Serialize(format!("shard {shard} report: {e}")))
+        }
+    }
+
+    /// Slot one shard's [`GridMerger::copy`]: the slotting half of
+    /// [`GridMerger::insert`]. An out-of-range or duplicate shard is kept
+    /// as the merge's error, so slotting copies in arrival order names the
+    /// error `insert` would.
+    pub fn slot(&mut self, shard: usize, copy: Result<String, ProofError>) {
         if self.misfit.is_some() {
             return;
         }
@@ -383,15 +408,7 @@ impl<'a> GridMerger<'a> {
             )));
             return;
         }
-        let mut report = String::with_capacity(json.len());
-        *slot = Some(if serde_json::copy_canonical(json, &mut report) {
-            report.shrink_to_fit();
-            Ok(report)
-        } else {
-            serde_json::from_str::<Value>(json)
-                .map(|tree| tree.to_string())
-                .map_err(|e| ProofError::Serialize(format!("shard {shard} report: {e}")))
-        });
+        *slot = Some(copy);
     }
 
     /// Write the merged document: every cell's report and spec in

@@ -445,12 +445,17 @@ fn execute_run(
     } else {
         Vec::new()
     };
-    // the merge thread copies each report as its shard lands; the end of
-    // the dispatch (done or failed) closes the channel, and the run joins
-    // the thread before it returns either way
+    // the run's copy threads, one per core but no more than it has shards,
+    // copy each report as its shard lands; the end of the dispatch (done
+    // or failed) closes the channel, and the run joins the merge thread,
+    // which joins the others, before it returns either way
+    let copiers = std::thread::available_parallelism()
+        .map_or(1, |cores| cores.get())
+        .min(plan.shards.len())
+        .max(1);
     let (mut outcome, merged, trace_json) = std::thread::scope(|scope| {
         let (reports, arrivals) = mpsc::channel();
-        let merge = spawn_merge(scope, spec, trace, arrivals)
+        let merge = spawn_merge(scope, spec, trace, copiers, arrivals)
             .map_err(|e| FleetError::Io(format!("cannot start the merge thread: {e}")))?;
         let dispatcher = Dispatcher::new(
             inner.config.dispatcher.clone(),
@@ -479,7 +484,7 @@ fn execute_run(
             inner.metrics.counter("fleet_cache_remote_hits").add(delta);
         }
         // the nodes' span listings are fetched while the merge thread
-        // writes the document
+        // slots the copies and writes the document
         let dispatched = outcome.map(|outcome| {
             let trace_json = fleet_trace(registry, trace, &outcome.shards);
             (outcome, trace_json)

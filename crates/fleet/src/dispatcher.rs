@@ -120,11 +120,12 @@ pub struct ShardReport {
 /// [`ProgressSink`] when the dispatch ends, so the two always agree.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchOutcome {
-    /// `(shard id, report JSON)` for every cell, unordered, each report
-    /// as the compact canonical bytes the merge copied. [`Dispatcher::run`]
-    /// moves every report to the run's merge thread instead of keeping it
-    /// here, so this is empty in the outcome it returns; the coordinator
-    /// fills it from the merger once the run has merged.
+    /// `(shard id, report JSON)` for every cell, in canonical order, each
+    /// report as the compact canonical bytes the merge copied.
+    /// [`Dispatcher::run`] moves every report to the run's copy threads
+    /// instead of keeping it here, so this is empty in the outcome it
+    /// returns; the coordinator fills it from the merger once the run has
+    /// merged.
     pub results: Vec<(usize, String)>,
     /// Per-shard completion records, in completion order (unordered with
     /// respect to shard ids).
@@ -194,8 +195,9 @@ pub struct DispatchCtx {
     /// Shared registry view for lock-free `/nodes` and `/healthz` reads
     /// while this dispatch owns the registry.
     pub view: Arc<FleetView>,
-    /// The run's merge thread: each resolved shard's report is moved here
-    /// as it lands. Dropped when the run ends, which ends the merge.
+    /// The run's copy threads: each resolved shard's report is moved here
+    /// as it lands, and whichever copy thread is free takes it. Dropped
+    /// when the run ends, which ends the merge.
     pub reports: Sender<(usize, String)>,
 }
 
@@ -644,7 +646,8 @@ impl Dispatcher {
             job_id: entry.job_id,
             attempts: entry.attempts,
         });
-        // a merge thread that is gone has panicked; its join reports that
+        // the channel is gone only if the copy threads panicked; the merge
+        // thread's join reports that
         let _ = self.ctx.reports.send((entry.shard.id, report));
     }
 

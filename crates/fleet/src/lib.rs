@@ -10,8 +10,8 @@
 //! ([`NodeRegistry::pick_weighted`]): each candidate is scored by estimated
 //! completion time from its advertised worker count and an EWMA of
 //! observed shard latency, so heterogeneous fleets keep fast nodes fed —
-//! and the per-cell reports are reassembled ([`merger`]), on a per-run
-//! merge thread as the shards land, into one combined artifact that is
+//! and the per-cell reports are reassembled ([`merger`]), copied on one
+//! thread per core as the shards land, into one combined artifact that is
 //! **byte-identical** to a single-node run of the same spec and seed,
 //! wherever each shard ran.
 //!

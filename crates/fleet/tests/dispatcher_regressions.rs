@@ -423,21 +423,30 @@ fn failed_dispatch_returns_promptly_and_joins_its_merge_thread() {
             let result = fleet.run_grid(&s).map(|_| ());
             let elapsed = started.elapsed();
             let trace = last_run_trace(&fleet);
-            // the run has returned, so its merge thread is joined; allow
-            // the exiting thread a moment to leave the task list
+            // the run has returned, so its merge thread and the copy
+            // threads it started are joined; allow the exiting threads a
+            // moment to leave the task list. Names are matched exactly
+            // (`merge-1` is a prefix of `merge-12`), and every name fits
+            // Linux's 15-byte thread names
             let merge = format!("merge-{trace}");
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let run_threads: Vec<String> = std::iter::once(merge.clone())
+                .chain((1..cores).map(|i| format!("copy-{trace}-{i}")))
+                .collect();
+            assert!(run_threads.iter().all(|name| name.len() <= 15));
             let deadline = Instant::now() + Duration::from_secs(1);
             let live = loop {
                 let live = thread_names();
-                if !live.contains(&merge) || Instant::now() >= deadline {
+                if !live.iter().any(|name| run_threads.contains(name)) || Instant::now() >= deadline
+                {
                     break live;
                 }
                 std::thread::sleep(Duration::from_millis(10));
             };
             fleet.shutdown();
-            let _ = tx.send((result, elapsed, live, merge));
+            let _ = tx.send((result, elapsed, live, run_threads));
         });
-        let (result, elapsed, live, merge) = rx
+        let (result, elapsed, live, run_threads) = rx
             .recv_timeout(Duration::from_secs(30))
             .expect("a failed dispatch never returned");
         match result {
@@ -449,7 +458,9 @@ fn failed_dispatch_returns_promptly_and_joins_its_merge_thread() {
             elapsed < Duration::from_secs(5),
             "the failed run took {elapsed:?} to return"
         );
-        assert!(!live.contains(&merge), "{merge} outlived its run: {live:?}");
+        for name in &run_threads {
+            assert!(!live.contains(name), "{name} outlived its run: {live:?}");
+        }
     }
 }
 
