@@ -577,6 +577,9 @@ for _ in $(seq 600); do
 done
 [ "$code" = 200 ] || { echo "queued run never finished (last result status ${code})"; exit 1; }
 cmp /tmp/proof_ci_stream2.json /tmp/proof_ci_stream_ref.json
+# run 2's reports repeat run 1's bytes, so its merge reused all 6 cells
+curl -sf "http://${coord_addr}/metrics" | python3 -c \
+    'import json,sys; c=json.load(sys.stdin)["counters"]; assert c["fleet_cells_reused"] == 6, c'
 curl -sf "http://${coord_addr}/healthz" | python3 -c \
     'import json,sys; h=json.load(sys.stdin); assert h["runs_total"] >= 2 and h["running"] is False, h; print("  streaming OK: %d run(s), alive %d" % (h["runs_total"], h["alive"]))'
 kill "$pid_a" "$pid_b" "$pid_f" 2>/dev/null || true

@@ -21,6 +21,8 @@ use crate::profile::ProfileReport;
 use crate::sweep::{BatchSweep, SweepPoint};
 use serde::Serialize;
 use serde_json::{Map, Value};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Largest cell count a single grid may expand to: every grid, whether a
 /// fleet run, a serve sweep or a one-cell job body.
@@ -320,16 +322,19 @@ pub fn merge_cells(spec: &GridSpec, reports: &[(usize, String)]) -> Result<Strin
 pub struct MergedGrid {
     /// The merged document.
     pub doc: String,
-    /// Every cell's `(shard id, report)`, in canonical order, each report
-    /// as the compact canonical bytes the document holds.
-    pub reports: Vec<(usize, String)>,
+    /// Where each cell's report sits in `doc`, in canonical order:
+    /// `&doc[span]` is the compact canonical copy the merge slotted.
+    pub report_spans: Vec<Range<usize>>,
 }
 
 /// The grid merge, one cell at a time: [`GridMerger::insert`] slots each
 /// shard's report as it arrives, in any order, and [`GridMerger::finish`]
 /// writes the document once every cell is in. `insert` is
 /// [`GridMerger::copy`] then [`GridMerger::slot`], so a caller can copy
-/// cells on several threads and slot the copies on one.
+/// cells on several threads and slot the copies on one. A slot may also
+/// borrow a copy made earlier, such as `&doc[span]` of a previous merge
+/// whose cell had the same report bytes: `copy` is a pure function of
+/// those bytes.
 ///
 /// The document is `{"cells": [...], "grid": ..., "sweep": ...}` with
 /// sorted keys throughout, so its bytes depend only on (spec, per-cell
@@ -349,7 +354,7 @@ pub struct GridMerger<'a> {
     cells: Vec<GridCell>,
     /// Each cell's report as compact canonical bytes, or why its bytes are
     /// not JSON; `None` until its shard arrives.
-    slots: Vec<Option<Result<String, ProofError>>>,
+    slots: Vec<Option<Result<Cow<'a, str>, ProofError>>>,
     /// The first out-of-range or duplicate shard inserted.
     misfit: Option<ProofError>,
 }
@@ -369,7 +374,7 @@ impl<'a> GridMerger<'a> {
     /// Slot one shard's report, copied to compact canonical bytes. An
     /// out-of-range or duplicate shard is kept as the merge's error.
     pub fn insert(&mut self, shard: usize, json: &str) {
-        self.slot(shard, GridMerger::copy(shard, json));
+        self.slot(shard, GridMerger::copy(shard, json).map(Cow::Owned));
     }
 
     /// One shard's report as compact canonical bytes, or why its bytes are
@@ -387,11 +392,12 @@ impl<'a> GridMerger<'a> {
         }
     }
 
-    /// Slot one shard's [`GridMerger::copy`]: the slotting half of
+    /// Slot one shard's [`GridMerger::copy`], owned or borrowed from an
+    /// earlier copy of the same bytes: the slotting half of
     /// [`GridMerger::insert`]. An out-of-range or duplicate shard is kept
     /// as the merge's error, so slotting copies in arrival order names the
     /// error `insert` would.
-    pub fn slot(&mut self, shard: usize, copy: Result<String, ProofError>) {
+    pub fn slot(&mut self, shard: usize, copy: Result<Cow<'a, str>, ProofError>) {
         if self.misfit.is_some() {
             return;
         }
@@ -422,14 +428,15 @@ impl<'a> GridMerger<'a> {
             .slots
             .into_iter()
             .enumerate()
-            .map(|(shard, slot)| match slot {
-                Some(report) => report.map(|report| (shard, report)),
-                None => Err(ProofError::InvalidSpec(format!(
-                    "shard {shard} missing from the merge"
-                ))),
+            .map(|(shard, slot)| {
+                slot.unwrap_or_else(|| {
+                    Err(ProofError::InvalidSpec(format!(
+                        "shard {shard} missing from the merge"
+                    )))
+                })
             })
-            .collect::<Result<Vec<(usize, String)>, ProofError>>()?;
-        let texts: Vec<&str> = reports.iter().map(|(_, report)| report.as_str()).collect();
+            .collect::<Result<Vec<Cow<str>>, ProofError>>()?;
+        let texts: Vec<&str> = reports.iter().map(|report| report.as_ref()).collect();
         let sweep = if self.spec.is_batch_sweep() && texts.len() > 1 {
             Some(batch_sweep_from_reports(&texts)?)
         } else {
@@ -437,13 +444,16 @@ impl<'a> GridMerger<'a> {
         };
         let report_bytes: usize = texts.iter().map(|r| r.len()).sum();
         let mut doc = String::with_capacity(report_bytes + 128 * texts.len() + 512);
+        let mut report_spans = Vec::with_capacity(texts.len());
         doc.push_str("{\"cells\":[");
         for (shard, (cell, report)) in self.cells.iter().zip(&texts).enumerate() {
             if shard > 0 {
                 doc.push(',');
             }
             doc.push_str("{\"report\":");
+            let start = doc.len();
             doc.push_str(report);
+            report_spans.push(start..doc.len());
             doc.push_str(",\"spec\":");
             doc.push_str(&serde::ser::to_json(cell, false));
             doc.push('}');
@@ -453,7 +463,7 @@ impl<'a> GridMerger<'a> {
         doc.push_str(",\"sweep\":");
         doc.push_str(&serde::ser::to_json(&sweep, false));
         doc.push('}');
-        Ok(MergedGrid { doc, reports })
+        Ok(MergedGrid { doc, report_spans })
     }
 }
 
@@ -839,23 +849,23 @@ mod tests {
             merger.insert(shard, json);
         }
         let merged = merger.finish().unwrap();
-        let reports: Vec<(usize, &str)> = merged
-            .reports
+        let reports: Vec<&str> = merged
+            .report_spans
             .iter()
-            .map(|(shard, json)| (*shard, json.as_str()))
+            .map(|span| &merged.doc[span.clone()])
             .collect();
         assert_eq!(
             reports,
             [
-                (0, r#"{"cell":0}"#),
-                (1, "[1.5]"),
-                (2, r#"{"cell":2}"#),
-                (3, r#"{"a":2,"b":1}"#)
+                r#"{"cell":0}"#,
+                "[1.5]",
+                r#"{"cell":2}"#,
+                r#"{"a":2,"b":1}"#
             ]
         );
-        // the document holds exactly those bytes
+        // each span holds exactly its cell's report
         let doc: Value = serde_json::from_str(&merged.doc).unwrap();
-        for (shard, json) in reports {
+        for (shard, json) in reports.into_iter().enumerate() {
             assert_eq!(doc["cells"][shard]["report"].to_string(), json);
         }
     }

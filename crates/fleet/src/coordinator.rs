@@ -7,9 +7,11 @@
 //! spec, mints a [`RunHandle`] on the run ledger, and queues the run for
 //! the fleet's one run thread, `fleet-run`. That thread owns the
 //! [`NodeRegistry`] by value, runs the queued grids one at a time in
-//! submission order, and publishes each run's progress through its
-//! handle's [`ProgressSink`](crate::progress::ProgressSink), so a backlog
-//! of accepted runs costs queue entries, not threads. [`Fleet::run_grid`]
+//! submission order, keeps the last successful run so the next run's
+//! merge can reuse the cells whose report bytes repeat, and publishes
+//! each run's progress through its handle's
+//! [`ProgressSink`](crate::progress::ProgressSink), so a backlog of
+//! accepted runs costs queue entries, not threads. [`Fleet::run_grid`]
 //! is the synchronous wrapper (submit + wait). The registry snapshot, last
 //! merged trace, and health view stay readable from the shared
 //! [`FleetView`] — the coordinator HTTP surface never blocks on a running
@@ -21,7 +23,7 @@
 
 use crate::client::WorkerClient;
 use crate::dispatcher::{DispatchCtx, DispatchOutcome, Dispatcher, FleetCounters, ShardReport};
-use crate::merger::spawn_merge;
+use crate::merger::{spawn_merge, Prior};
 use crate::planner::{plan_shards, ShardPlan};
 use crate::registry::{NodeRegistry, NodeSnapshot};
 use crate::runs::{FleetView, RunHandle, RunLedger};
@@ -33,6 +35,7 @@ use proof_serve::{AnalysisJob, TraceSpans};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -156,6 +159,15 @@ pub struct FleetRun {
     /// The merged artifact — byte-identical to [`run_grid_local`] of the
     /// same spec.
     pub merged: String,
+    /// Where each cell's report sits in `merged`, in canonical order:
+    /// `&merged[span]` is the compact copy of the cell's report in
+    /// `outcome.results`, which the next run reuses for a report with the
+    /// same bytes.
+    pub report_spans: Vec<Range<usize>>,
+    /// Cells whose report equalled, byte for byte, the previous successful
+    /// run's report for the same shard id, so the merge took that run's
+    /// copy instead of walking the bytes.
+    pub reused: usize,
     /// Per-run dispatch accounting.
     pub outcome: DispatchOutcome,
     /// Node states after the run.
@@ -184,6 +196,23 @@ struct FleetInner {
 
 /// An accepted run, waiting in the queue for the run thread.
 type QueuedRun = (GridSpec, ShardPlan, Arc<RunHandle>);
+
+/// The priors a run that follows `last` gives its merge, indexed by shard
+/// id: `last`'s report for each of its shards as the node sent it, and
+/// that run's copy of it in its document. A shard of the new grid is
+/// matched with the same shard of `last`, whatever its cell; the merge
+/// compares every byte, so a shard whose cell moved is walked.
+fn priors(last: &FleetRun) -> Vec<Prior<'_>> {
+    last.outcome
+        .results
+        .iter()
+        .zip(&last.report_spans)
+        .map(|((_, body), span)| Prior {
+            body,
+            copy: &last.merged[span.clone()],
+        })
+        .collect()
+}
 
 /// Coordinator handle: run queue + embedded daemons + observability.
 pub struct Fleet {
@@ -373,16 +402,28 @@ impl Fleet {
 /// under `catch_unwind`, so a run that panics fails its own handle with
 /// the panic text and the thread goes on to the next run. However a run
 /// ends, its in-flight counts are settled and the view republished before
-/// its handle finishes, so `/nodes` reads `in_flight` 0 between runs.
+/// its handle finishes, so `/nodes` reads `in_flight` 0 between runs. The
+/// last successful run is kept for the next run's merge to reuse; a failed
+/// or panicked run leaves it as it was.
 fn run_queue(
     inner: &FleetInner,
     mut registry: NodeRegistry,
     counters: &FleetCounters,
     accepted: mpsc::Receiver<QueuedRun>,
 ) {
+    let mut last: Option<Arc<FleetRun>> = None;
     for (spec, plan, handle) in accepted {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_run(inner, &mut registry, counters, &spec, &plan, &handle)
+            let priors = last.as_deref().map(priors).unwrap_or_default();
+            execute_run(
+                inner,
+                &mut registry,
+                counters,
+                &spec,
+                &plan,
+                &priors,
+                &handle,
+            )
         }))
         .unwrap_or_else(|panic| {
             Err(FleetError::Panicked(proof_serve::panic_message(
@@ -406,18 +447,24 @@ fn run_queue(
         active.set(inner.runs.active().saturating_sub(1) as f64);
         handle.finish(result);
         active.set(inner.runs.active() as f64);
+        if let Some(Ok(run)) = handle.result() {
+            last = Some(run);
+        }
     }
 }
 
 /// One run on the run thread: dispatch over the registry, publishing
 /// progress through the handle's sink and the shared view, and produce the
-/// merged artifact + cross-node trace.
+/// merged artifact + cross-node trace. `priors` holds, by shard id, the
+/// last successful run's report and copy of each of its shards (empty
+/// before the first).
 fn execute_run(
     inner: &FleetInner,
     registry: &mut NodeRegistry,
     counters: &FleetCounters,
     spec: &GridSpec,
     plan: &ShardPlan,
+    priors: &[Prior<'_>],
     handle: &RunHandle,
 ) -> Result<FleetRun, FleetError> {
     let trace = proof_obs::new_trace_id();
@@ -446,16 +493,17 @@ fn execute_run(
         Vec::new()
     };
     // the run's copy threads, one per core but no more than it has shards,
-    // copy each report as its shard lands; the end of the dispatch (done
-    // or failed) closes the channel, and the run joins the merge thread,
-    // which joins the others, before it returns either way
+    // copy each report as its shard lands, or take its prior's copy when
+    // the bytes match; the end of the dispatch (done or failed) closes the
+    // channel, and the run joins the merge thread, which joins the others,
+    // before it returns either way
     let copiers = std::thread::available_parallelism()
         .map_or(1, |cores| cores.get())
         .min(plan.shards.len())
         .max(1);
-    let (mut outcome, merged, trace_json) = std::thread::scope(|scope| {
+    let (outcome, merged, reused, trace_json) = std::thread::scope(|scope| {
         let (reports, arrivals) = mpsc::channel();
-        let merge = spawn_merge(scope, spec, trace, copiers, arrivals)
+        let merge = spawn_merge(scope, spec, priors, trace, copiers, arrivals)
             .map_err(|e| FleetError::Io(format!("cannot start the merge thread: {e}")))?;
         let dispatcher = Dispatcher::new(
             inner.config.dispatcher.clone(),
@@ -489,28 +537,32 @@ fn execute_run(
             let trace_json = fleet_trace(registry, trace, &outcome.shards);
             (outcome, trace_json)
         });
-        let merged = merge
+        let merge = merge
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let (outcome, trace_json) = dispatched?;
-        Ok::<_, FleetError>((outcome, merged?, trace_json))
+        let (mut outcome, trace_json) = dispatched?;
+        let merged = merge.merged?;
+        outcome.results = merge.bodies;
+        Ok::<_, FleetError>((outcome, merged, merge.reused, trace_json))
     })?;
-    outcome.results = merged.reports;
+    counters.cells_reused.add(reused as u64);
     // publish the trace before the handle flips to finished, so a client
     // that sees `state: done` can always fetch `/grid/trace`
     inner.view.set_last_trace(trace_json.clone());
     inner.flight.record(
         "run",
         format!(
-            "run {} finished: {} shards, {} rescheduled",
+            "run {} finished: {} shards, {} rescheduled, {} reused",
             handle.id(),
             outcome.shards.len(),
-            outcome.rescheduled
+            outcome.rescheduled,
+            reused
         ),
         vec![
             ("run", FieldValue::U64(handle.id())),
             ("trace", FieldValue::U64(trace)),
             ("completed", FieldValue::U64(outcome.results.len() as u64)),
+            ("reused", FieldValue::U64(reused as u64)),
         ],
     );
     let nodes = registry.snapshot();
@@ -532,6 +584,8 @@ fn execute_run(
     }
     Ok(FleetRun {
         merged: merged.doc,
+        report_spans: merged.report_spans,
+        reused,
         outcome,
         nodes,
         trace_json,

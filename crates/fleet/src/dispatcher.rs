@@ -83,6 +83,9 @@ pub struct FleetCounters {
     pub probe_failures: Arc<Counter>,
     /// Dispatch decisions made by the weighted scheduler.
     pub weighted_picks: Arc<Counter>,
+    /// Cells of finished runs whose report matched the previous run's
+    /// bytes, so the merge reused that run's copy instead of walking it.
+    pub cells_reused: Arc<Counter>,
 }
 
 impl FleetCounters {
@@ -95,6 +98,7 @@ impl FleetCounters {
             probes: registry.counter("fleet_probes"),
             probe_failures: registry.counter("fleet_probe_failures"),
             weighted_picks: registry.counter("fleet_weighted_picks"),
+            cells_reused: registry.counter("fleet_cells_reused"),
         }
     }
 }
@@ -121,11 +125,12 @@ pub struct ShardReport {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchOutcome {
     /// `(shard id, report JSON)` for every cell, in canonical order, each
-    /// report as the compact canonical bytes the merge copied.
-    /// [`Dispatcher::run`] moves every report to the run's copy threads
-    /// instead of keeping it here, so this is empty in the outcome it
-    /// returns; the coordinator fills it from the merger once the run has
-    /// merged.
+    /// report as the node sent it: the merge's input, so
+    /// [`merge_run`](crate::merge_run) over it gives the run's document,
+    /// and the next run's reuse baseline. [`Dispatcher::run`] moves every
+    /// report to the run's copy threads instead of keeping it here, so
+    /// this is empty in the outcome it returns; the coordinator fills it
+    /// from the merge thread once the run has merged.
     pub results: Vec<(usize, String)>,
     /// Per-shard completion records, in completion order (unordered with
     /// respect to shard ids).

@@ -11,9 +11,10 @@
 //! completion time from its advertised worker count and an EWMA of
 //! observed shard latency, so heterogeneous fleets keep fast nodes fed —
 //! and the per-cell reports are reassembled ([`merger`]), copied on one
-//! thread per core as the shards land, into one combined artifact that is
-//! **byte-identical** to a single-node run of the same spec and seed,
-//! wherever each shard ran.
+//! thread per core as the shards land — or, for a report whose bytes
+//! repeat the last run's for the same shard, taken from that run's copy
+//! — into one combined artifact that is **byte-identical** to a
+//! single-node run of the same spec and seed, wherever each shard ran.
 //!
 //! Fault model: a node that times out, keeps answering 429/5xx past the
 //! shard deadline, or dies mid-job has its shards requeued onto surviving

@@ -10,24 +10,35 @@
 //!
 //! A fleet run merges as shards land: `spawn_merge` starts a run's merge
 //! thread, which starts the run's other copy threads — one per core in
-//! all, and no more than the run has shards. The dispatcher moves each resolved report over one channel, and
-//! whichever copy thread is free takes it and copies it to compact bytes
-//! ([`GridMerger::copy`]) while the dispatcher waits on node replies, so
-//! a warm grid's back-to-back arrivals are copied on every core. When
-//! dispatch ends — done or failed — the channel closes; the merge thread
-//! joins its helpers, slots the copies in arrival order
-//! ([`GridMerger::slot`]) and writes the document ([`GridMerger::finish`])
-//! while the run thread fetches the nodes' span listings; then the run
-//! thread joins it.
+//! all, and no more than the run has shards. The dispatcher moves each
+//! resolved report over one channel, and whichever copy thread is free
+//! takes it while the dispatcher waits on node replies, so a warm grid's
+//! back-to-back arrivals are copied on every core. When dispatch ends —
+//! done or failed — the channel closes; the merge thread joins its
+//! helpers, slots the copies in arrival order ([`GridMerger::slot`]) and
+//! writes the document ([`GridMerger::finish`]) while the run thread
+//! fetches the nodes' span listings; then the run thread joins it.
 //!
-//! Past its HTTP read, a report's bytes are copied twice: the walk that
-//! checks them copies them into the cell's slot, and `finish`
-//! concatenates the slots into the document. The finished run is then
-//! handed to every caller as one shared `Arc<FleetRun>` (see
-//! [`crate::runs::RunHandle::wait`]); only an HTTP reply copies the
-//! document, into its body.
+//! A copy thread walks a report ([`GridMerger::copy`]) unless the run was
+//! given a `Prior` for its shard id — the bytes the fleet's last
+//! successful run received for the same shard, and that run's copy of
+//! them — and the report equals those bytes, byte for byte. Then the
+//! cell's copy is the prior one, borrowed from the last run's document:
+//! `copy` is a pure function of the bytes, so the document is the same
+//! either way, and a repeated grid on warm nodes compares its cells
+//! instead of walking them. Every byte is compared; nothing is hashed or
+//! trusted, so a shard whose cell differs from last time is walked.
+//!
+//! Past its HTTP read, a walked report's bytes are copied twice: the walk
+//! that checks them copies them into the cell's slot, and `finish`
+//! concatenates the slots into the document; a reused cell is copied only
+//! by `finish`. The run keeps each report as it was received, as the next
+//! run's priors. The finished run is then handed to every caller as one
+//! shared `Arc<FleetRun>` (see [`crate::runs::RunHandle::wait`]); only an
+//! HTTP reply copies the document, into its body.
 
 use proof_core::{merge_cells, GridMerger, GridSpec, MergedGrid, ProofError};
+use std::borrow::Cow;
 use std::sync::mpsc::Receiver;
 use std::sync::Mutex;
 use std::thread::{Builder, Scope, ScopedJoinHandle};
@@ -40,21 +51,43 @@ pub fn merge_run(spec: &GridSpec, results: &[(usize, String)]) -> Result<String,
     merge_cells(spec, results)
 }
 
+/// The last successful run's merge of one shard: the report bytes it
+/// received, and the compact copy of them its document holds.
+#[derive(Debug)]
+pub(crate) struct Prior<'p> {
+    pub body: &'p str,
+    pub copy: &'p str,
+}
+
+/// What a run's merge thread hands back.
+#[derive(Debug)]
+pub(crate) struct RunMerge {
+    /// The merged document, or the error [`merge_cells`] would give.
+    pub merged: Result<MergedGrid, ProofError>,
+    /// Every `(shard id, report)` as it was received, sorted by shard id.
+    pub bodies: Vec<(usize, String)>,
+    /// How many reports matched their prior and were not walked.
+    pub reused: usize,
+}
+
 /// Start a run's merge thread in `scope`, named `merge-<trace>` after the
 /// run's trace id. It starts `copiers - 1` helpers, `copy-<trace>-<i>`,
 /// and all `copiers` threads copy every `(shard id, report)` that
-/// `arrivals` yields. Once every sender is dropped, the merge thread joins
-/// the helpers, slots the copies in arrival order — so the first
-/// out-of-range or duplicate shard to arrive names the error, as in
-/// [`merge_cells`] — and finishes the merge. A panic in any copy thread
+/// `arrivals` yields: a report equal to `priors[shard]`'s body takes its
+/// copy, and any other, or one whose shard is past the end of `priors`,
+/// is walked. Once every sender is dropped, the merge thread joins the
+/// helpers, slots the copies in arrival order — so the first out-of-range
+/// or duplicate shard to arrive names the error, as in [`merge_cells`] —
+/// and finishes the merge. A panic in any copy thread
 /// reaches the merge thread's join.
 pub(crate) fn spawn_merge<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     spec: &'env GridSpec,
+    priors: &'env [Prior<'env>],
     trace: u64,
     copiers: usize,
     arrivals: Receiver<(usize, String)>,
-) -> std::io::Result<ScopedJoinHandle<'scope, Result<MergedGrid, ProofError>>> {
+) -> std::io::Result<ScopedJoinHandle<'scope, RunMerge>> {
     Builder::new()
         .name(format!("merge-{trace}"))
         .spawn_scoped(scope, move || {
@@ -65,11 +98,11 @@ pub(crate) fn spawn_merge<'scope, 'env>(
                     .filter_map(|i| {
                         Builder::new()
                             .name(format!("copy-{trace}-{i}"))
-                            .spawn_scoped(helpers, || copy_arrivals(&arrivals))
+                            .spawn_scoped(helpers, || copy_arrivals(&arrivals, priors))
                             .ok()
                     })
                     .collect();
-                let mut copies = copy_arrivals(&arrivals);
+                let mut copies = copy_arrivals(&arrivals, priors);
                 for helper in copying {
                     copies.extend(
                         helper
@@ -79,12 +112,23 @@ pub(crate) fn spawn_merge<'scope, 'env>(
                 }
                 copies
             });
-            copies.sort_unstable_by_key(|&(arrival, ..)| arrival);
+            copies.sort_unstable_by_key(|cell| cell.arrival);
+            let reused = copies
+                .iter()
+                .filter(|cell| matches!(cell.copy, Ok(Cow::Borrowed(_))))
+                .count();
             let mut merger = GridMerger::new(spec);
-            for (_, shard, copy) in copies {
-                merger.slot(shard, copy);
+            let mut bodies = Vec::with_capacity(copies.len());
+            for cell in copies {
+                merger.slot(cell.shard, cell.copy);
+                bodies.push((cell.shard, cell.body));
             }
-            merger.finish()
+            bodies.sort_by_key(|&(shard, _)| shard);
+            RunMerge {
+                merged: merger.finish(),
+                bodies,
+                reused,
+            }
         })
 }
 
@@ -95,15 +139,21 @@ struct Arrivals {
     arrivals: Receiver<(usize, String)>,
 }
 
-/// One shard's copied report, tagged with its arrival number.
-type CellCopy = (usize, usize, Result<String, ProofError>);
+/// One shard's report as received and its copy, tagged with its arrival
+/// number.
+struct CellCopy<'p> {
+    arrival: usize,
+    shard: usize,
+    body: String,
+    copy: Result<Cow<'p, str>, ProofError>,
+}
 
 /// Take reports off the channel until it closes, copying each outside the
 /// lock, and return the copies this thread made.
-fn copy_arrivals(arrivals: &Mutex<Arrivals>) -> Vec<CellCopy> {
+fn copy_arrivals<'p>(arrivals: &Mutex<Arrivals>, priors: &[Prior<'p>]) -> Vec<CellCopy<'p>> {
     let mut copies = Vec::new();
     loop {
-        let (arrival, (shard, report)) = {
+        let (arrival, (shard, body)) = {
             let mut shared = arrivals.lock().unwrap_or_else(|e| e.into_inner());
             let Ok(next) = shared.arrivals.recv() else {
                 return copies;
@@ -111,7 +161,16 @@ fn copy_arrivals(arrivals: &Mutex<Arrivals>) -> Vec<CellCopy> {
             shared.taken += 1;
             (shared.taken, next)
         };
-        copies.push((arrival, shard, GridMerger::copy(shard, &report)));
+        let copy = match priors.get(shard) {
+            Some(prior) if prior.body == body => Ok(Cow::Borrowed(prior.copy)),
+            _ => GridMerger::copy(shard, &body).map(Cow::Owned),
+        };
+        copies.push(CellCopy {
+            arrival,
+            shard,
+            body,
+            copy,
+        });
     }
 }
 
@@ -154,12 +213,13 @@ mod tests {
     /// The run merge over `copiers` threads, fed `arrivals` in order.
     fn run_merge(
         spec: &GridSpec,
+        priors: &[Prior],
         copiers: usize,
         arrivals: &[(usize, String)],
-    ) -> Result<MergedGrid, ProofError> {
+    ) -> RunMerge {
         std::thread::scope(|scope| {
             let (reports, received) = mpsc::channel();
-            let merge = spawn_merge(scope, spec, 0, copiers, received).unwrap();
+            let merge = spawn_merge(scope, spec, priors, 0, copiers, received).unwrap();
             for arrival in arrivals {
                 reports.send(arrival.clone()).unwrap();
             }
@@ -208,7 +268,7 @@ mod tests {
             let expected = reference(&s, arrivals);
             for copiers in 1..=3 {
                 assert_eq!(
-                    run_merge(&s, copiers, arrivals),
+                    run_merge(&s, &[], copiers, arrivals).merged,
                     expected,
                     "{case}, {copiers} copy threads"
                 );
@@ -218,7 +278,7 @@ mod tests {
         let outcomes: Vec<String> = cases
             .iter()
             .map(|(_, arrivals)| match reference(&s, arrivals) {
-                Ok(merged) => format!("ok {}", merged.reports.len()),
+                Ok(merged) => format!("ok {}", merged.report_spans.len()),
                 Err(e) => e.to_string(),
             })
             .collect();
@@ -254,7 +314,7 @@ mod tests {
                 let expected = reference(&s, &arrivals);
                 for copiers in 2..=3 {
                     assert_eq!(
-                        run_merge(&s, copiers, &arrivals),
+                        run_merge(&s, &[], copiers, &arrivals).merged,
                         expected,
                         "{shards:?}, {copiers} copy threads"
                     );
@@ -268,5 +328,97 @@ mod tests {
         ] {
             assert!(named.iter().any(|e| e == error), "{error} never named");
         }
+    }
+
+    #[test]
+    fn a_report_equal_to_its_prior_takes_the_prior_copy() {
+        let s = spec();
+        // the last run's cells: three pretty reports and one the walk
+        // cannot copy, so its copy is the tree fallback's bytes
+        let odd = r#"{"b":1,"a":[2.50,1E5]}"#;
+        let last: Vec<(usize, String)> = vec![
+            (0, report(0)),
+            (1, report(1)),
+            (2, report(2)),
+            (3, odd.to_string()),
+        ];
+        let last_merged = reference(&s, &last).unwrap();
+        let priors: Vec<Prior> = last
+            .iter()
+            .zip(&last_merged.report_spans)
+            .map(|((_, body), span)| Prior {
+                body,
+                copy: &last_merged.doc[span.clone()],
+            })
+            .collect();
+        let tree_bytes = serde_json::from_str::<serde_json::Value>(odd)
+            .unwrap()
+            .to_string();
+        assert_eq!(priors[3].copy, tree_bytes);
+
+        let again = |shards: &[usize]| -> Vec<(usize, String)> {
+            shards.iter().map(|&i| last[i].clone()).collect()
+        };
+        // `shards` in arrival order, the `at`-th arrival's bytes replaced
+        let changed = |shards: &[usize], at: usize, json: String| {
+            let mut cells = again(shards);
+            cells[at].1 = json;
+            cells
+        };
+        let one_digit = report(1).replacen("\"x\": 1.5", "\"x\": 7.5", 1);
+        assert_ne!(one_digit, report(1));
+        let compact = GridMerger::copy(2, &report(2)).unwrap();
+        let out_of_range = [again(&[0]), vec![(9, report(9))], again(&[1, 2, 3])].concat();
+        // (case, arrivals, reports that matched their prior)
+        let cases = vec![
+            ("identical", again(&[3, 1, 0, 2]), 4),
+            ("one digit changed", changed(&[2, 0, 3, 1], 3, one_digit), 3),
+            ("compact form", changed(&[0, 2, 1, 3], 1, compact), 3),
+            ("duplicate", again(&[0, 1, 1, 2, 3]), 5),
+            ("out of range", out_of_range, 4),
+            ("missing", again(&[3, 0, 1]), 3),
+        ];
+        for (case, arrivals, reused) in &cases {
+            let expected = reference(&s, arrivals);
+            let mut bodies = arrivals.clone();
+            bodies.sort_by_key(|&(shard, _)| shard);
+            for copiers in 1..=3 {
+                let got = run_merge(&s, &priors, copiers, arrivals);
+                let at = format!("{case}, {copiers} copy threads");
+                assert_eq!(got.merged, expected, "{at}");
+                assert_eq!(got.reused, *reused, "{at}");
+                assert_eq!(got.bodies, bodies, "{at}");
+            }
+        }
+        // a last run with fewer shards: the shards past its end are walked
+        let identical = again(&[3, 1, 0, 2]);
+        for copiers in 1..=3 {
+            let got = run_merge(&s, &priors[..2], copiers, &identical);
+            assert_eq!(
+                got.merged,
+                reference(&s, &identical),
+                "{copiers} copy threads"
+            );
+            assert_eq!(got.reused, 2, "{copiers} copy threads");
+        }
+        let outcomes: Vec<String> = cases
+            .iter()
+            .map(|(_, arrivals, _)| match reference(&s, arrivals) {
+                Ok(merged) => format!("ok {}", &merged.doc[merged.report_spans[3].clone()]),
+                Err(e) => e.to_string(),
+            })
+            .collect();
+        let ok = format!("ok {tree_bytes}");
+        assert_eq!(
+            outcomes,
+            [
+                ok.as_str(),
+                &ok,
+                &ok,
+                "invalid spec: shard 1 reported twice",
+                "invalid spec: shard 9 out of range for a 4-cell grid",
+                "invalid spec: shard 2 missing from the merge",
+            ]
+        );
     }
 }

@@ -292,6 +292,8 @@ mod tests {
         assert!(h.result().is_none());
         h.finish(Ok(FleetRun {
             merged: "{}".to_string(),
+            report_spans: Vec::new(),
+            reused: 0,
             outcome: Default::default(),
             nodes: vec![snapshot(NodeState::Healthy)],
             trace_json: "{}".to_string(),
