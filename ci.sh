@@ -580,11 +580,19 @@ cmp /tmp/proof_ci_stream2.json /tmp/proof_ci_stream_ref.json
 # run 2's reports repeat run 1's bytes, so its merge reused all 6 cells
 curl -sf "http://${coord_addr}/metrics" | python3 -c \
     'import json,sys; c=json.load(sys.stdin)["counters"]; assert c["fleet_cells_reused"] == 6, c'
+# the last run's trace renders on request from the nodes' span listings:
+# two renders read the same bytes, with every shard and its job laid out
+curl -sf "http://${coord_addr}/grid/trace" -o /tmp/proof_ci_stream_t1.json
+curl -sf "http://${coord_addr}/grid/trace" -o /tmp/proof_ci_stream_t2.json
+cmp /tmp/proof_ci_stream_t1.json /tmp/proof_ci_stream_t2.json
+python3 -c 'import json,sys; names=[e["name"] for e in json.load(open(sys.argv[1]))["traceEvents"]]; assert names.count("fleet_shard") == 6 and names.count("job") == 6, names' \
+    /tmp/proof_ci_stream_t1.json
 curl -sf "http://${coord_addr}/healthz" | python3 -c \
     'import json,sys; h=json.load(sys.stdin); assert h["runs_total"] >= 2 and h["running"] is False, h; print("  streaming OK: %d run(s), alive %d" % (h["runs_total"], h["alive"]))'
 kill "$pid_a" "$pid_b" "$pid_f" 2>/dev/null || true
 trap - EXIT
 rm -f "$log_a" "$log_b" "$log_f" /tmp/proof_ci_stream.json /tmp/proof_ci_stream2.json \
-    /tmp/proof_ci_stream_again.json /tmp/proof_ci_stream_ref.json
+    /tmp/proof_ci_stream_again.json /tmp/proof_ci_stream_ref.json \
+    /tmp/proof_ci_stream_t1.json /tmp/proof_ci_stream_t2.json
 
 echo "CI OK"

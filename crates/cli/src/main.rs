@@ -614,9 +614,10 @@ fn cmd_fleet_sweep(flags: HashMap<String, String>) -> ExitCode {
         }
         // the merged cross-node Chrome trace: coordinator track + job
         // subtrees laid out by shard, Perfetto-loadable, byte-reproducible
-        // for a fixed spec/seed
+        // for a fixed spec/seed; rendered from the nodes' span listings,
+        // so before the shutdown below stops the embedded daemons
         if let Some(path) = flags.get("trace-out") {
-            std::fs::write(path, &run.trace_json).expect("write trace");
+            std::fs::write(path, run.trace_json()).expect("write trace");
             eprintln!("wrote {path}");
         }
         fleet.shutdown();

@@ -22,7 +22,7 @@ use crate::sweep::{BatchSweep, SweepPoint};
 use serde::Serialize;
 use serde_json::{Map, Value};
 use std::borrow::Cow;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
 /// Largest cell count a single grid may expand to: every grid, whether a
 /// fleet run, a serve sweep or a one-cell job body.
@@ -308,11 +308,16 @@ impl GridSpec {
 /// `reports` pairs each shard id (index into [`GridSpec::cells`]) with the
 /// worker-produced report JSON for that cell, in **any** order — the merge
 /// slots them canonically. Every shard must appear exactly once; a missing
-/// or duplicate shard is an error, never a silently partial document.
-pub fn merge_cells(spec: &GridSpec, reports: &[(usize, String)]) -> Result<String, ProofError> {
+/// or duplicate shard is an error, never a silently partial document. A
+/// report may be any owner of its text: a `String`, or a shared
+/// `Arc<String>`.
+pub fn merge_cells<B>(spec: &GridSpec, reports: &[(usize, B)]) -> Result<String, ProofError>
+where
+    B: Deref<Target: AsRef<str>>,
+{
     let mut merger = GridMerger::new(spec);
     for (shard, json) in reports {
-        merger.insert(*shard, json);
+        merger.insert(*shard, (**json).as_ref());
     }
     merger.finish().map(|merged| merged.doc)
 }
@@ -684,7 +689,7 @@ mod tests {
             seed: 7,
         };
         assert_eq!(
-            merge_cells(&bare, &[(0, "{}".into())]).unwrap(),
+            merge_cells(&bare, &[(0, String::from("{}"))]).unwrap(),
             r#"{"cells":[{"report":{},"spec":{"batch":2,"hardware":"a100","model":"resnet-50","seed":7}}],"grid":{"backends":null,"batches":[2],"dtypes":null,"mode":null,"models":["resnet-50"],"platforms":["a100"],"seed":7},"sweep":null}"#
         );
         let full = GridSpec {
@@ -697,7 +702,7 @@ mod tests {
             seed: 3,
         };
         assert_eq!(
-            merge_cells(&full, &[(0, "{}".into())]).unwrap(),
+            merge_cells(&full, &[(0, String::from("{}"))]).unwrap(),
             r#"{"cells":[{"report":{},"spec":{"backend":"ort","batch":1,"dtype":"fp32","hardware":"rtx-4090","mode":"measured","model":"vit-tiny","seed":3}}],"grid":{"backends":["ort"],"batches":[1],"dtypes":["fp32"],"mode":"measured","models":["vit-tiny"],"platforms":["rtx-4090"],"seed":3},"sweep":null}"#
         );
     }

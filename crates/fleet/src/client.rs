@@ -21,6 +21,7 @@ use proof_serve::{CacheTiers, PeerList, PeersAdded, Response, TraceSpans};
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The load signals the weighted scheduler scores on, from `GET /healthz`.
@@ -75,8 +76,8 @@ pub enum Submission {
     /// `201`: queued under this job id; its status says when it is done.
     Queued(u64),
     /// `200`: the job finished within the submission's wait, and `report`
-    /// is its artifact, byte-exact.
-    Done { job_id: u64, report: String },
+    /// is its artifact, byte-exact, in the buffer the reply was read into.
+    Done { job_id: u64, report: Arc<String> },
 }
 
 /// Lifecycle of a submitted job, from `GET /jobs/<id>`.
@@ -181,7 +182,7 @@ fn submission(r: Response) -> Result<Submission, WorkerError> {
     match (r.status, r.job) {
         (200, Some(job_id)) => Ok(Submission::Done {
             job_id,
-            report: r.into_body(),
+            report: r.body,
         }),
         (201, _) => Ok(Submission::Queued(r.decode::<Queued>()?.id)),
         (429 | 503, _) => Err(busy(&r)),
@@ -389,11 +390,12 @@ impl WorkerClient {
         Ok(r.into_body())
     }
 
-    /// `GET /jobs/<id>/report` — the finished artifact, byte-exact.
-    pub fn report(&self, id: u64) -> Result<String, WorkerError> {
+    /// `GET /jobs/<id>/report` — the finished artifact, byte-exact, in
+    /// the buffer the reply was read into.
+    pub fn report(&self, id: u64) -> Result<Arc<String>, WorkerError> {
         let r = self.get(&format!("/jobs/{id}/report"))?;
         match r.status {
-            200 => Ok(r.into_body()),
+            200 => Ok(r.body),
             429 | 503 => Err(busy(&r)),
             500 | 504 => Err(WorkerError::JobFailed(r.into_body())),
             s => Err(WorkerError::Protocol(format!("report returned {s}"))),

@@ -7,22 +7,28 @@
 //! spec, mints a [`RunHandle`] on the run ledger, and queues the run for
 //! the fleet's one run thread, `fleet-run`. That thread owns the
 //! [`NodeRegistry`] by value, runs the queued grids one at a time in
-//! submission order, keeps the last successful run so the next run's
-//! merge can reuse the cells whose report bytes repeat, and publishes
-//! each run's progress through its handle's
-//! [`ProgressSink`](crate::progress::ProgressSink), so a backlog of
-//! accepted runs costs queue entries, not threads. [`Fleet::run_grid`]
-//! is the synchronous wrapper (submit + wait). The registry snapshot, last
-//! merged trace, and health view stay readable from the shared
+//! submission order, and publishes each run's progress through its
+//! handle's [`ProgressSink`](crate::progress::ProgressSink), so a backlog
+//! of accepted runs costs queue entries, not threads. [`Fleet::run_grid`]
+//! is the synchronous wrapper (submit + wait). The registry snapshot, the
+//! last successful run, and the health view stay readable from the shared
 //! [`FleetView`] — the coordinator HTTP surface never blocks on a running
-//! grid.
+//! grid. The last successful run is also the next run's baseline: its
+//! merge reuses the cells whose report bytes repeat, and their buffers.
+//!
+//! A run does no trace work. Its cross-node trace is rendered on request
+//! ([`FleetRun::trace_json`], `GET /grid/trace`): the nodes' span
+//! listings are fetched then, over the scrape clients, and merged, and
+//! the first complete render is kept on the run. The listings live on
+//! the nodes, so render a trace before [`Fleet::shutdown`] stops the
+//! embedded daemons that hold them.
 //!
 //! [`run_grid_local`] is the in-process single-node reference producing
 //! the byte-identical document without any HTTP — the determinism contract
 //! the integration tests and CI smoke pin down.
 
 use crate::client::WorkerClient;
-use crate::dispatcher::{DispatchCtx, DispatchOutcome, Dispatcher, FleetCounters, ShardReport};
+use crate::dispatcher::{DispatchCtx, DispatchOutcome, Dispatcher, FleetCounters};
 use crate::merger::{spawn_merge, Prior};
 use crate::planner::{plan_shards, ShardPlan};
 use crate::registry::{NodeRegistry, NodeSnapshot};
@@ -37,14 +43,14 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Transport bound for the coordinator's lock-free node scrapes
-/// (federated metrics, healthz cache aggregation). Short on purpose: an
-/// unreachable node should cost one bounded connect attempt, not stall
-/// the scrape.
+/// (federated metrics, healthz cache aggregation, trace renders). Short
+/// on purpose: an unreachable node should cost one bounded connect
+/// attempt, not stall the scrape.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Why a fleet run could not produce its artifact.
@@ -156,6 +162,8 @@ impl FleetConfig {
 /// The result of one grid run.
 #[derive(Debug, Clone)]
 pub struct FleetRun {
+    /// The run's trace id: the nodes hold its job spans under it.
+    pub trace: u64,
     /// The merged artifact — byte-identical to [`run_grid_local`] of the
     /// same spec.
     pub merged: String,
@@ -172,11 +180,63 @@ pub struct FleetRun {
     pub outcome: DispatchOutcome,
     /// Node states after the run.
     pub nodes: Vec<NodeSnapshot>,
+    /// One scrape client per node, in registry order, for
+    /// [`FleetRun::trace_json`].
+    pub(crate) scrapers: Arc<[WorkerClient]>,
+    /// The first complete render of [`FleetRun::trace_json`].
+    pub(crate) trace_doc: OnceLock<String>,
+}
+
+impl FleetRun {
     /// The merged cross-node Chrome-trace document: the synthesized
     /// coordinator track plus each shard's job subtree, laid out by shard
     /// (see [`crate::trace`]). Byte-deterministic for a given spec and
     /// seed, whichever node ran each shard.
-    pub trace_json: String,
+    ///
+    /// Rendered on request: a call fetches every node's span listing for
+    /// the run's trace, bounded by the 2 s scrape timeout, and merges them
+    /// with the dispatch record. The first render in which every node
+    /// that ran a shard answered with its listing is kept, and later calls
+    /// return it without asking any node, so a complete trace keeps its
+    /// bytes when nodes restart or stop. Until then a render is
+    /// best-effort — a node that cannot answer, or no longer holds the
+    /// trace, contributes no job subtrees — and the next call asks again.
+    /// So render a trace before [`Fleet::shutdown`] stops the embedded
+    /// daemons.
+    pub fn trace_json(&self) -> String {
+        if let Some(doc) = self.trace_doc.get() {
+            return doc.clone();
+        }
+        let node_docs: Vec<(usize, TraceSpans)> = self
+            .scrapers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, client)| match client.fetch_trace_spans(self.trace) {
+                Ok(Some(doc)) => Some((i, doc)),
+                Ok(None) => None,
+                Err(e) => {
+                    proof_obs::event(
+                        proof_obs::Level::Warn,
+                        "proof_fleet",
+                        format!("trace fetch from {} failed: {e}", client.addr),
+                        Vec::new(),
+                    );
+                    None
+                }
+            })
+            .collect();
+        let doc = merge_fleet_trace(&self.outcome.shards, self.scrapers.len(), &node_docs);
+        let complete = self
+            .outcome
+            .shards
+            .iter()
+            .all(|r| node_docs.iter().any(|(node, _)| *node == r.node));
+        if complete {
+            // a concurrent complete render produced the same bytes
+            let _ = self.trace_doc.set(doc.clone());
+        }
+        doc
+    }
 }
 
 /// The shared coordinator core: everything the run thread, the HTTP
@@ -186,8 +246,9 @@ struct FleetInner {
     config: FleetConfig,
     /// One scrape client per node, in registry order, bounded by
     /// [`SCRAPE_TIMEOUT`]: reads that must answer while the run thread
-    /// dispatches go through these.
-    scrapers: Vec<WorkerClient>,
+    /// dispatches go through these, and every run keeps them to render
+    /// its trace.
+    scrapers: Arc<[WorkerClient]>,
     metrics: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
     view: Arc<FleetView>,
@@ -198,8 +259,8 @@ struct FleetInner {
 type QueuedRun = (GridSpec, ShardPlan, Arc<RunHandle>);
 
 /// The priors a run that follows `last` gives its merge, indexed by shard
-/// id: `last`'s report for each of its shards as the node sent it, and
-/// that run's copy of it in its document. A shard of the new grid is
+/// id: `last`'s report buffer for each of its shards, and that run's copy
+/// of it in its document. A shard of the new grid is
 /// matched with the same shard of `last`, whatever its cell; the merge
 /// compares every byte, so a shard whose cell moved is walked.
 fn priors(last: &FleetRun) -> Vec<Prior<'_>> {
@@ -350,9 +411,10 @@ impl Fleet {
         federated_prometheus_from(&self.inner.metrics, &self.inner.scrapers)
     }
 
-    /// The merged cross-node trace document of the most recent grid run.
+    /// The merged cross-node trace document of the most recent successful
+    /// grid run ([`FleetRun::trace_json`]).
     pub fn last_trace(&self) -> Option<String> {
-        self.inner.view.last_trace()
+        self.inner.view.last_run().map(|run| run.trace_json())
     }
 
     /// The coordinator's flight recorder: a bounded ring of structured
@@ -385,7 +447,9 @@ impl Fleet {
 
     /// Close the run queue and join the run thread, which first finishes
     /// every run already accepted; then shut down embedded daemons (their
-    /// queues drain first). Remote nodes are untouched.
+    /// queues drain first). Remote nodes are untouched. An embedded
+    /// daemon's spans go with it, so render any trace wanted from it
+    /// ([`FleetRun::trace_json`], [`Fleet::last_trace`]) first.
     pub fn shutdown(self) {
         drop(self.queue);
         self.run_thread
@@ -402,17 +466,19 @@ impl Fleet {
 /// under `catch_unwind`, so a run that panics fails its own handle with
 /// the panic text and the thread goes on to the next run. However a run
 /// ends, its in-flight counts are settled and the view republished before
-/// its handle finishes, so `/nodes` reads `in_flight` 0 between runs. The
-/// last successful run is kept for the next run's merge to reuse; a failed
-/// or panicked run leaves it as it was.
+/// its handle finishes, so `/nodes` reads `in_flight` 0 between runs. A
+/// successful run is published on the view as the last run before its
+/// handle flips, so a client that sees `state: done` can always render
+/// `/grid/trace`; it is the next run's merge baseline. A failed or
+/// panicked run leaves the last run as it was.
 fn run_queue(
     inner: &FleetInner,
     mut registry: NodeRegistry,
     counters: &FleetCounters,
     accepted: mpsc::Receiver<QueuedRun>,
 ) {
-    let mut last: Option<Arc<FleetRun>> = None;
     for (spec, plan, handle) in accepted {
+        let last = inner.view.last_run();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let priors = last.as_deref().map(priors).unwrap_or_default();
             execute_run(
@@ -429,13 +495,15 @@ fn run_queue(
             Err(FleetError::Panicked(proof_serve::panic_message(
                 panic.as_ref(),
             )))
-        });
-        if let Err(e) = &result {
-            inner.flight.record(
+        })
+        .map(Arc::new);
+        match &result {
+            Ok(run) => inner.view.set_last_run(Arc::clone(run)),
+            Err(e) => inner.flight.record(
                 "run",
                 format!("run {} failed: {e}", handle.id()),
                 vec![("run", FieldValue::U64(handle.id()))],
-            );
+            ),
         }
         // a failed or panicked run returns with shards still in flight
         registry.settle_in_flight();
@@ -447,17 +515,13 @@ fn run_queue(
         active.set(inner.runs.active().saturating_sub(1) as f64);
         handle.finish(result);
         active.set(inner.runs.active() as f64);
-        if let Some(Ok(run)) = handle.result() {
-            last = Some(run);
-        }
     }
 }
 
 /// One run on the run thread: dispatch over the registry, publishing
 /// progress through the handle's sink and the shared view, and produce the
-/// merged artifact + cross-node trace. `priors` holds, by shard id, the
-/// last successful run's report and copy of each of its shards (empty
-/// before the first).
+/// merged artifact. `priors` holds, by shard id, the last successful run's
+/// report and copy of each of its shards (empty before the first).
 fn execute_run(
     inner: &FleetInner,
     registry: &mut NodeRegistry,
@@ -501,7 +565,7 @@ fn execute_run(
         .map_or(1, |cores| cores.get())
         .min(plan.shards.len())
         .max(1);
-    let (outcome, merged, reused, trace_json) = std::thread::scope(|scope| {
+    let (outcome, merged, reused) = std::thread::scope(|scope| {
         let (reports, arrivals) = mpsc::channel();
         let merge = spawn_merge(scope, spec, priors, trace, copiers, arrivals)
             .map_err(|e| FleetError::Io(format!("cannot start the merge thread: {e}")))?;
@@ -531,24 +595,15 @@ fn execute_run(
             }
             inner.metrics.counter("fleet_cache_remote_hits").add(delta);
         }
-        // the nodes' span listings are fetched while the merge thread
-        // slots the copies and writes the document
-        let dispatched = outcome.map(|outcome| {
-            let trace_json = fleet_trace(registry, trace, &outcome.shards);
-            (outcome, trace_json)
-        });
         let merge = merge
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let (mut outcome, trace_json) = dispatched?;
+        let mut outcome = outcome?;
         let merged = merge.merged?;
         outcome.results = merge.bodies;
-        Ok::<_, FleetError>((outcome, merged, merge.reused, trace_json))
+        Ok::<_, FleetError>((outcome, merged, merge.reused))
     })?;
     counters.cells_reused.add(reused as u64);
-    // publish the trace before the handle flips to finished, so a client
-    // that sees `state: done` can always fetch `/grid/trace`
-    inner.view.set_last_trace(trace_json.clone());
     inner.flight.record(
         "run",
         format!(
@@ -583,39 +638,15 @@ fn execute_run(
             .set(n.failures as f64);
     }
     Ok(FleetRun {
+        trace,
         merged: merged.doc,
         report_spans: merged.report_spans,
         reused,
         outcome,
         nodes,
-        trace_json,
+        scrapers: Arc::clone(&inner.scrapers),
+        trace_doc: OnceLock::new(),
     })
-}
-
-/// The run's cross-node trace: each node's raw span listing for `trace`
-/// (best-effort — a node that restarted or evicted the trace just
-/// contributes no job subtrees) merged with the dispatch record into one
-/// deterministic document.
-fn fleet_trace(registry: &NodeRegistry, trace: u64, shards: &[ShardReport]) -> String {
-    let node_docs: Vec<(usize, TraceSpans)> = (0..registry.len())
-        .filter_map(|i| {
-            let client = registry.client(i);
-            match client.fetch_trace_spans(trace) {
-                Ok(Some(doc)) => Some((i, doc)),
-                Ok(None) => None,
-                Err(e) => {
-                    proof_obs::event(
-                        proof_obs::Level::Warn,
-                        "proof_fleet",
-                        format!("trace fetch from {} failed: {e}", client.addr),
-                        Vec::new(),
-                    );
-                    None
-                }
-            }
-        })
-        .collect();
-    merge_fleet_trace(shards, registry.len(), &node_docs)
 }
 
 /// Tell every node about every *other* node's cache endpoint

@@ -125,13 +125,15 @@ pub struct ShardReport {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchOutcome {
     /// `(shard id, report JSON)` for every cell, in canonical order, each
-    /// report as the node sent it: the merge's input, so
-    /// [`merge_run`](crate::merge_run) over it gives the run's document,
-    /// and the next run's reuse baseline. [`Dispatcher::run`] moves every
-    /// report to the run's copy threads instead of keeping it here, so
-    /// this is empty in the outcome it returns; the coordinator fills it
-    /// from the merge thread once the run has merged.
-    pub results: Vec<(usize, String)>,
+    /// report as the node sent it, in the buffer its reply was read into
+    /// — or, for a report whose bytes repeat the last run's, that run's
+    /// buffer. It is the merge's input, so [`merge_run`](crate::merge_run)
+    /// over it gives the run's document, and the next run's reuse
+    /// baseline. [`Dispatcher::run`] moves every report to the run's copy
+    /// threads instead of keeping it here, so this is empty in the outcome
+    /// it returns; the coordinator fills it from the merge thread once the
+    /// run has merged.
+    pub results: Vec<(usize, Arc<String>)>,
     /// Per-shard completion records, in completion order (unordered with
     /// respect to shard ids).
     pub shards: Vec<ShardReport>,
@@ -203,7 +205,7 @@ pub struct DispatchCtx {
     /// The run's copy threads: each resolved shard's report is moved here
     /// as it lands, and whichever copy thread is free takes it. Dropped
     /// when the run ends, which ends the merge.
-    pub reports: Sender<(usize, String)>,
+    pub reports: Sender<(usize, Arc<String>)>,
 }
 
 /// The dispatch loop itself. Owns tuning and the run context, so it serves
@@ -270,7 +272,9 @@ impl Dispatcher {
             self.ctx.metrics.gauge(&format!("node{i}_ewma_us"));
         }
 
-        // opening probe: seed health and the per-run load picture
+        // opening probe: seed health and the per-run load picture, whose
+        // latency estimates start afresh
+        registry.forget_latencies();
         for i in 0..registry.len() {
             self.probe(registry, i, &mut outcome);
             last_probe.push(Instant::now());
@@ -567,7 +571,7 @@ impl Dispatcher {
         // `Keep` leaves the job in flight; the other arms resolve it.
         enum Resolution {
             Keep,
-            Done(String),
+            Done(Arc<String>),
             Fail { why: String, timed_out: bool },
         }
         let StatusSent { entry, reply } = sent;
@@ -628,7 +632,7 @@ impl Dispatcher {
     }
 
     /// Collect a finished shard's report.
-    fn complete(&self, registry: &mut NodeRegistry, entry: InFlight, report: String) {
+    fn complete(&self, registry: &mut NodeRegistry, entry: InFlight, report: Arc<String>) {
         registry.note_success(entry.node);
         self.ctx.counters.completed.inc();
         let shard_us = entry

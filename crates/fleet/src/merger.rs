@@ -16,38 +16,49 @@
 //! back-to-back arrivals are copied on every core. When dispatch ends —
 //! done or failed — the channel closes; the merge thread joins its
 //! helpers, slots the copies in arrival order ([`GridMerger::slot`]) and
-//! writes the document ([`GridMerger::finish`]) while the run thread
-//! fetches the nodes' span listings; then the run thread joins it.
+//! writes the document ([`GridMerger::finish`]); then the run thread
+//! joins it.
 //!
 //! A copy thread walks a report ([`GridMerger::copy`]) unless the run was
 //! given a `Prior` for its shard id — the bytes the fleet's last
 //! successful run received for the same shard, and that run's copy of
 //! them — and the report equals those bytes, byte for byte. Then the
-//! cell's copy is the prior one, borrowed from the last run's document:
-//! `copy` is a pure function of the bytes, so the document is the same
-//! either way, and a repeated grid on warm nodes compares its cells
-//! instead of walking them. Every byte is compared; nothing is hashed or
-//! trusted, so a shard whose cell differs from last time is walked.
+//! cell's copy is the prior one, borrowed from the last run's document,
+//! and the cell's report is the prior's shared buffer: the received
+//! buffer is freed at once, so the next reply is read into memory just
+//! released rather than into fresh pages. `copy` is a pure function of
+//! the bytes, so the document is the same either way, and a repeated grid
+//! on warm nodes compares its cells instead of walking them. Every byte
+//! is compared; nothing is hashed or trusted, so a shard whose cell
+//! differs from last time is walked.
 //!
-//! Past its HTTP read, a walked report's bytes are copied twice: the walk
-//! that checks them copies them into the cell's slot, and `finish`
+//! Every report travels as the `Arc<String>` its HTTP reply was read
+//! into, so none is copied on its way from the node to the run. Past its
+//! HTTP read, a walked report's bytes are copied twice: the walk that
+//! checks them copies them into the cell's slot, and `finish`
 //! concatenates the slots into the document; a reused cell is copied only
-//! by `finish`. The run keeps each report as it was received, as the next
-//! run's priors. The finished run is then handed to every caller as one
-//! shared `Arc<FleetRun>` (see [`crate::runs::RunHandle::wait`]); only an
-//! HTTP reply copies the document, into its body.
+//! by `finish`. The run keeps each report, as the next run's priors. The
+//! finished run is then handed to every caller as one shared
+//! `Arc<FleetRun>` (see [`crate::runs::RunHandle::wait`]); only an HTTP
+//! reply copies the document, into its body.
 
 use proof_core::{merge_cells, GridMerger, GridSpec, MergedGrid, ProofError};
 use std::borrow::Cow;
+use std::ops::Deref;
 use std::sync::mpsc::Receiver;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::{Builder, Scope, ScopedJoinHandle};
 
 /// Merge shard results into the combined artifact. Exactly one report per
 /// shard id is required; order does not matter (the merge slots
 /// canonically), which is what makes the output independent of dispatch
-/// interleaving.
-pub fn merge_run(spec: &GridSpec, results: &[(usize, String)]) -> Result<String, ProofError> {
+/// interleaving. A report may be any owner of its text: a `String`, or
+/// the `Arc<String>` a run keeps in
+/// [`DispatchOutcome::results`](crate::DispatchOutcome::results).
+pub fn merge_run<B>(spec: &GridSpec, results: &[(usize, B)]) -> Result<String, ProofError>
+where
+    B: Deref<Target: AsRef<str>>,
+{
     merge_cells(spec, results)
 }
 
@@ -55,7 +66,7 @@ pub fn merge_run(spec: &GridSpec, results: &[(usize, String)]) -> Result<String,
 /// received, and the compact copy of them its document holds.
 #[derive(Debug)]
 pub(crate) struct Prior<'p> {
-    pub body: &'p str,
+    pub body: &'p Arc<String>,
     pub copy: &'p str,
 }
 
@@ -64,8 +75,9 @@ pub(crate) struct Prior<'p> {
 pub(crate) struct RunMerge {
     /// The merged document, or the error [`merge_cells`] would give.
     pub merged: Result<MergedGrid, ProofError>,
-    /// Every `(shard id, report)` as it was received, sorted by shard id.
-    pub bodies: Vec<(usize, String)>,
+    /// Every `(shard id, report)` as it was received, sorted by shard id;
+    /// a report that matched its prior is the prior's buffer.
+    pub bodies: Vec<(usize, Arc<String>)>,
     /// How many reports matched their prior and were not walked.
     pub reused: usize,
 }
@@ -74,19 +86,19 @@ pub(crate) struct RunMerge {
 /// run's trace id. It starts `copiers - 1` helpers, `copy-<trace>-<i>`,
 /// and all `copiers` threads copy every `(shard id, report)` that
 /// `arrivals` yields: a report equal to `priors[shard]`'s body takes its
-/// copy, and any other, or one whose shard is past the end of `priors`,
-/// is walked. Once every sender is dropped, the merge thread joins the
-/// helpers, slots the copies in arrival order — so the first out-of-range
-/// or duplicate shard to arrive names the error, as in [`merge_cells`] —
-/// and finishes the merge. A panic in any copy thread
-/// reaches the merge thread's join.
+/// copy and its buffer, and any other, or one whose shard is past the end
+/// of `priors`, is walked. Once every sender is dropped, the merge thread
+/// joins the helpers, slots the copies in arrival order — so the first
+/// out-of-range or duplicate shard to arrive names the error, as in
+/// [`merge_cells`] — and finishes the merge. A panic in any
+/// copy thread reaches the merge thread's join.
 pub(crate) fn spawn_merge<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     spec: &'env GridSpec,
     priors: &'env [Prior<'env>],
     trace: u64,
     copiers: usize,
-    arrivals: Receiver<(usize, String)>,
+    arrivals: Receiver<(usize, Arc<String>)>,
 ) -> std::io::Result<ScopedJoinHandle<'scope, RunMerge>> {
     Builder::new()
         .name(format!("merge-{trace}"))
@@ -136,7 +148,7 @@ pub(crate) fn spawn_merge<'scope, 'env>(
 /// reports they have taken from it.
 struct Arrivals {
     taken: usize,
-    arrivals: Receiver<(usize, String)>,
+    arrivals: Receiver<(usize, Arc<String>)>,
 }
 
 /// One shard's report as received and its copy, tagged with its arrival
@@ -144,7 +156,7 @@ struct Arrivals {
 struct CellCopy<'p> {
     arrival: usize,
     shard: usize,
-    body: String,
+    body: Arc<String>,
     copy: Result<Cow<'p, str>, ProofError>,
 }
 
@@ -161,9 +173,16 @@ fn copy_arrivals<'p>(arrivals: &Mutex<Arrivals>, priors: &[Prior<'p>]) -> Vec<Ce
             shared.taken += 1;
             (shared.taken, next)
         };
-        let copy = match priors.get(shard) {
-            Some(prior) if prior.body == body => Ok(Cow::Borrowed(prior.copy)),
-            _ => GridMerger::copy(shard, &body).map(Cow::Owned),
+        let (body, copy) = match priors.get(shard) {
+            Some(prior) if **prior.body == *body => {
+                // free the received buffer now, for the next reply to reuse
+                drop(body);
+                (Arc::clone(prior.body), Ok(Cow::Borrowed(prior.copy)))
+            }
+            _ => {
+                let copy = GridMerger::copy(shard, &body).map(Cow::Owned);
+                (body, copy)
+            }
         };
         copies.push(CellCopy {
             arrival,
@@ -220,8 +239,8 @@ mod tests {
         std::thread::scope(|scope| {
             let (reports, received) = mpsc::channel();
             let merge = spawn_merge(scope, spec, priors, 0, copiers, received).unwrap();
-            for arrival in arrivals {
-                reports.send(arrival.clone()).unwrap();
+            for (shard, json) in arrivals {
+                reports.send((*shard, Arc::new(json.clone()))).unwrap();
             }
             drop(reports);
             merge.join().unwrap()
@@ -343,10 +362,14 @@ mod tests {
             (3, odd.to_string()),
         ];
         let last_merged = reference(&s, &last).unwrap();
-        let priors: Vec<Prior> = last
+        let last_bodies: Vec<Arc<String>> = last
+            .iter()
+            .map(|(_, body)| Arc::new(body.clone()))
+            .collect();
+        let priors: Vec<Prior> = last_bodies
             .iter()
             .zip(&last_merged.report_spans)
-            .map(|((_, body), span)| Prior {
+            .map(|(body, span)| Prior {
                 body,
                 copy: &last_merged.doc[span.clone()],
             })
@@ -387,7 +410,23 @@ mod tests {
                 let at = format!("{case}, {copiers} copy threads");
                 assert_eq!(got.merged, expected, "{at}");
                 assert_eq!(got.reused, *reused, "{at}");
-                assert_eq!(got.bodies, bodies, "{at}");
+                let got_bodies: Vec<(usize, String)> = got
+                    .bodies
+                    .iter()
+                    .map(|(shard, body)| (*shard, body.to_string()))
+                    .collect();
+                assert_eq!(got_bodies, bodies, "{at}");
+                // a report that matched its prior is the prior's buffer
+                let shared = got
+                    .bodies
+                    .iter()
+                    .filter(|(shard, body)| {
+                        priors
+                            .get(*shard)
+                            .is_some_and(|prior| Arc::ptr_eq(prior.body, body))
+                    })
+                    .count();
+                assert_eq!(shared, *reused, "{at}");
             }
         }
         // a last run with fewer shards: the shards past its end are walked

@@ -9,7 +9,8 @@
 //!
 //! Beyond health, every node carries a load picture for the weighted
 //! scheduler: the worker/queue capacities its `/healthz` advertises
-//! (refreshed on the probe cadence) and an EWMA of observed shard latency.
+//! (refreshed on the probe cadence) and an EWMA of the shard latency
+//! observed in the current run (each run starts without one).
 //! [`NodeRegistry::pick_weighted`] scores candidates by estimated completion
 //! time — `(in_flight + 1) × ewma_us ÷ workers` — so a heterogeneous fleet
 //! keeps its fast nodes fed instead of tail-waiting on the slowest one.
@@ -288,6 +289,17 @@ impl NodeRegistry {
             n.in_flight = n.in_flight.saturating_sub(1);
         }
         n.backoff_until = Some(until);
+    }
+
+    /// A run starts: every node's latency estimate is forgotten. An
+    /// estimate moves only when its node resolves a shard, so one carried
+    /// over from the last run would let a node that turned fast (a warm
+    /// cache) hold every shard while an idle node's stale estimate never
+    /// fell. Each run measures its nodes afresh.
+    pub fn forget_latencies(&mut self) {
+        for n in &mut self.nodes {
+            n.ewma_us = None;
+        }
     }
 
     /// A run ended: none of its shards counts against a node any more.

@@ -2,7 +2,7 @@
 //! run thread dispatches while every HTTP handler reads, without waiting.
 //!
 //! - [`FleetView`] is the always-readable side — the latest registry
-//!   snapshot and the most recent merged trace, published by whoever is
+//!   snapshot and the last successful run, published by whoever is
 //!   driving a run (the dispatcher refreshes it as nodes probe and shards
 //!   resolve) and read lock-briefly by every HTTP handler.
 //! - [`RunHandle`] is one grid run's lifecycle: its id, its
@@ -24,11 +24,12 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// The coordinator state that must stay readable while the run thread
-/// dispatches: the per-node registry snapshot and the last merged trace.
+/// dispatches: the per-node registry snapshot and the last successful
+/// run, whose trace `GET /grid/trace` renders.
 #[derive(Default)]
 pub struct FleetView {
     nodes: Mutex<Vec<NodeSnapshot>>,
-    last_trace: Mutex<Option<String>>,
+    last_run: Mutex<Option<Arc<FleetRun>>>,
 }
 
 impl FleetView {
@@ -55,13 +56,15 @@ impl FleetView {
             .count()
     }
 
-    pub fn set_last_trace(&self, trace: String) {
-        *lock_or_recover(&self.last_trace) = Some(trace);
+    /// Publish a run that finished successfully (the run thread: before
+    /// its handle flips to finished).
+    pub fn set_last_run(&self, run: Arc<FleetRun>) {
+        *lock_or_recover(&self.last_run) = Some(run);
     }
 
-    /// The merged cross-node trace of the most recent finished run.
-    pub fn last_trace(&self) -> Option<String> {
-        lock_or_recover(&self.last_trace).clone()
+    /// The most recent successful run, shared.
+    pub fn last_run(&self) -> Option<Arc<FleetRun>> {
+        lock_or_recover(&self.last_run).clone()
     }
 }
 
@@ -99,9 +102,9 @@ impl RunHandle {
 
     /// Record the terminal state and wake every [`RunHandle::wait`]er.
     /// Called exactly once per run.
-    pub fn finish(&self, result: Result<FleetRun, FleetError>) {
+    pub fn finish(&self, result: Result<Arc<FleetRun>, FleetError>) {
         let mut state = lock_or_recover(&self.state);
-        *state = Lifecycle::Finished(result.map(Arc::new));
+        *state = Lifecycle::Finished(result);
         self.done.notify_all();
     }
 
@@ -253,19 +256,34 @@ mod tests {
         }
     }
 
+    /// A finished run over no nodes.
+    fn run() -> FleetRun {
+        FleetRun {
+            trace: 1,
+            merged: "{}".to_string(),
+            report_spans: Vec::new(),
+            reused: 0,
+            outcome: Default::default(),
+            nodes: vec![snapshot(NodeState::Healthy)],
+            scrapers: Vec::new().into(),
+            trace_doc: Default::default(),
+        }
+    }
+
     #[test]
     fn view_tracks_alive_and_trace() {
         let view = FleetView::new();
         assert_eq!(view.alive(), 0);
-        assert!(view.last_trace().is_none());
+        assert!(view.last_run().is_none());
         view.set_nodes(vec![
             snapshot(NodeState::Healthy),
             snapshot(NodeState::Dead),
         ]);
         assert_eq!(view.alive(), 1);
         assert_eq!(view.nodes().len(), 2);
-        view.set_last_trace("{}".to_string());
-        assert_eq!(view.last_trace().as_deref(), Some("{}"));
+        let last = Arc::new(run());
+        view.set_last_run(Arc::clone(&last));
+        assert!(Arc::ptr_eq(&view.last_run().unwrap(), &last));
     }
 
     #[test]
@@ -290,14 +308,7 @@ mod tests {
         let ledger = RunLedger::new();
         let h = ledger.create(1);
         assert!(h.result().is_none());
-        h.finish(Ok(FleetRun {
-            merged: "{}".to_string(),
-            report_spans: Vec::new(),
-            reused: 0,
-            outcome: Default::default(),
-            nodes: vec![snapshot(NodeState::Healthy)],
-            trace_json: "{}".to_string(),
-        }));
+        h.finish(Ok(Arc::new(run())));
         let first = h.result().unwrap().unwrap();
         let second = h.result().unwrap().unwrap();
         let waited = h.wait().unwrap();

@@ -17,13 +17,16 @@
 //!   path and `run_grid_local`), or the run's error (`400` for spec/merge
 //!   rejections, `500` otherwise).
 //! - `GET /grid/trace` — the merged cross-node Chrome-trace document of
-//!   the most recent finished run (Perfetto-loadable).
+//!   the most recent successful run (Perfetto-loadable), rendered on the
+//!   handler thread from the nodes' span listings the first time, and
+//!   kept once complete ([`FleetRun::trace_json`]); `404` before any run
+//!   succeeded.
 //! - `GET /healthz` — coordinator liveness, version, uptime, node counts
 //!   (`alive` always present, `running` true while any run is active),
 //!   and the fleet-wide cache-tier summary aggregated from the nodes.
 //! - `GET /nodes` — per-node registry snapshot: health state, in-flight,
-//!   advertised worker count, shard-latency EWMA (`ewma_us`, once
-//!   observed), and lifetime dispatch counters. Served from the shared
+//!   advertised worker count, the shard-latency EWMA of the current or
+//!   last run (`ewma_us`, once observed), and lifetime dispatch counters. Served from the shared
 //!   [`FleetView`] the dispatcher republishes, so it answers mid-run.
 //! - `GET /metrics[?format=prometheus]` — fleet counters; the Prometheus
 //!   form federates every reachable node's own exposition under a
@@ -148,8 +151,8 @@ impl Routes for SharedFleet {
                 200,
                 metrics_json_from(&self.metrics, &self.view.nodes()),
             )),
-            ("GET", ["grid", "trace"]) => match self.view.last_trace() {
-                Some(trace) => Ok(Response::json(200, trace)),
+            ("GET", ["grid", "trace"]) => match self.view.last_run() {
+                Some(run) => Ok(Response::json(200, run.trace_json())),
                 None => Err(Response::error(404, "no grid run yet")),
             },
             ("GET", ["grid", id, "status"]) => grid_status(self, id, &req.query),

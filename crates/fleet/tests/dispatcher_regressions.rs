@@ -8,21 +8,25 @@
 //!    probe-revived must receive dispatches immediately (the old
 //!    `note_probe` left the pre-death holdoff in place).
 //!
-//! Both tests run the dispatcher in a worker thread behind a watchdog:
+//! Those two tests run the dispatcher in a worker thread behind a watchdog:
 //! pre-fix, each scenario wedges the dispatch loop forever, which shows up
 //! here as a watchdog timeout instead of a hung test suite.
 //!
 //! The merge thread's failure paths are pinned here too: a failed dispatch
 //! returns promptly and leaves no merge thread behind, and a report that
 //! is not JSON fails the run with the merge's `shard N report: …` error.
+//!
+//! And a run's latency estimates start afresh: one carried over from a
+//! cold grid let a warm grid's first fast node hold every shard while the
+//! other node's stale estimate never refreshed.
 
 use proof_core::GridSpec;
 use proof_fleet::{run_grid_local, DispatcherConfig, Fleet, FleetConfig, FleetError, FleetRun};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn spec(json: &str) -> GridSpec {
@@ -478,4 +482,156 @@ fn unparseable_inline_report_fails_the_run_with_the_shard_error() {
         err.to_string(),
         "serialize: shard 0 report: expected `:` at line 1 column 37"
     );
+}
+
+/// A one-worker node that settles every waiting submission inline with
+/// an empty report: after `cold_ms` while `cold` holds, as a daemon takes
+/// to build a cell, and at once after, as it answers a cache hit.
+fn cold_then_warm_worker(cold_ms: u64, cold: Arc<AtomicBool>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let next_id = AtomicU64::new(1);
+    serve_scripted(listener, move |line| {
+        if line.starts_with("GET /healthz") {
+            (
+                200,
+                r#"{"status":"ok","queue_depth":0,"queue_capacity":64,"workers":1,"in_flight":0}"#
+                    .to_string(),
+                vec![],
+            )
+        } else if line.starts_with("POST /jobs") {
+            if cold.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(cold_ms));
+            }
+            let id = next_id.fetch_add(1, Ordering::Relaxed);
+            (200, "{}".to_string(), vec![("X-Proof-Job", id.to_string())])
+        } else if line.starts_with("POST /cache/peers") {
+            (200, r#"{"peers":1}"#.to_string(), vec![])
+        } else {
+            (404, r#"{"error":"no route"}"#.to_string(), vec![])
+        }
+    });
+    addr
+}
+
+/// A cold grid leaves latency estimates of milliseconds (a probe of a
+/// 2 × 1-worker fleet read ~3.5 and ~6.5 ms). Carried into a warm run of
+/// the same grid, they let the node with the lower one take more of the
+/// first shards, whose cache hits pull its estimate down faster, until
+/// it outscores the other node for every shard; an estimate moves only
+/// when its node completes a shard, so the idle node's never fell again
+/// and the next warm grid went wholly to one node. Every run now starts
+/// its estimates afresh, so each warm run feeds both nodes.
+#[test]
+fn a_warm_run_after_a_cold_one_feeds_every_node() {
+    let cold = Arc::new(AtomicBool::new(true));
+    let fleet = Fleet::start(FleetConfig {
+        nodes: vec![
+            cold_then_warm_worker(4, Arc::clone(&cold)),
+            cold_then_warm_worker(7, Arc::clone(&cold)),
+        ],
+        request_timeout: Duration::from_secs(2),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    // two models over ten batches: 20 cells, no batch sweep
+    let s = spec(
+        r#"{"models":["mobilenetv2-0.5","resnet-50"],"platform":"a100","batches":[1,2,3,4,5,6,7,8,9,10],"seed":41}"#,
+    );
+    fleet.run_grid(&s).unwrap();
+    cold.store(false, Ordering::Relaxed);
+    for pass in 1..=2 {
+        let warm = fleet.run_grid(&s).unwrap();
+        let completed: Vec<usize> = (0..2)
+            .map(|node| {
+                warm.outcome
+                    .shards
+                    .iter()
+                    .filter(|r| r.node == node)
+                    .count()
+            })
+            .collect();
+        assert!(
+            completed.iter().all(|&n| n >= 1),
+            "warm run {pass} starved a node: completed per node {completed:?}"
+        );
+    }
+    fleet.shutdown();
+}
+
+/// A one-worker node that queues every job and reports it done `job_ms`
+/// after its submission, with an empty report: a node that is slow to
+/// build a cell, polled like a real daemon.
+fn slow_worker(job_ms: u64) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let submitted: Mutex<Vec<Instant>> = Mutex::new(Vec::new());
+    serve_scripted(listener, move |line| {
+        let job_id = |rest: &str| -> usize {
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+            digits.and_then(|d| d.parse().ok()).unwrap_or(0)
+        };
+        if line.starts_with("GET /healthz") {
+            (
+                200,
+                r#"{"status":"ok","queue_depth":0,"queue_capacity":64,"workers":1,"in_flight":0}"#
+                    .to_string(),
+                vec![],
+            )
+        } else if line.starts_with("POST /jobs") {
+            let mut jobs = submitted.lock().unwrap();
+            jobs.push(Instant::now());
+            let id = jobs.len();
+            (201, format!(r#"{{"id":{id},"status":"queued"}}"#), vec![])
+        } else if let Some(rest) = line.strip_prefix("GET /jobs/") {
+            let id = job_id(rest);
+            if rest.contains("/report") {
+                return (200, "{}".to_string(), vec![]);
+            }
+            let since = submitted.lock().unwrap()[id - 1].elapsed();
+            let status = if since >= Duration::from_millis(job_ms) {
+                "done"
+            } else {
+                "running"
+            };
+            (200, format!(r#"{{"status":"{status}"}}"#), vec![])
+        } else if line.starts_with("POST /cache/peers") {
+            (200, r#"{"peers":1}"#.to_string(), vec![])
+        } else {
+            (404, r#"{"error":"no route"}"#.to_string(), vec![])
+        }
+    });
+    addr
+}
+
+/// Starting estimates afresh each run costs a heterogeneous fleet the
+/// slow node's estimate learned in the run before: the next run feeds it
+/// shards up to its cap again until it resolves one (2 of 20 here, in
+/// both runs). That must stay a cost of a few shards, not of the run: on
+/// one fleet of a slow and a fast node, the fast node still completes
+/// most of the second grid.
+#[test]
+fn a_second_run_on_a_mixed_fleet_still_favours_the_fast_node() {
+    let fleet = Fleet::start(FleetConfig {
+        nodes: vec![
+            slow_worker(30),
+            cold_then_warm_worker(0, Arc::new(AtomicBool::new(false))),
+        ],
+        request_timeout: Duration::from_secs(2),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let s = spec(
+        r#"{"models":["mobilenetv2-0.5","resnet-50"],"platform":"a100","batches":[1,2,3,4,5,6,7,8,9,10],"seed":43}"#,
+    );
+    for pass in 1..=2 {
+        let run = fleet.run_grid(&s).unwrap();
+        let fast = run.outcome.shards.iter().filter(|r| r.node == 1).count();
+        assert!(
+            fast * 2 > run.outcome.shards.len(),
+            "run {pass}: the fast node completed {fast} of {} shards",
+            run.outcome.shards.len()
+        );
+    }
+    fleet.shutdown();
 }

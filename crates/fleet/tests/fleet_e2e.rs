@@ -17,10 +17,20 @@ fn spec(json: &str) -> GridSpec {
     GridSpec::from_value(&serde_json::from_str(json).unwrap()).unwrap()
 }
 
-/// An address that refuses every connection: bind, record, drop.
-fn refused_addr() -> SocketAddr {
+/// An address that answers no request: every connection is closed as
+/// soon as it is accepted. The listener stays bound for the rest of the
+/// process, so no daemon a concurrent test starts can take the port and
+/// answer in its place, as it could once a bound-then-dropped port was
+/// free again.
+fn dead_addr() -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    listener.local_addr().unwrap()
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            drop(stream);
+        }
+    });
+    addr
 }
 
 /// A worker that looks alive exactly once, accepts every job, and never
@@ -161,7 +171,7 @@ fn dead_node_shards_reschedule_onto_survivors() {
     let reference = run_grid_local(&s).unwrap();
 
     let config = FleetConfig {
-        nodes: vec![refused_addr()],
+        nodes: vec![dead_addr()],
         local_daemons: 1,
         request_timeout: Duration::from_millis(500),
         ..FleetConfig::default()

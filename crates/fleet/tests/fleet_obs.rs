@@ -1,7 +1,7 @@
 //! Fleet observability-plane integration tests against live worker
 //! daemons: federated per-node metrics on the coordinator's scrape
-//! endpoint, the merged cross-node trace document, and the flight
-//! recorder surface.
+//! endpoint, the merged cross-node trace document and its rendering on
+//! request, and the flight recorder surface.
 
 use proof_core::GridSpec;
 use proof_fleet::{Fleet, FleetConfig};
@@ -9,6 +9,11 @@ use proof_serve::client::get;
 use proof_serve::{ServeConfig, Server};
 use serde_json::Value;
 use std::collections::BTreeSet;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn spec(json: &str) -> GridSpec {
     GridSpec::from_value(&serde_json::from_str(json).unwrap()).unwrap()
@@ -75,7 +80,8 @@ fn merged_trace_lays_jobs_out_by_shard_with_clean_parenting() {
     let s = spec(r#"{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2],"seed":22}"#);
     let run = fleet.run_grid(&s).unwrap();
 
-    let doc: Value = serde_json::from_str(&run.trace_json).unwrap();
+    let trace = run.trace_json();
+    let doc: Value = serde_json::from_str(&trace).unwrap();
     let events = doc["traceEvents"].as_array().unwrap();
 
     let run_span = events
@@ -113,15 +119,15 @@ fn merged_trace_lays_jobs_out_by_shard_with_clean_parenting() {
         assert_eq!(anchor["args"]["shard"], job["args"]["shard"]);
         assert_eq!(anchor["ts"], job["ts"]);
     }
-    assert!(!run.trace_json.contains("\"addr\""), "{}", run.trace_json);
-    assert!(!run.trace_json.contains("\"node\":"), "{}", run.trace_json);
-    assert!(!run.trace_json.contains("\"remote_parent\""));
-    assert!(!run.trace_json.contains("\"job\":"));
+    assert!(!trace.contains("\"addr\""), "{trace}");
+    assert!(!trace.contains("\"node\":"), "{trace}");
+    assert!(!trace.contains("\"remote_parent\""));
+    assert!(!trace.contains("\"job\":"));
     // pipeline stage spans rode along under the job spans
     assert!(events.iter().any(|e| e["name"] == "compile"));
 
     // the same document is what the coordinator serves afterwards
-    assert_eq!(fleet.last_trace().as_deref(), Some(run.trace_json.as_str()));
+    assert_eq!(fleet.last_trace(), Some(trace));
 
     fleet.shutdown();
     a.shutdown();
@@ -174,4 +180,183 @@ fn workers_adopt_the_fleet_trace_end_to_end() {
 
     fleet.shutdown();
     a.shutdown();
+}
+
+/// How many events of the trace document `trace` are named `name`.
+fn events_named(trace: &str, name: &str) -> usize {
+    let doc: Value = serde_json::from_str(trace).unwrap();
+    doc["traceEvents"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|e| e["name"] == name)
+        .count()
+}
+
+/// Each node's `proof_serve_http_requests_total`. The scrape that reads it
+/// is counted in it.
+fn http_requests(nodes: &[SocketAddr]) -> Vec<u64> {
+    nodes
+        .iter()
+        .map(|&addr| {
+            let (status, prom) = get(addr, "/metrics?format=prometheus").unwrap();
+            assert_eq!(status, 200);
+            prom.lines()
+                .find_map(|l| l.strip_prefix("proof_serve_http_requests_total "))
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no request counter in:\n{prom}"))
+        })
+        .collect()
+}
+
+/// A run's trace is rendered on request from the nodes' span listings:
+/// one render asks each node for its listing once, a complete render is
+/// kept (later renders ask no node and give the same bytes, even once the
+/// nodes are gone), and a later run leaves an earlier run's trace as it
+/// was.
+#[test]
+fn a_run_trace_renders_on_request_with_stable_bytes() {
+    let (a, b) = (daemon(), daemon());
+    let nodes = [a.addr(), b.addr()];
+    // no peer caches: a node publishing to its peer after a job would
+    // move the peer's request counter while it is read
+    let fleet = Fleet::start(FleetConfig {
+        advertise_peer_cache: false,
+        ..FleetConfig::remote(nodes.to_vec())
+    })
+    .unwrap();
+    let s = spec(r#"{"model":"mobilenetv2-0.5","platform":"a100","batches":[1,2],"seed":24}"#);
+    let first = fleet.run_grid(&s).unwrap();
+
+    let before = http_requests(&nodes);
+    let trace = first.trace_json();
+    let after = http_requests(&nodes);
+    for ((before, after), addr) in before.iter().zip(&after).zip(&nodes) {
+        // the render's one request, and the second scrape itself
+        assert_eq!(after - before, 2, "requests to {addr} for one render");
+    }
+    assert_eq!(events_named(&trace, "fleet_shard"), 2, "{trace}");
+    assert_eq!(events_named(&trace, "job"), 2, "{trace}");
+    assert_eq!(first.trace_json(), trace, "a second render, other bytes");
+    let again = http_requests(&nodes);
+    for ((after, again), addr) in after.iter().zip(&again).zip(&nodes) {
+        // only the third scrape itself
+        assert_eq!(again - after, 1, "a kept trace asked {addr} again");
+    }
+
+    let second = fleet.run_grid(&s).unwrap();
+    assert_ne!(second.trace, first.trace);
+    assert_eq!(first.trace_json(), trace, "run 1's trace moved after run 2");
+    let last = second.trace_json();
+    assert_eq!(fleet.last_trace(), Some(last.clone()));
+
+    fleet.shutdown();
+    a.shutdown();
+    b.shutdown();
+    assert_eq!(
+        first.trace_json(),
+        trace,
+        "run 1's kept trace after shutdown"
+    );
+    assert_eq!(
+        second.trace_json(),
+        last,
+        "run 2's kept trace after shutdown"
+    );
+}
+
+/// A one-worker node that settles every waiting submission inline with
+/// an empty report, answers anything else but `/healthz` with 404, and
+/// records every request line it reads in `lines`.
+fn recording_worker(lines: Arc<Mutex<Vec<String>>>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let next_id = AtomicU64::new(1);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut s) = stream else { continue };
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") && head.len() < 8192 {
+                match s.read(&mut byte) {
+                    Ok(1) => head.push(byte[0]),
+                    _ => break,
+                }
+            }
+            let head = String::from_utf8_lossy(&head).to_string();
+            let line = head.lines().next().unwrap_or("").to_string();
+            if let Some(len) = head.lines().find_map(|l| {
+                l.to_ascii_lowercase()
+                    .strip_prefix("content-length:")
+                    .and_then(|v| v.trim().parse::<usize>().ok())
+            }) {
+                let mut body = vec![0u8; len.min(1 << 20)];
+                let _ = s.read_exact(&mut body);
+            }
+            let (status, reply, job) = if line.starts_with("GET /healthz") {
+                (
+                    200,
+                    r#"{"status":"ok","queue_depth":0,"queue_capacity":64,"workers":1,"in_flight":0}"#,
+                    String::new(),
+                )
+            } else if line.starts_with("POST /jobs") {
+                let id = next_id.fetch_add(1, Ordering::Relaxed);
+                (200, "{}", format!("X-Proof-Job: {id}\r\n"))
+            } else {
+                (404, r#"{"error":"no route"}"#, String::new())
+            };
+            lines.lock().unwrap().push(line);
+            let _ = write!(
+                s,
+                "HTTP/1.1 {status} X\r\ncontent-type: application/json\r\n{job}content-length: {}\r\nconnection: close\r\n\r\n{reply}",
+                reply.len()
+            );
+        }
+    });
+    addr
+}
+
+/// A run fetches no span listing: until its trace is rendered, no node
+/// sees a `/trace/` request, and one render sends each node exactly one,
+/// for the run's trace. A render missing a node's listing is not kept:
+/// the next render asks every node again.
+#[test]
+fn a_run_sends_no_trace_request_until_one_is_rendered() {
+    let logs: Vec<Arc<Mutex<Vec<String>>>> = (0..2).map(|_| Arc::default()).collect();
+    let fleet = Fleet::start(FleetConfig {
+        nodes: logs
+            .iter()
+            .map(|l| recording_worker(Arc::clone(l)))
+            .collect(),
+        request_timeout: Duration::from_secs(2),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let s = spec(
+        r#"{"models":["mobilenetv2-0.5","resnet-50"],"platform":"a100","batches":[1,2],"seed":25}"#,
+    );
+    let run = fleet.run_grid(&s).unwrap();
+    let trace_requests = |log: &Mutex<Vec<String>>| -> Vec<String> {
+        let lines = log.lock().unwrap();
+        lines
+            .iter()
+            .filter(|l| l.contains("/trace/"))
+            .cloned()
+            .collect()
+    };
+    for log in &logs {
+        assert!(!log.lock().unwrap().is_empty(), "a node took no part");
+        assert_eq!(trace_requests(log), Vec::<String>::new());
+    }
+    run.trace_json();
+    let expected = format!("GET /trace/{}?format=spans HTTP/1.1", run.trace);
+    for log in &logs {
+        assert_eq!(trace_requests(log), [expected.as_str()]);
+    }
+    // these nodes hold no listing (404), so that render was incomplete
+    run.trace_json();
+    for log in &logs {
+        assert_eq!(trace_requests(log), [expected.as_str(), expected.as_str()]);
+    }
+    fleet.shutdown();
 }

@@ -2,8 +2,9 @@
 //! exactly when the report bytes of the same shard id match that run's,
 //! byte for byte: a repeated grid reuses every cell, a grid of another
 //! shape the shards whose bytes repeat, and a node that answers a cell
-//! with new bytes gets them walked and merged. Every run's document
-//! equals `merge_run` over the reports it received.
+//! with new bytes gets them walked and merged. A reused cell's report is
+//! the previous run's buffer, shared; a walked one keeps its own. Every
+//! run's document equals `merge_run` over the reports it kept.
 
 use proof_core::GridSpec;
 use proof_fleet::{merge_run, run_grid_local, Fleet, FleetConfig, FleetRun};
@@ -27,6 +28,19 @@ fn cells_reused(fleet: &Fleet) -> u64 {
 /// The run's document is the merge of the reports it kept.
 fn assert_merges_its_results(s: &GridSpec, run: &FleetRun) {
     assert_eq!(merge_run(s, &run.outcome.results).unwrap(), run.merged);
+}
+
+/// How many of `run`'s reports are `last`'s buffers for the same shard,
+/// shared rather than equal.
+fn shared_buffers(last: &FleetRun, run: &FleetRun) -> usize {
+    run.outcome
+        .results
+        .iter()
+        .zip(&last.outcome.results)
+        .filter(|((shard, body), (last_shard, last_body))| {
+            shard == last_shard && Arc::ptr_eq(body, last_body)
+        })
+        .count()
 }
 
 /// The report a scripted worker gives a cell at `version`: pretty JSON,
@@ -109,11 +123,11 @@ fn a_cell_answered_with_new_bytes_is_walked_not_reused() {
         ..FleetConfig::default()
     })
     .unwrap();
-    let reports = |version: u64| -> Vec<(usize, String)> {
+    let reports = |version: u64| -> Vec<(usize, Arc<String>)> {
         ["mobilenetv2-0.5", "resnet-50"]
             .iter()
             .enumerate()
-            .map(|(shard, model)| (shard, scripted_report(model, version)))
+            .map(|(shard, model)| (shard, Arc::new(scripted_report(model, version))))
             .collect()
     };
 
@@ -129,6 +143,11 @@ fn a_cell_answered_with_new_bytes_is_walked_not_reused() {
     assert_eq!(second.merged, merge_run(&s, &reports(2)).unwrap());
     assert_ne!(second.merged, first.merged);
     assert_eq!(second.reused, 0, "no cell's bytes repeated");
+    assert_eq!(
+        shared_buffers(&first, &second),
+        0,
+        "changed cells keep their bytes"
+    );
     assert_eq!(cells_reused(&fleet), 0);
 
     // a failed run leaves the second run as the one to reuse
@@ -141,6 +160,7 @@ fn a_cell_answered_with_new_bytes_is_walked_not_reused() {
     version.store(2, Ordering::Relaxed);
     let fourth = fleet.run_grid(&s).unwrap();
     assert_eq!(fourth.reused, 2);
+    assert_eq!(shared_buffers(&second, &fourth), 2);
     assert_eq!(fourth.merged, second.merged);
     assert_merges_its_results(&s, &fourth);
     assert_eq!(cells_reused(&fleet), 2);
@@ -162,6 +182,11 @@ fn a_repeated_grid_reuses_every_cell() {
     assert_eq!(second.reused, 3);
     assert_eq!(second.merged, first.merged);
     assert_eq!(second.outcome.results, first.outcome.results);
+    assert_eq!(
+        shared_buffers(&first, &second),
+        3,
+        "every report is the first run's buffer"
+    );
     assert_eq!(second.report_spans, first.report_spans);
     assert_merges_its_results(&s, &second);
     assert_eq!(cells_reused(&fleet), 3);
@@ -200,12 +225,19 @@ fn a_grid_of_another_shape_reuses_the_shards_whose_bytes_repeat() {
         // a shorter grid: shard 0 repeats
         ("[2]", 1),
     ];
+    let mut last: Option<Arc<FleetRun>> = None;
     for (batches, reused) in runs {
         let s = grid(batches);
         let run = fleet.run_grid(&s).unwrap();
         assert_eq!(run.reused, reused, "{batches}");
+        if let Some(last) = &last {
+            // the repeated shards share the last run's buffers; the
+            // others keep their own
+            assert_eq!(shared_buffers(last, &run), reused, "{batches}");
+        }
         assert_eq!(run.merged, run_grid_local(&s).unwrap(), "{batches}");
         assert_merges_its_results(&s, &run);
+        last = Some(run);
     }
     assert_eq!(cells_reused(&fleet), 3);
     fleet.shutdown();
